@@ -9,7 +9,6 @@ from .core import (
     largest_component,
     merge_local,
     normalize_label,
-    undirected_view,
 )
 from .extraction import (
     LocalGraph,
@@ -24,7 +23,6 @@ from .sessions import (
     GeneratorSession,
     HTTPGeneratorSession,
     SyntheticGenerator,
-    synthetic_generator,
 )
 
 __version__ = "0.1.0"
@@ -51,6 +49,4 @@ __all__ = [
     "parse_graph_literal",
     "run",
     "serialize_graph_literal",
-    "synthetic_generator",
-    "undirected_view",
 ]

@@ -458,6 +458,32 @@ class HubEmergence:
     mean_degree: dict[int, float]
 
 
+def simple_degrees(und: nx.Graph) -> dict[str, int]:
+    """Node degrees of an undirected view with self-loops left out."""
+    return {v: len(nbrs) - (v in nbrs) for v, nbrs in und.adj.items()}
+
+
+def summarize_hubs(degrees_by_iter: dict[int, dict[str, int]], d_emerge: int = 5,
+                   top_n: int = 10) -> HubEmergence:
+    """Hub trajectories from each iteration's LCC degrees ({} for an empty snapshot)."""
+    max_deg: dict[str, int] = {}
+    t_emerge: dict[str, int] = {}
+    for it in sorted(degrees_by_iter):
+        for v, d in degrees_by_iter[it].items():
+            if d > max_deg.get(v, -1):
+                max_deg[v] = d
+            if d > d_emerge and v not in t_emerge:
+                t_emerge[v] = it
+    top_hubs = sorted(max_deg, key=lambda v: (-max_deg[v], v))[:top_n]
+    trajectories = {
+        v: {it: degs[v] for it, degs in sorted(degrees_by_iter.items()) if v in degs}
+        for v in top_hubs
+    }
+    mean_degree = {it: sum(deg.values()) / len(deg) if deg else 0.0
+                   for it, deg in degrees_by_iter.items()}
+    return HubEmergence(top_hubs, trajectories, t_emerge, mean_degree)
+
+
 def hub_emergence(series: SnapshotSeries, d_emerge: int = 5,
                   top_n: int = 10) -> HubEmergence:
     """Degree trajectories of the strongest hubs on each snapshot's LCC.
@@ -467,36 +493,12 @@ def hub_emergence(series: SnapshotSeries, d_emerge: int = 5,
     """
     if len(series) == 0:
         raise EmptyGraph("empty snapshot series")
-    degrees_by_iter: dict[int, dict[str, int]] = {}
-    mean_degree: dict[int, float] = {}
-    for snap in series:
-        if snap.graph.node_count == 0:
-            # a snapshot can be empty when early extractions failed
-            degrees_by_iter[snap.iteration] = {}
-            mean_degree[snap.iteration] = 0.0
-            continue
-        lcc = largest_component(snap.graph, "undirected")
-        und = lcc.undirected_view(self_loops=False)
-        deg = dict(und.degree())
-        degrees_by_iter[snap.iteration] = deg
-        mean_degree[snap.iteration] = (
-            sum(deg.values()) / len(deg) if deg else 0.0
-        )
-    max_deg: dict[str, int] = {}
-    t_emerge: dict[str, int] = {}
-    for it in sorted(degrees_by_iter):
-        for v, d in degrees_by_iter[it].items():
-            if d > max_deg.get(v, -1):
-                max_deg[v] = d
-            if d > d_emerge and v not in t_emerge:
-                t_emerge[v] = it
-    ranked = sorted(max_deg, key=lambda v: (-max_deg[v], v))
-    top_hubs = ranked[:top_n]
-    trajectories = {
-        v: {it: degs[v] for it, degs in sorted(degrees_by_iter.items()) if v in degs}
-        for v in top_hubs
-    }
-    return HubEmergence(top_hubs, trajectories, t_emerge, mean_degree)
+    # a snapshot can be empty when early extractions failed
+    return summarize_hubs({
+        snap.iteration: simple_degrees(
+            largest_component(snap.graph, "undirected").undirected_view())
+        if snap.graph.node_count else {}
+        for snap in series}, d_emerge, top_n)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +514,22 @@ class BridgeSeries:
     presence: list[list[bool]]
 
 
+def summarize_bridges(bridge_sets: dict[int, set[str]], *, window: int = 200,
+                      top_nodes: int = 100) -> BridgeSeries:
+    """Persistence counts and presence matrix from per-iteration bridge sets."""
+    persistence: dict[str, int] = {}
+    t_first: dict[str, int] = {}
+    for it in sorted(bridge_sets):
+        for v in bridge_sets[it]:
+            persistence[v] = persistence.get(v, 0) + 1
+            t_first.setdefault(v, it)
+    window_iters = [it for it in sorted(bridge_sets) if it < window]
+    early = sorted((v for v, t in t_first.items() if t < window),
+                   key=lambda v: (t_first[v], v))[:top_nodes]
+    presence = [[v in bridge_sets[it] for it in window_iters] for v in early]
+    return BridgeSeries(bridge_sets, persistence, early, window_iters, presence)
+
+
 def bridge_analysis(series: SnapshotSeries, seed: int = 0, *,
                     window: int = 200, top_nodes: int = 100) -> BridgeSeries:
     """Per-snapshot bridge sets, persistence counts, and a presence matrix.
@@ -523,28 +541,11 @@ def bridge_analysis(series: SnapshotSeries, seed: int = 0, *,
     if len(series) == 0:
         raise EmptyGraph("empty snapshot series")
     bridge_sets: dict[int, set[str]] = {}
-    persistence: dict[str, int] = {}
-    t_first: dict[str, int] = {}
     for snap in series:
-        if snap.graph.node_count == 0:
-            bridge_sets[snap.iteration] = set()
-            continue
         und = snap.graph.undirected_view(self_loops=False)
-        partition, _ = louvain(und, seed)
-        bridges = bridge_nodes(und, partition)
-        bridge_sets[snap.iteration] = bridges
-        for v in bridges:
-            persistence[v] = persistence.get(v, 0) + 1
-            t_first.setdefault(v, snap.iteration)
-    window_iters = [s.iteration for s in series if s.iteration < window]
-    early = sorted(
-        (v for v, t in t_first.items() if t < window),
-        key=lambda v: (t_first[v], v),
-    )[:top_nodes]
-    presence = [
-        [v in bridge_sets[it] for it in window_iters] for v in early
-    ]
-    return BridgeSeries(bridge_sets, persistence, early, window_iters, presence)
+        bridge_sets[snap.iteration] = (bridge_nodes(und, louvain(und, seed)[0])
+                                       if snap.graph.node_count else set())
+    return summarize_bridges(bridge_sets, window=window, top_nodes=top_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -565,23 +566,26 @@ class BetweennessSeries:
         return [row[col] for row in self.values]
 
 
-def betweenness_timeseries(series: SnapshotSeries,
-                           top_n: int = 10) -> BetweennessSeries:
-    """Normalized betweenness of every node over time; absent nodes score 0."""
-    if len(series) == 0:
-        raise EmptyGraph("empty snapshot series")
-    per_iter: dict[int, dict[str, float]] = {}
-    for snap in series:
-        und = snap.graph.undirected_view()
-        per_iter[snap.iteration] = nx.betweenness_centrality(und, normalized=True)
+def summarize_betweenness(per_iter: dict[int, dict[str, float]],
+                          top_n: int = 10) -> BetweennessSeries:
+    """Align per-iteration betweenness tables over all nodes; absent nodes score 0."""
     iterations = sorted(per_iter)
     nodes = sorted({v for bc in per_iter.values() for v in bc})
     values = [[per_iter[it].get(v, 0.0) for v in nodes] for it in iterations]
     peak = {v: max(per_iter[it].get(v, 0.0) for it in iterations) for v in nodes}
     top_nodes = sorted(nodes, key=lambda v: (-peak[v], v))[:top_n]
-    mean = [
-        (sum(per_iter[it].values()) / len(per_iter[it])) if per_iter[it] else 0.0
-        for it in iterations
-    ]
+    mean = [sum(per_iter[it].values()) / len(per_iter[it]) if per_iter[it] else 0.0
+            for it in iterations]
     max_ = [max(per_iter[it].values(), default=0.0) for it in iterations]
     return BetweennessSeries(iterations, nodes, values, top_nodes, mean, max_)
+
+
+def betweenness_timeseries(series: SnapshotSeries,
+                           top_n: int = 10) -> BetweennessSeries:
+    """Normalized betweenness of every node over time; absent nodes score 0."""
+    if len(series) == 0:
+        raise EmptyGraph("empty snapshot series")
+    return summarize_betweenness({
+        snap.iteration: nx.betweenness_centrality(snap.graph.undirected_view(),
+                                                  normalized=True)
+        for snap in series}, top_n)

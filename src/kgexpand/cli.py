@@ -17,10 +17,10 @@ import yaml
 
 from . import paths as paths_mod
 from . import report as report_mod
+from .analytics import centralities
 from .errors import KgExpandError
 from .graphml_io import SnapshotStore, read_graphml, write_graphml
 from .loop import RunConfig, run
-from .sessions import HTTPGeneratorSession, SyntheticGenerator
 
 
 def _load_config(path: str | None) -> dict:
@@ -60,13 +60,6 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _make_session(endpoint: str | None, seed: int, model: str,
-                  vocabulary: int) -> SyntheticGenerator | HTTPGeneratorSession:
-    if endpoint:
-        return HTTPGeneratorSession(endpoint=endpoint, model=model)
-    return SyntheticGenerator(seed=seed, vocabulary_size=vocabulary)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
     result = run(cfg)
@@ -103,10 +96,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _load_graph_argument(path_arg: str):
     path = Path(path_arg)
     if path.is_dir():
-        series = SnapshotStore(path).load()
-        if len(series) == 0:
-            raise KgExpandError(f"no snapshots found in {path}")
-        return series.final.graph
+        return SnapshotStore(path).final().graph
     return read_graphml(path)
 
 
@@ -114,19 +104,21 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     g = _load_graph_argument(args.graph)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    top = paths_mod.top_k_longest_paths(g, args.k)
+    table = centralities(g.undirected_view(self_loops=False)) if g.node_count else None
+    top = paths_mod.top_k_longest_paths(g, args.k, table)
     for i, path in enumerate(top):
         sub = paths_mod.induced_path_graph(g, path)
         write_graphml(sub, out / f"path_{i}.graphml", node_attrs=path.node_metrics)
     if len(top) >= 3:
-        corr = paths_mod.path_metric_correlations(top, g)
+        corr = paths_mod.path_metric_correlations(top, g, table)
         _write_correlations(out / "path_correlations.csv", corr)
-    main_path = paths_mod.diameter_path(g)
+    main_path = paths_mod.diameter_path(g, table)
     print(f"diameter path ({main_path.length} steps): {main_path.render()}")
     if args.mode != "none":
-        session = _make_session(args.endpoint, args.seed, args.model, 20)
-        final_session = (_make_session(args.final_endpoint, args.seed + 1,
-                                       args.final_model, 20)
+        session = RunConfig(synthetic=not args.endpoint, endpoint=args.endpoint or "",
+                            model=args.model, seed=args.seed).build_session()
+        final_session = (RunConfig(synthetic=False, endpoint=args.final_endpoint,
+                                   model=args.final_model).build_session()
                          if args.final_endpoint else session)
         if args.mode == "agentic":
             rep = paths_mod.agentic_path_report(main_path, g, session)
@@ -149,11 +141,10 @@ def _write_correlations(path: Path, corr) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    series = SnapshotStore(args.snapshots).load()
-    if len(series) == 0:
-        raise KgExpandError(f"no snapshots found in {args.snapshots}")
+    store = SnapshotStore(args.snapshots)
     bundle = report_mod.build_report(
-        series, args.out, louvain_seed=args.seed, run_dir=args.snapshots,
+        store.final(), len(store.iteration_paths()), args.out,
+        louvain_seed=args.seed, run_dir=args.snapshots,
         analysis_dir=args.analysis, paths_dir=args.paths)
     print(bundle.report_path.read_text())
     return 0

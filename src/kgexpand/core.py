@@ -9,6 +9,7 @@ whitespace-collapsed form of the label; the first display spelling seen wins.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -122,7 +123,9 @@ class KnowledgeGraph:
         return sum((s == key) + (t == key) for s, _, t in self._edges)
 
     def max_degree(self) -> int:
-        return max((self.degree(k) for k in self._nodes), default=0)
+        """Largest ``degree`` over all nodes, in one pass over the edges."""
+        counts = Counter(v for s, _, t in self._edges for v in (s, t))
+        return max(counts.values(), default=0)
 
     # -- views ----------------------------------------------------------
 
@@ -170,10 +173,6 @@ def merge_local(global_graph: KnowledgeGraph, local: KnowledgeGraph) -> MergeDel
             global_graph._edges.add(triple)
             delta.added_edges += 1
     return delta
-
-
-def undirected_view(g: KnowledgeGraph, *, self_loops: bool = True) -> nx.Graph:
-    return g.undirected_view(self_loops=self_loops)
 
 
 def _component_sets(g: KnowledgeGraph, mode: str) -> list[set[str]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import KnowledgeGraph, Snapshot, SnapshotSeries
-from .errors import GraphMLError
+from .errors import EmptyGraph, GraphMLError
 
 log = logging.getLogger(__name__)
 
@@ -150,3 +150,10 @@ class SnapshotStore:
         for iteration, path in self.iteration_paths():
             series.append(Snapshot(iteration, read_graphml(path)))
         return series
+
+    def final(self) -> Snapshot:
+        """The highest-iteration snapshot; no other file is read."""
+        found = self.iteration_paths()
+        if not found:
+            raise EmptyGraph(f"no snapshots found in {self.directory}")
+        return Snapshot(found[-1][0], read_graphml(found[-1][1]))

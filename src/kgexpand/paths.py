@@ -1,7 +1,9 @@
 """Longest-shortest-path extraction, path metrics, and agentic reasoning drivers.
 
 Paths live on the undirected view of the largest component. All ranking and
-tie-breaking is lexicographic so repeated extraction is identical.
+tie-breaking is lexicographic so repeated extraction is identical. Functions
+that take an optional ``table`` accept a precomputed ``centralities`` of the
+self-loop-free undirected view and compute it themselves otherwise.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from .analytics import centralities, louvain
+from .analytics import CentralityTable, centralities, louvain
 from .core import KnowledgeGraph, largest_component
 from .errors import EmptyGraph, GeneratorError, NonConvergent, TrivialPath
 from .prompts import (
@@ -65,9 +67,10 @@ def _lexicographic_shortest_path(g: nx.Graph, source: str, target: str,
     return path
 
 
-def _attach_metrics(g: KnowledgeGraph, nodes: list[str]) -> dict[str, dict[str, float]]:
+def _attach_metrics(g: KnowledgeGraph, nodes: list[str],
+                    table: CentralityTable | None) -> dict[str, dict[str, float]]:
     und = g.undirected_view(self_loops=False)
-    table = centralities(und)
+    table = table or centralities(und)
     return {
         "degree": {v: float(und.degree(v)) for v in nodes},
         "betweenness": {v: table.betweenness[v] for v in nodes},
@@ -75,7 +78,8 @@ def _attach_metrics(g: KnowledgeGraph, nodes: list[str]) -> dict[str, dict[str, 
     }
 
 
-def diameter_path(g: KnowledgeGraph) -> ExtractedPath:
+def diameter_path(g: KnowledgeGraph,
+                  table: CentralityTable | None = None) -> ExtractedPath:
     """A shortest path realizing the maximum eccentricity of the LCC."""
     if g.node_count == 0:
         raise EmptyGraph("diameter_path needs a non-empty graph")
@@ -92,13 +96,14 @@ def diameter_path(g: KnowledgeGraph) -> ExtractedPath:
     return ExtractedPath(
         nodes=nodes,
         displays=[g.display(v) for v in nodes],
-        node_metrics=_attach_metrics(g, nodes),
+        node_metrics=_attach_metrics(g, nodes, table),
         source_eccentricity=ecc[source],
         terminal_eccentricity=ecc[target],
     )
 
 
-def top_k_longest_paths(g: KnowledgeGraph, k: int = 5) -> list[ExtractedPath]:
+def top_k_longest_paths(g: KnowledgeGraph, k: int = 5,
+                        table: CentralityTable | None = None) -> list[ExtractedPath]:
     """The k longest shortest paths over distinct unordered endpoint pairs."""
     if g.node_count == 0:
         raise EmptyGraph("top_k_longest_paths needs a non-empty graph")
@@ -117,7 +122,7 @@ def top_k_longest_paths(g: KnowledgeGraph, k: int = 5) -> list[ExtractedPath]:
         ecc_u = max(dist[u].values())
         ecc_v = max(dist[v].values())
         if metrics_cache is None:
-            metrics_cache = _attach_metrics(g, list(und.nodes))
+            metrics_cache = _attach_metrics(g, list(und.nodes), table)
         paths.append(ExtractedPath(
             nodes=nodes,
             displays=[g.display(n) for n in nodes],
@@ -173,9 +178,10 @@ def path_metrics(path: ExtractedPath, g: KnowledgeGraph,
     return PathMetrics(means=means, density=means["density"])
 
 
-def _node_tables(g: KnowledgeGraph) -> dict[str, dict[str, float]]:
+def _node_tables(g: KnowledgeGraph,
+                 table: CentralityTable | None = None) -> dict[str, dict[str, float]]:
     und = g.undirected_view(self_loops=False)
-    table = centralities(und)
+    table = table or centralities(und)
     if table.eigenvector is None:
         raise NonConvergent("eigenvector centrality did not converge")
     pagerank = nx.pagerank(g.directed_simple_view(), alpha=0.85, tol=1e-8)
@@ -202,12 +208,12 @@ def _pearson(xs: list[float], ys: list[float]) -> float | None:
     return cov / math.sqrt(vx * vy)
 
 
-def path_metric_correlations(paths: list[ExtractedPath],
-                             g: KnowledgeGraph) -> CorrelationMatrix:
+def path_metric_correlations(paths: list[ExtractedPath], g: KnowledgeGraph,
+                             table: CentralityTable | None = None) -> CorrelationMatrix:
     """Pearson correlations of path-level metric means across paths."""
     if len(paths) < 3:
         raise ValueError("need at least three paths to correlate")
-    tables = _node_tables(g)
+    tables = _node_tables(g, table)
     per_path = [path_metrics(p, g, tables) for p in paths]
     columns = {name: [pm.means[name] for pm in per_path] for name in PATH_METRIC_NAMES}
     matrix: list[list[float | None]] = []

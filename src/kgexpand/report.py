@@ -9,10 +9,13 @@ comparisons, from "Number of nodes" through "Scale-free classification".
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import networkx as nx
 
 from . import analytics, scalefree
 from .core import KnowledgeGraph, Snapshot, SnapshotSeries, largest_component
@@ -76,52 +79,47 @@ def analyze_series(series: SnapshotSeries, out_dir: str | Path,
     Writes metrics.csv (tidy), scalefree.csv (per snapshot), spl_histogram.csv
     (final snapshot), bridge_persistence.csv and hub_emergence.csv. Returns
     the output directory. Deterministic given the seeds.
+
+    Each picked snapshot gets one pass (one view, LCC, Louvain partition and
+    betweenness table); ``analytics.summarize_*`` aggregate the results.
     """
     seeds = seeds or AnalyzeSeeds()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     picked = SnapshotSeries([s for i, s in enumerate(series) if i % stride == 0])
-
-    bet = analytics.betweenness_timeseries(picked)
-    bridges = analytics.bridge_analysis(picked, seeds.louvain)
-    hubs = analytics.hub_emergence(picked)
     ledger = analytics.PairDistanceLedger(seed=seeds.sampling)
 
-    rows: list[tuple] = []
-    for idx, snap in enumerate(picked):
+    values_by_iter, bet_by_iter, bridge_sets, degrees_by_iter = {}, {}, {}, {}
+    for snap in picked:
         it = snap.iteration
         g = snap.graph
+        pair_stats = analytics.newly_connected_pairs(ledger, snap, samples)
         if g.node_count == 0:
             # leading snapshots can be empty when extraction failed early
-            empty = {name: float("nan") for name in GLOBAL_METRICS}
-            empty.update({"nodes": 0, "edges": 0, "self_loops": 0,
-                          "lcc_size": 0, "bridge_nodes": 0,
-                          "newly_connected": 0, "shortened_paths": 0})
-            for name in GLOBAL_METRICS:
-                rows.append((it, name, "global", _fmt(empty[name])))
-            analytics.newly_connected_pairs(ledger, snap, samples)
+            zero = {"nodes", "edges", "self_loops", "lcc_size", "bridge_nodes",
+                    "newly_connected", "shortened_paths"}
+            values_by_iter[it] = {n: 0 if n in zero else math.nan for n in GLOBAL_METRICS}
+            bet_by_iter[it], bridge_sets[it], degrees_by_iter[it] = {}, set(), {}
             continue
         basic = analytics.basic_metrics(snap)
+        und = g.undirected_view()
         lcc = largest_component(g, "undirected")
         lcc_und = lcc.undirected_view()
         avg_spl, diameter = analytics.spl_and_diameter(lcc_und)
-        und = g.undirected_view()
         partition, q = analytics.louvain(und, seeds.louvain)
+        bridge_sets[it] = analytics.bridge_nodes(und, partition)
         try:
             assort = analytics.assortativity(und)
         except UndefinedMetric:
             assort = float("nan")
         kmax, ksize = analytics.kcore(und)
-        lcc_bet = analytics.centralities(lcc_und).betweenness
-        pair_stats = analytics.newly_connected_pairs(ledger, snap, samples)
-        values = {
-            "nodes": basic.nodes,
-            "edges": basic.edges,
-            "avg_degree": basic.avg_degree,
-            "max_degree": basic.max_degree,
-            "self_loops": basic.self_loops,
-            "lcc_size": basic.lcc_size,
-            "avg_clustering": basic.avg_clustering,
+        bc = bet_by_iter[it] = nx.betweenness_centrality(und, normalized=True)
+        # a spanning LCC is the same graph in the same node order, so the same table
+        lcc_bc = (bc if lcc.node_count == g.node_count
+                   else nx.betweenness_centrality(lcc_und, normalized=True))
+        degrees_by_iter[it] = analytics.simple_degrees(lcc_und)
+        values_by_iter[it] = {
+            **dataclasses.asdict(basic),
             "modularity": q,
             "communities": len(set(partition.values())),
             "avg_spl_lcc": avg_spl,
@@ -130,19 +128,26 @@ def analyze_series(series: SnapshotSeries, out_dir: str | Path,
             "transitivity": analytics.transitivity(und),
             "kcore_max": kmax,
             "kcore_size": ksize,
-            "avg_betweenness_lcc": sum(lcc_bet.values()) / len(lcc_bet),
+            "avg_betweenness_lcc": sum(lcc_bc.values()) / len(lcc_bc),
             "articulation_points": len(analytics.articulation_points(und)),
-            "bridge_nodes": len(bridges.bridge_sets[it]),
+            "bridge_nodes": len(bridge_sets[it]),
             "newly_connected": pair_stats.newly_connected,
             "shortened_paths": pair_stats.shortened,
-            "mean_betweenness": bet.mean[idx],
-            "max_betweenness": bet.max[idx],
-            "mean_degree_lcc": hubs.mean_degree[it],
         }
+    bet = analytics.summarize_betweenness(bet_by_iter)
+    bridges = analytics.summarize_bridges(bridge_sets)
+    hubs = analytics.summarize_hubs(degrees_by_iter)
+
+    rows: list[tuple] = []
+    for idx, (it, values) in enumerate(values_by_iter.items()):
+        if values["nodes"]:
+            values.update(mean_betweenness=bet.mean[idx], max_betweenness=bet.max[idx],
+                          mean_degree_lcc=hubs.mean_degree[it])
         for name in GLOBAL_METRICS:
             rows.append((it, name, "global", _fmt(values[name])))
-        for col, node in enumerate(bet.nodes):
-            rows.append((it, "betweenness", node, _fmt(bet.values[idx][col])))
+        if values["nodes"]:
+            for col, node in enumerate(bet.nodes):
+                rows.append((it, "betweenness", node, _fmt(bet.values[idx][col])))
     for hub, trajectory in hubs.trajectories.items():
         for it, deg in trajectory.items():
             rows.append((it, "hub_degree", hub, _fmt(deg)))
@@ -275,24 +280,25 @@ class ReportBundle:
     manifest_path: Path
 
 
-def build_report(series: SnapshotSeries, out_dir: str | Path,
+def build_report(final: Snapshot, snapshots: int, out_dir: str | Path,
                  louvain_seed: int = 0,
                  run_dir: str | Path | None = None,
                  analysis_dir: str | Path | None = None,
                  paths_dir: str | Path | None = None) -> ReportBundle:
     """Write the summary table (markdown + CSV) and a bundle manifest.
 
+    ``snapshots`` is the run's snapshot count, recorded in the manifest.
     The bundle manifest references the run manifest and any analysis CSVs and
     path reports found in the given directories, so one file indexes
     everything needed to reproduce and read the experiment.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    values = summarize_snapshot(series.final, louvain_seed)
+    values = summarize_snapshot(final, louvain_seed)
     report_path = out / "report.md"
     report_path.write_text(
         "# Knowledge Graph Summary\n\n"
-        f"Final snapshot: iteration {series.final.iteration}\n\n"
+        f"Final snapshot: iteration {final.iteration}\n\n"
         + summary_markdown(values))
     summary_csv = out / "summary.csv"
     with open(summary_csv, "w", newline="") as fh:
@@ -312,8 +318,8 @@ def build_report(series: SnapshotSeries, out_dir: str | Path,
 
     manifest_path = out / "report_bundle.json"
     manifest_path.write_text(json.dumps({
-        "final_iteration": series.final.iteration,
-        "snapshots": len(series),
+        "final_iteration": final.iteration,
+        "snapshots": snapshots,
         "louvain_seed": louvain_seed,
         "report_files": ["report.md", "summary.csv"],
         "run_manifest": _listing(run_dir, ["manifest.json"]),

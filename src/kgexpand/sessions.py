@@ -224,7 +224,3 @@ class SyntheticGenerator:
         b = self._concepts[self._pick_existing()] if self._concepts else "design"
         verb = rng.choice(("shape", "constrain", "amplify", "stabilize"))
         return f"How could {a} {verb} the behavior of {b} in an unexplored setting?"
-
-
-def synthetic_generator(seed: int, vocabulary_size: int = 20) -> SyntheticGenerator:
-    return SyntheticGenerator(seed=seed, vocabulary_size=vocabulary_size)

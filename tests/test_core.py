@@ -246,3 +246,17 @@ def test_supergraph_validation_catches_lost_edges():
     series.append(Snapshot(1, KnowledgeGraph()))
     with pytest.raises(ValueError):
         series.validate_supergraph()
+
+
+@given(knowledge_graphs())
+def test_max_degree_is_the_largest_node_degree(g):
+    assert g.max_degree() == max((g.degree(k) for k in g.node_keys), default=0)
+
+
+def test_max_degree_counts_a_self_loop_twice_and_isolated_nodes_as_zero():
+    g = KnowledgeGraph()
+    g.add_node("lonely")
+    assert g.max_degree() == 0
+    g.add_edge("a", "HAS", "a")
+    g.add_edge("a", "IS-A", "b")
+    assert g.max_degree() == 3
