@@ -311,16 +311,18 @@ class CentralityTable:
     eigenvector_converged: bool = True
 
 
-def centralities(g: nx.Graph, *, eig_tol: float = 1e-8,
+def centralities(g: nx.Graph, *, betweenness: dict | None = None, eig_tol: float = 1e-8,
                  eig_max_iter: int = 1000) -> CentralityTable:
     """Normalized betweenness, component-scaled closeness, eigenvector scores.
 
     Eigenvector centrality uses power iteration; when it fails to converge the
-    other two tables are still returned and the failure is flagged.
+    other two tables are still returned and the failure is flagged. A
+    ``betweenness`` table already computed on ``g`` is used as is.
     """
     if g.number_of_nodes() == 0:
         raise EmptyGraph("centralities need at least one node")
-    betweenness = nx.betweenness_centrality(g, normalized=True)
+    if betweenness is None:
+        betweenness = nx.betweenness_centrality(g, normalized=True)
     closeness = nx.closeness_centrality(g)
     try:
         eigenvector = nx.eigenvector_centrality(g, max_iter=eig_max_iter, tol=eig_tol)

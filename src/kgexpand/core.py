@@ -17,6 +17,8 @@ import networkx as nx
 from .errors import EmptyGraph, InvalidLabel
 
 _WS_RUN = re.compile(r"\s+")
+# characters outside XML 1.0's Char production: a snapshot holding one is unreadable
+_NON_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 DEFAULT_RELATION = "RELATES-TO"
 
@@ -32,11 +34,15 @@ class ConceptLabel:
 def normalize_label(raw: str) -> ConceptLabel:
     """Trim and collapse whitespace; case preserved for display, folded for identity.
 
-    Raises InvalidLabel when nothing is left after trimming.
+    Raises InvalidLabel when nothing is left after trimming, or when a
+    character is left that XML cannot hold (a control character, a lone
+    surrogate, U+FFFE or U+FFFF).
     """
     display = _WS_RUN.sub(" ", str(raw)).strip()
     if not display:
         raise InvalidLabel(f"label is empty after normalization: {raw!r}")
+    if _NON_XML_CHAR.search(display):
+        raise InvalidLabel(f"label has a character XML cannot hold: {raw!r}")
     return ConceptLabel(display=display, key=display.casefold())
 
 
@@ -45,6 +51,8 @@ def normalize_relation(raw: str) -> str:
     kind = _WS_RUN.sub(" ", str(raw)).strip().upper()
     if not kind:
         raise InvalidLabel(f"relation kind is empty: {raw!r}")
+    if _NON_XML_CHAR.search(kind):
+        raise InvalidLabel(f"relation kind has a character XML cannot hold: {raw!r}")
     return kind
 
 
@@ -73,9 +81,10 @@ class KnowledgeGraph:
 
     def add_edge(self, source: str, kind: str, target: str) -> bool:
         """Insert a triple; returns True when it was genuinely new."""
+        kind = normalize_relation(kind)  # a rejected relation adds no node
         src = self.add_node(source)
         tgt = self.add_node(target)
-        triple = (src, normalize_relation(kind), tgt)
+        triple = (src, kind, tgt)
         if triple in self._edges:
             return False
         self._edges.add(triple)

@@ -31,38 +31,78 @@ def _attr_type(values) -> str:
     return "long" if all(isinstance(v, int) for v in values) else "double"
 
 
+_XML_DECLARATION = "<?xml version='1.0' encoding='utf-8'?>\n"
+
+
+def _escape_text(text: str) -> str:
+    """Character data escaped as ElementTree escapes it: ``&``, ``<``, ``>``."""
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    return text
+
+
+def _escape_attr(text: str) -> str:
+    """An attribute value escaped as ElementTree escapes it, ``&`` first."""
+    text = _escape_text(text)
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
+
+
 def write_graphml(g: KnowledgeGraph, path: str | Path,
                   node_attrs: dict[str, dict[str, float]] | None = None) -> None:
-    """Write a graph as directed GraphML; optional extra numeric node attributes."""
-    root = ET.Element("graphml", xmlns=GRAPHML_NS)
-    ET.SubElement(root, "key", id="d0", attrib={
-        "for": "node", "attr.name": "label", "attr.type": "string"})
-    ET.SubElement(root, "key", id="d1", attrib={
-        "for": "edge", "attr.name": "relation", "attr.type": "string"})
+    """Write a graph as directed GraphML; optional extra numeric node attributes.
+
+    The document is built as strings and written in one call. Its bytes are
+    those of an ElementTree tree indented with ``ET.indent(space="  ")`` and
+    written with an XML declaration: ``<key>`` attributes in the order
+    ``for``, ``attr.name``, ``attr.type``, ``id``; empty elements as ``<x />``;
+    no newline after ``</graphml>``; non-ASCII written raw.
+    """
+    node_attrs = node_attrs or {}
+    parts = [_XML_DECLARATION, f'<graphml xmlns="{GRAPHML_NS}">\n',
+             '  <key for="node" attr.name="label" attr.type="string" id="d0" />\n',
+             '  <key for="edge" attr.name="relation" attr.type="string" id="d1" />\n']
     extra_ids: dict[str, str] = {}
-    for i, name in enumerate(sorted(node_attrs or {})):
-        key_id = f"d{i + 2}"
-        extra_ids[name] = key_id
-        ET.SubElement(root, "key", id=key_id, attrib={
-            "for": "node", "attr.name": name,
-            "attr.type": _attr_type(node_attrs[name].values())})
-    graph_el = ET.SubElement(root, "graph", edgedefault="directed")
-    for key in sorted(g.node_keys):
-        node_el = ET.SubElement(graph_el, "node", id=key)
-        label_el = ET.SubElement(node_el, "data", key="d0")
-        label_el.text = g.display(key)
-        for name, key_id in extra_ids.items():
-            if key in node_attrs[name]:
-                value = node_attrs[name][key]
-                data_el = ET.SubElement(node_el, "data", key=key_id)
-                data_el.text = repr(value if isinstance(value, int) else float(value))
-    for i, (src, kind, tgt) in enumerate(g.triples()):
-        edge_el = ET.SubElement(graph_el, "edge", id=f"e{i}", source=src, target=tgt)
-        rel_el = ET.SubElement(edge_el, "data", key="d1")
-        rel_el.text = kind
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    tree.write(path, encoding="utf-8", xml_declaration=True)
+    for i, name in enumerate(sorted(node_attrs)):
+        key_id = extra_ids[name] = f"d{i + 2}"
+        parts.append(f'  <key for="node" attr.name="{_escape_attr(name)}" '
+                     f'attr.type="{_attr_type(node_attrs[name].values())}" '
+                     f'id="{key_id}" />\n')
+    displays = g.display_map()
+    if not displays:
+        parts.append('  <graph edgedefault="directed" />\n')
+    else:
+        parts.append('  <graph edgedefault="directed">\n')
+        ids: dict[str, str] = {}
+        for key in sorted(displays):
+            node_id = ids[key] = _escape_attr(key)
+            parts.append(f'    <node id="{node_id}">\n'
+                         f'      <data key="d0">{_escape_text(displays[key])}</data>\n')
+            for name, key_id in extra_ids.items():
+                if key in node_attrs[name]:
+                    value = node_attrs[name][key]
+                    text = repr(value if isinstance(value, int) else float(value))
+                    parts.append(f'      <data key="{key_id}">{text}</data>\n')
+            parts.append("    </node>\n")
+        for i, (src, kind, tgt) in enumerate(g.triples()):
+            parts.append(f'    <edge id="e{i}" source="{ids[src]}" target="{ids[tgt]}">\n'
+                         f'      <data key="d1">{_escape_text(kind)}</data>\n'
+                         "    </edge>\n")
+        parts.append("  </graph>\n")
+    parts.append("</graphml>")
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
+        fh.write("".join(parts))
 
 
 def _local(tag: str) -> str:

@@ -157,8 +157,10 @@ def analyze_series(series: SnapshotSeries, out_dir: str | Path,
                          _fmt(int(bridges.presence[row_idx][col_idx]))))
     # final-snapshot centrality distributions (plot-ready per-node values)
     final_it = picked.final.iteration
+    final_und = picked.final.graph.undirected_view()
     if picked.final.graph.node_count:
-        final_table = analytics.centralities(picked.final.graph.undirected_view())
+        # the loop built this betweenness table on an identical view
+        final_table = analytics.centralities(final_und, betweenness=bet_by_iter[final_it])
         for node in sorted(final_table.closeness):
             rows.append((final_it, "closeness", node,
                          _fmt(final_table.closeness[node])))
@@ -185,7 +187,6 @@ def analyze_series(series: SnapshotSeries, out_dir: str | Path,
                 writer.writerow([snap.iteration, "nan", "nan", "nan", "nan", "nan",
                                  type(exc).__name__])
 
-    final_und = picked.final.graph.undirected_view()
     if final_und.number_of_nodes():
         dist = analytics.sampled_spl_distribution(final_und, spl_samples,
                                                   seeds.sampling)

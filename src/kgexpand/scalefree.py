@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import DegenerateSequence, InconclusiveTest, InsufficientData
 
@@ -43,28 +42,36 @@ class ScaleFreeVerdict:
     is_scale_free: bool
 
 
-def _tail_loglik(alpha: float, n: int, xmin: int, log_sum: float) -> float:
+def _hurwitz_zeta():
+    """scipy's Hurwitz zeta, imported on use: loading the CLI must not load scipy."""
+    from scipy.special import zeta
+    return zeta
+
+
+def _tail_loglik(alpha: float, n: int, xmin: int, log_sum: float, zeta=None) -> float:
+    if zeta is None:
+        zeta = _hurwitz_zeta()
     return -n * math.log(zeta(alpha, xmin)) - alpha * log_sum
 
 
-def _mle_alpha(n: int, xmin: int, log_sum: float) -> tuple[float, float]:
+def _mle_alpha(n: int, xmin: int, log_sum: float, zeta) -> tuple[float, float]:
     """Golden-section maximization of the tail log-likelihood over alpha."""
     lo, hi = ALPHA_LO, ALPHA_HI
     a = hi - _GOLDEN * (hi - lo)
     b = lo + _GOLDEN * (hi - lo)
-    fa = _tail_loglik(a, n, xmin, log_sum)
-    fb = _tail_loglik(b, n, xmin, log_sum)
+    fa = _tail_loglik(a, n, xmin, log_sum, zeta)
+    fb = _tail_loglik(b, n, xmin, log_sum, zeta)
     while hi - lo > ALPHA_TOL:
         if fa < fb:
             lo, a, fa = a, b, fb
             b = lo + _GOLDEN * (hi - lo)
-            fb = _tail_loglik(b, n, xmin, log_sum)
+            fb = _tail_loglik(b, n, xmin, log_sum, zeta)
         else:
             hi, b, fb = b, a, fa
             a = hi - _GOLDEN * (hi - lo)
-            fa = _tail_loglik(a, n, xmin, log_sum)
+            fa = _tail_loglik(a, n, xmin, log_sum, zeta)
     alpha = (lo + hi) / 2.0
-    return alpha, _tail_loglik(alpha, n, xmin, log_sum)
+    return alpha, _tail_loglik(alpha, n, xmin, log_sum, zeta)
 
 
 def fit_power_law(degrees) -> PowerLawFit:
@@ -79,6 +86,7 @@ def fit_power_law(degrees) -> PowerLawFit:
     if uniq.size == 1:
         raise DegenerateSequence("all observations are equal")
 
+    zeta = _hurwitz_zeta()
     best: tuple[float, int, float, float, int] | None = None  # ks, xmin, alpha, ll, n
     log_all = np.log(xs.astype(np.float64))
     for xmin in uniq:
@@ -87,7 +95,7 @@ def fit_power_law(degrees) -> PowerLawFit:
         if n < 2 or tail[0] == tail[-1]:
             continue
         log_sum = float(log_all[xs.size - n:].sum())
-        alpha, loglik = _mle_alpha(n, int(xmin), log_sum)
+        alpha, loglik = _mle_alpha(n, int(xmin), log_sum, zeta)
         tail_uniq, counts = np.unique(tail, return_counts=True)
         emp_cdf = np.cumsum(counts) / n
         fit_cdf = 1.0 - zeta(alpha, tail_uniq + 1) / zeta(alpha, int(xmin))
@@ -117,7 +125,7 @@ def compare_exponential(fit: PowerLawFit, degrees) -> ScaleFreeVerdict:
         raise InconclusiveTest("entire tail sits at xmin; exponential fit degenerates")
     # geometric-tail MLE: success probability from the mean excess
     p_geom = 1.0 / (1.0 + mean_shift)
-    ll_pl = -fit.alpha * np.log(tail) - math.log(zeta(fit.alpha, fit.xmin))
+    ll_pl = -fit.alpha * np.log(tail) - math.log(_hurwitz_zeta()(fit.alpha, fit.xmin))
     ll_exp = math.log(p_geom) + shifted * math.log(1.0 - p_geom)
     diffs = ll_pl - ll_exp
     lr = float(diffs.sum())

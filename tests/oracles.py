@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import xml.etree.ElementTree as ET
 
 import networkx as nx
 import numpy as np
@@ -410,3 +411,45 @@ def sample_discrete_power_law(alpha: float, xmin: int, n: int, seed: int) -> lis
 def sample_geometric(p: float, xmin: int, n: int, seed: int) -> list[int]:
     rng = np.random.default_rng(seed)
     return (xmin + rng.geometric(p, n) - 1).tolist()
+
+
+# ---------------------------------------------------------------------------
+# GraphML serialization
+
+
+def write_graphml_etree(g, path, node_attrs=None) -> None:
+    """The ElementTree GraphML writer that ``graphml_io.write_graphml`` must match.
+
+    Builds the whole tree, indents it with ``ET.indent`` and lets ElementTree
+    serialize it; the fast writer's output must equal this file byte for byte.
+    """
+    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
+    ET.SubElement(root, "key", id="d0", attrib={
+        "for": "node", "attr.name": "label", "attr.type": "string"})
+    ET.SubElement(root, "key", id="d1", attrib={
+        "for": "edge", "attr.name": "relation", "attr.type": "string"})
+    extra_ids: dict[str, str] = {}
+    for i, name in enumerate(sorted(node_attrs or {})):
+        key_id = f"d{i + 2}"
+        extra_ids[name] = key_id
+        values = node_attrs[name].values()
+        ET.SubElement(root, "key", id=key_id, attrib={
+            "for": "node", "attr.name": name,
+            "attr.type": "long" if all(isinstance(v, int) for v in values) else "double"})
+    graph_el = ET.SubElement(root, "graph", edgedefault="directed")
+    for key in sorted(g.node_keys):
+        node_el = ET.SubElement(graph_el, "node", id=key)
+        label_el = ET.SubElement(node_el, "data", key="d0")
+        label_el.text = g.display(key)
+        for name, key_id in extra_ids.items():
+            if key in node_attrs[name]:
+                value = node_attrs[name][key]
+                data_el = ET.SubElement(node_el, "data", key=key_id)
+                data_el.text = repr(value if isinstance(value, int) else float(value))
+    for i, (src, kind, tgt) in enumerate(g.triples()):
+        edge_el = ET.SubElement(graph_el, "edge", id=f"e{i}", source=src, target=tgt)
+        rel_el = ET.SubElement(edge_el, "data", key="d1")
+        rel_el.text = kind
+    tree = ET.ElementTree(root)
+    ET.indent(tree, space="  ")
+    tree.write(path, encoding="utf-8", xml_declaration=True)

@@ -235,3 +235,15 @@ def test_report_bundle_counts_every_snapshot(run_dir, tmp_path):
     bundle = json.loads((tmp_path / "r" / "report_bundle.json").read_text())
     assert bundle["snapshots"] == 12
     assert bundle["final_iteration"] == 11
+
+
+def test_analyze_series_runs_betweenness_once_per_spanning_snapshot(monkeypatch, tmp_path):
+    # one table per non-empty snapshot, a second only for an LCC that does not
+    # span it; the final closeness/eigenvector rows reuse the loop's table
+    calls = _counting(monkeypatch, nx.betweenness_centrality, nx)
+    series = _series()
+    analyze_series(series, tmp_path, samples=10, spl_samples=10)
+    expected = sum(1 if largest_component(s.graph, "undirected").node_count
+                   == s.graph.node_count else 2
+                   for s in series if s.graph.node_count)
+    assert len(calls) == expected
