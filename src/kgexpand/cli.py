@@ -63,16 +63,18 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
     result = run(cfg)
-    final = result.series.final.graph
-    print(f"completed {len(result.series)} iterations: "
-          f"{final.node_count} nodes, {final.edge_count} edges "
+    print(f"completed {len(result.records)} iterations: "
+          f"{result.graph.node_count} nodes, {result.graph.edge_count} edges "
           f"-> {result.snapshot_dir}")
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    series = SnapshotStore(args.snapshots).load()
-    if len(series) == 0:
+    if args.stride < 1:
+        raise KgExpandError(f"--stride must be at least 1, got {args.stride}")
+    store = SnapshotStore(args.snapshots)
+    count = len(store.iteration_paths())
+    if count == 0:
         raise KgExpandError(f"no snapshots found in {args.snapshots}")
     seeds = report_mod.AnalyzeSeeds(
         louvain=args.louvain_seed if args.louvain_seed is not None else args.seed,
@@ -86,10 +88,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         except ValueError:
             raise KgExpandError(f"--samples must be an integer or 'all', "
                                 f"got {args.samples!r}") from None
-    out = report_mod.analyze_series(series, args.out, seeds, samples,
-                                    spl_samples=args.spl_samples,
+    out = report_mod.analyze_series(store.snapshots(args.stride), args.out, seeds,
+                                    samples, spl_samples=args.spl_samples,
                                     stride=args.stride)
-    print(f"analyzed {len(series)} snapshots -> {out}")
+    print(f"analyzed {count} snapshots -> {out}")
     return 0
 
 

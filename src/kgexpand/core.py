@@ -211,7 +211,7 @@ def largest_component(g: KnowledgeGraph, mode: str = "undirected") -> KnowledgeG
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One iteration's frozen copy of the global graph."""
+    """One iteration's graph, read back from its file or live while it is written."""
 
     iteration: int
     graph: KnowledgeGraph

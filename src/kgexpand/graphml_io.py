@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from collections.abc import Iterator
 from pathlib import Path
 
 from .core import KnowledgeGraph, Snapshot, SnapshotSeries
@@ -159,17 +159,11 @@ def read_graphml(path: str | Path) -> KnowledgeGraph:
     return g
 
 
-@dataclass
 class SnapshotStore:
     """Directory of per-iteration GraphML files, sorted by parsed iteration."""
 
-    directory: Path
-    pattern: re.Pattern = SNAPSHOT_PATTERN
-
-    def __init__(self, directory: str | Path,
-                 pattern: re.Pattern | str = SNAPSHOT_PATTERN) -> None:
+    def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self.pattern = re.compile(pattern) if isinstance(pattern, str) else pattern
 
     def write(self, snapshot: Snapshot) -> Path:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -180,16 +174,19 @@ class SnapshotStore:
     def iteration_paths(self) -> list[tuple[int, Path]]:
         found = []
         for path in self.directory.iterdir():
-            m = self.pattern.search(path.name)
+            m = SNAPSHOT_PATTERN.search(path.name)
             if m:
                 found.append((int(m.group(1)), path))
         return sorted(found)
 
+    def snapshots(self, stride: int = 1) -> Iterator[Snapshot]:
+        """Every ``stride``-th snapshot in iteration order, read one at a time;
+        files that are not picked are never parsed."""
+        for iteration, path in self.iteration_paths()[::stride]:
+            yield Snapshot(iteration, read_graphml(path))
+
     def load(self) -> SnapshotSeries:
-        series = SnapshotSeries()
-        for iteration, path in self.iteration_paths():
-            series.append(Snapshot(iteration, read_graphml(path)))
-        return series
+        return SnapshotSeries(list(self.snapshots()))
 
     def final(self) -> Snapshot:
         """The highest-iteration snapshot; no other file is read."""

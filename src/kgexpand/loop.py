@@ -17,7 +17,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .core import KnowledgeGraph, MergeDelta, Snapshot, SnapshotSeries, merge_local
+from .core import KnowledgeGraph, MergeDelta, Snapshot, merge_local
 from .errors import ConfigError, GeneratorError
 from .extraction import (
     IsolationStatus,
@@ -84,7 +84,7 @@ class IterationRecord:
 
 @dataclass
 class RunResult:
-    series: SnapshotSeries
+    graph: KnowledgeGraph               # the final global graph
     records: list[IterationRecord]
     snapshot_dir: Path
 
@@ -116,9 +116,9 @@ def _write_manifest(path: Path, cfg: RunConfig, records: list[IterationRecord],
 def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
     """Execute exactly ``cfg.iterations`` expansion iterations.
 
-    Deterministic for the synthetic generator with a fixed seed. On an
-    unrecoverable generator failure the partial series stays on disk and the
-    error propagates.
+    Deterministic for the synthetic generator with a fixed seed. Each iteration
+    writes the live graph as its snapshot; on an unrecoverable generator
+    failure the partial series stays on disk and the error propagates.
     """
     cfg.validate()
     if gen is None:
@@ -127,7 +127,6 @@ def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
     store.directory.mkdir(parents=True, exist_ok=True)
     started = time.time()
     global_graph = KnowledgeGraph()
-    series = SnapshotSeries()
     records: list[IterationRecord] = []
     question = build_initial_prompt(cfg)
     try:
@@ -140,9 +139,7 @@ def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
             raw_graph = locate_graph_section(block)
             outcome = extract_with_retry(gen, raw_graph, cfg.max_retries, iteration=i)
             delta: MergeDelta = merge_local(global_graph, outcome.local.graph)
-            snapshot = Snapshot(i, global_graph.copy())
-            series.append(snapshot)
-            store.write(snapshot)
+            store.write(Snapshot(i, global_graph))
             followup = build_followup_prompt(outcome.local, cfg)
             next_question = gen.complete(followup).strip()
             records.append(IterationRecord(
@@ -165,4 +162,4 @@ def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
         raise
     _write_records(store.directory / RECORDS_FILENAME, records)
     _write_manifest(store.directory / MANIFEST_FILENAME, cfg, records, started)
-    return RunResult(series=series, records=records, snapshot_dir=store.directory)
+    return RunResult(graph=global_graph, records=records, snapshot_dir=store.directory)

@@ -12,14 +12,16 @@ import csv
 import dataclasses
 import json
 import math
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 import networkx as nx
 
 from . import analytics, scalefree
-from .core import KnowledgeGraph, Snapshot, SnapshotSeries, largest_component
-from .errors import KgExpandError, UndefinedMetric
+from .core import KnowledgeGraph, Snapshot, largest_component
+from .errors import EmptyGraph, KgExpandError, UndefinedMetric
 
 GLOBAL_METRICS = (
     "nodes", "edges", "avg_degree", "max_degree", "self_loops", "lcc_size",
@@ -71,28 +73,40 @@ class AnalyzeSeeds:
     sampling: int = 0
 
 
-def analyze_series(series: SnapshotSeries, out_dir: str | Path,
+def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
                    seeds: AnalyzeSeeds | None = None, samples: int | None = 1000,
                    spl_samples: int = 2000, stride: int = 1) -> Path:
-    """Run the full metric suite over a snapshot series and emit CSVs.
+    """Run the full metric suite over picked snapshots and emit CSVs.
 
     Writes metrics.csv (tidy), scalefree.csv (per snapshot), spl_histogram.csv
     (final snapshot), bridge_persistence.csv and hub_emergence.csv. Returns
     the output directory. Deterministic given the seeds.
 
-    Each picked snapshot gets one pass (one view, LCC, Louvain partition and
-    betweenness table); ``analytics.summarize_*`` aggregate the results.
+    ``snapshots`` (in iteration order, already thinned by ``stride``, which is
+    only recorded) is read once, and the last one is the final snapshot. Each
+    gets one pass (one view, LCC, Louvain partition and betweenness table);
+    ``analytics.summarize_*`` aggregate the results.
     """
     seeds = seeds or AnalyzeSeeds()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    picked = SnapshotSeries([s for i, s in enumerate(series) if i % stride == 0])
     ledger = analytics.PairDistanceLedger(seed=seeds.sampling)
 
     values_by_iter, bet_by_iter, bridge_sets, degrees_by_iter = {}, {}, {}, {}
-    for snap in picked:
-        it = snap.iteration
-        g = snap.graph
+    scalefree_rows: list[list] = []
+    final = None
+    for snap in snapshots:
+        final, it, g = snap, snap.iteration, snap.graph
+        # after the loop, ``degrees`` is the final snapshot's degree sequence
+        degrees = degree_sequence(g)
+        try:
+            fit, verdict = scalefree.classify(degrees)
+            scalefree_rows.append([it, _fmt(fit.alpha), fit.xmin, fit.n_tail,
+                                   _fmt(verdict.lr), _fmt(verdict.p),
+                                   "yes" if verdict.is_scale_free else "no"])
+        except KgExpandError as exc:
+            scalefree_rows.append([it, "nan", "nan", "nan", "nan", "nan",
+                                   type(exc).__name__])
         pair_stats = analytics.newly_connected_pairs(ledger, snap, samples)
         if g.node_count == 0:
             # leading snapshots can be empty when extraction failed early
@@ -134,6 +148,8 @@ def analyze_series(series: SnapshotSeries, out_dir: str | Path,
             "newly_connected": pair_stats.newly_connected,
             "shortened_paths": pair_stats.shortened,
         }
+    if final is None:
+        raise EmptyGraph("empty snapshot series")
     bet = analytics.summarize_betweenness(bet_by_iter)
     bridges = analytics.summarize_bridges(bridge_sets)
     hubs = analytics.summarize_hubs(degrees_by_iter)
@@ -156,9 +172,9 @@ def analyze_series(series: SnapshotSeries, out_dir: str | Path,
             rows.append((it, "bridge_presence", node,
                          _fmt(int(bridges.presence[row_idx][col_idx]))))
     # final-snapshot centrality distributions (plot-ready per-node values)
-    final_it = picked.final.iteration
-    final_und = picked.final.graph.undirected_view()
-    if picked.final.graph.node_count:
+    final_it = final.iteration
+    final_und = final.graph.undirected_view()
+    if final.graph.node_count:
         # the loop built this betweenness table on an identical view
         final_table = analytics.centralities(final_und, betweenness=bet_by_iter[final_it])
         for node in sorted(final_table.closeness):
@@ -177,15 +193,7 @@ def analyze_series(series: SnapshotSeries, out_dir: str | Path,
     with open(out / "scalefree.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "alpha", "xmin", "n_tail", "lr", "p", "verdict"])
-        for snap in picked:
-            try:
-                fit, verdict = scalefree.classify(degree_sequence(snap.graph))
-                writer.writerow([snap.iteration, _fmt(fit.alpha), fit.xmin,
-                                 fit.n_tail, _fmt(verdict.lr), _fmt(verdict.p),
-                                 "yes" if verdict.is_scale_free else "no"])
-            except KgExpandError as exc:
-                writer.writerow([snap.iteration, "nan", "nan", "nan", "nan", "nan",
-                                 type(exc).__name__])
+        writer.writerows(scalefree_rows)
 
     if final_und.number_of_nodes():
         dist = analytics.sampled_spl_distribution(final_und, spl_samples,
@@ -199,9 +207,7 @@ def analyze_series(series: SnapshotSeries, out_dir: str | Path,
         for length, count in histogram.items():
             writer.writerow([length, count])
 
-    degree_counts: dict[int, int] = {}
-    for d in degree_sequence(picked.final.graph):
-        degree_counts[d] = degree_counts.get(d, 0) + 1
+    degree_counts = Counter(degrees)
     with open(out / "degree_histogram.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin", "count"])
@@ -225,7 +231,7 @@ def analyze_series(series: SnapshotSeries, out_dir: str | Path,
         "samples": samples,
         "spl_samples": spl_samples,
         "stride": stride,
-        "iterations": [s.iteration for s in picked],
+        "iterations": list(values_by_iter),
     }, indent=2, sort_keys=True) + "\n")
 
     return out

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateSequence, InconclusiveTest, InsufficientData
 
 ALPHA_LO = 1.01
@@ -76,6 +74,8 @@ def _mle_alpha(n: int, xmin: int, log_sum: float, zeta) -> tuple[float, float]:
 
 def fit_power_law(degrees) -> PowerLawFit:
     """Fit a discrete power law to a degree sequence, choosing xmin by KS distance."""
+    import numpy as np  # imported on use, like scipy: loading the CLI must not load it
+
     xs = np.asarray([int(d) for d in degrees if d > 0], dtype=np.int64)
     if xs.size < MIN_OBSERVATIONS:
         raise InsufficientData(
@@ -114,6 +114,8 @@ def compare_exponential(fit: PowerLawFit, degrees) -> ScaleFreeVerdict:
     Both distributions are evaluated on the tail x >= xmin; the p-value comes
     from the normal approximation to the ratio's variance (two-sided).
     """
+    import numpy as np
+
     xs = np.asarray([int(d) for d in degrees if d > 0], dtype=np.float64)
     tail = xs[xs >= fit.xmin]
     n = tail.size

@@ -14,12 +14,11 @@ import random
 import re
 from typing import Protocol
 
-import requests
-
 from .errors import GeneratorError
 from .extraction import THINK_CLOSE, THINK_OPEN
 
 TOKEN_ENV_VAR = "KGEXPAND_API_TOKEN"
+TRANSPORT_RETRIES = 1   # extra attempts after a failed request
 
 
 class GeneratorSession(Protocol):
@@ -47,32 +46,27 @@ class HTTPGeneratorSession:
 
     def __init__(self, endpoint: str, model: str = "default",
                  max_tokens: int = 2048, timeout: float = 300.0,
-                 temperature: float | None = None,
-                 transport_retries: int = 1, token_env: str = TOKEN_ENV_VAR) -> None:
+                 temperature: float | None = None) -> None:
         self.endpoint = endpoint
         self.model = model
         self.max_tokens = max_tokens
         self.timeout = timeout
         self.temperature = temperature   # None defers to the endpoint default
-        self.transport_retries = transport_retries
-        self.token_env = token_env
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.token_env)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        return headers
 
     def complete(self, prompt: str) -> str:
+        import requests  # only the HTTP generator needs it; loading the CLI must not
+
         body = {"model": self.model, "prompt": prompt, "max_tokens": self.max_tokens}
         if self.temperature is not None:
             body["temperature"] = self.temperature
+        headers = {"Content-Type": "application/json"}
+        if token := os.environ.get(TOKEN_ENV_VAR):
+            headers["Authorization"] = f"Bearer {token}"
         last_exc: Exception | None = None
-        for _ in range(self.transport_retries + 1):
+        for _ in range(TRANSPORT_RETRIES + 1):
             try:
                 resp = requests.post(self.endpoint, json=body,
-                                     headers=self._headers(), timeout=self.timeout)
+                                     headers=headers, timeout=self.timeout)
                 resp.raise_for_status()
                 payload = resp.json()
                 if "text" in payload:

@@ -427,10 +427,12 @@ def test_trajectories_match_per_snapshot_recount():
 
 
 def test_preferential_attachment_series_trajectories(tmp_path):
+    from kgexpand.graphml_io import SnapshotStore
     from kgexpand.loop import RunConfig, run
 
     result = run(RunConfig(iterations=100, seed=21, snapshot_dir=str(tmp_path)))
-    hubs = analytics.hub_emergence(result.series)
+    series = SnapshotStore(result.snapshot_dir).load()
+    hubs = analytics.hub_emergence(series)
     assert len(hubs.top_hubs) == 10
     for node in hubs.top_hubs:
         trajectory = hubs.trajectories[node]
@@ -438,7 +440,7 @@ def test_preferential_attachment_series_trajectories(tmp_path):
         degs = [trajectory[it] for it in sorted(trajectory)]
         assert degs == sorted(degs), "LCC degree of a hub never decreases here"
         for it in list(sorted(trajectory))[::25]:
-            und = result.series[it].graph.undirected_view(self_loops=False)
+            und = series[it].graph.undirected_view(self_loops=False)
             lcc_nodes = max(nx.connected_components(und), key=len)
             assert trajectory[it] == und.subgraph(lcc_nodes).degree(node)
     # emergence happened, and emergence times are consistent with trajectories

@@ -1,6 +1,8 @@
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,8 +153,9 @@ def test_analyze_tolerates_empty_leading_snapshots(tmp_path):
 
 
 def test_console_entry_point_runs():
+    src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "kgexpand.cli", "--help"],
-        capture_output=True, text=True)
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0
     assert "run" in proc.stdout and "analyze" in proc.stdout

@@ -4,8 +4,10 @@ import threading
 
 import pytest
 
+from kgexpand.core import KnowledgeGraph
 from kgexpand.errors import ConfigError, GeneratorError
 from kgexpand.extraction import THINK_CLOSE, THINK_OPEN
+from kgexpand.graphml_io import SnapshotStore
 from kgexpand.loop import RECORDS_FILENAME, RunConfig, run
 from kgexpand.prompts import build_followup_prompt, build_initial_prompt
 from kgexpand.sessions import HTTPGeneratorSession, SyntheticGenerator
@@ -114,8 +116,9 @@ class OneTripleSession:
 def test_single_iteration_run(tmp_path):
     cfg = RunConfig(iterations=1, snapshot_dir=str(tmp_path))
     result = run(cfg, OneTripleSession())
-    assert len(result.series) == 1
-    g = result.series.final.graph
+    series = SnapshotStore(result.snapshot_dir).load()
+    assert len(series) == 1
+    g = series.final.graph
     assert (g.node_count, g.edge_count) == (2, 1)
     assert (tmp_path / "graph_iteration_0.graphml").exists()
     assert (tmp_path / RECORDS_FILENAME).exists()
@@ -143,8 +146,9 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_series_is_supergraph_monotone(tmp_path):
     cfg = RunConfig(iterations=30, seed=9, snapshot_dir=str(tmp_path))
     result = run(cfg)
-    result.series.validate_supergraph()
-    counts = [(s.graph.node_count, s.graph.edge_count) for s in result.series]
+    series = SnapshotStore(result.snapshot_dir).load()
+    series.validate_supergraph()
+    counts = [(s.graph.node_count, s.graph.edge_count) for s in series]
     assert counts == sorted(counts)
 
 
@@ -173,7 +177,7 @@ def test_skipped_iteration_still_writes_snapshot(tmp_path):
     result = run(cfg, session)
     assert [r.skipped for r in result.records] == [False, True, False]
     assert len(list(tmp_path.glob("*.graphml"))) == 3
-    counts = [s.graph.edge_count for s in result.series]
+    counts = [s.graph.edge_count for s in SnapshotStore(result.snapshot_dir).load()]
     assert counts[1] == counts[0]  # unchanged snapshot on the skipped iteration
 
 
@@ -195,6 +199,18 @@ def test_transport_failure_preserves_partial_series(tmp_path):
     assert (tmp_path / RECORDS_FILENAME).exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["aborted"]
+
+
+def test_run_writes_the_live_graph_without_copying_it(tmp_path, monkeypatch):
+    def no_copy(self):
+        raise AssertionError("run copied the global graph")
+
+    monkeypatch.setattr(KnowledgeGraph, "copy", no_copy)
+    result = run(RunConfig(iterations=5, seed=3, snapshot_dir=str(tmp_path)))
+    series = SnapshotStore(tmp_path).load()
+    assert [s.iteration for s in series] == list(range(5))
+    assert series.final.graph.triples() == result.graph.triples()
+    assert series.final.graph.display_map() == result.graph.display_map()
 
 
 def test_records_one_per_iteration(tmp_path):

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import shutil
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -10,7 +12,7 @@ from kgexpand import analytics, cli, graphml_io
 from kgexpand import paths as paths_mod
 from kgexpand.cli import main
 from kgexpand.core import KnowledgeGraph, Snapshot, SnapshotSeries, largest_component
-from kgexpand.errors import KgExpandError
+from kgexpand.errors import EmptyGraph, KgExpandError
 from kgexpand.graphml_io import SnapshotStore
 from kgexpand.loop import RunConfig, run
 from kgexpand.report import AnalyzeSeeds, _fmt, analyze_series
@@ -247,3 +249,55 @@ def test_analyze_series_runs_betweenness_once_per_spanning_snapshot(monkeypatch,
                    == s.graph.node_count else 2
                    for s in series if s.graph.node_count)
     assert len(calls) == expected
+
+
+# ---------------------------------------------------------------------------
+# analyze reads the picked snapshots one at a time
+
+
+@pytest.fixture(scope="module")
+def ten_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ten")
+    run(RunConfig(iterations=10, seed=5, snapshot_dir=str(out)))
+    return out
+
+
+def _analyze(snaps, out, *flags):
+    return main(["analyze", str(snaps), "--out", str(out), "--samples", "20",
+                 "--spl-samples", "20", *flags])
+
+
+def test_analyze_with_a_stride_reads_only_the_picked_snapshots(monkeypatch, ten_run,
+                                                                tmp_path):
+    calls = _counting(monkeypatch, graphml_io.read_graphml, graphml_io, cli)
+    assert _analyze(ten_run, tmp_path / "cli", "--stride", "3") == 0
+    assert [Path(args[0]).name for args in calls] == [
+        f"graph_iteration_{i}.graphml" for i in (0, 3, 6, 9)]
+    manifest = json.loads((tmp_path / "cli" / "analysis_manifest.json").read_text())
+    assert (manifest["iterations"], manifest["stride"]) == ([0, 3, 6, 9], 3)
+    # the same analysis over the picked snapshots held in memory
+    picked = SnapshotSeries([s for s in SnapshotStore(ten_run).load()
+                             if s.iteration % 3 == 0])
+    analyze_series(picked, tmp_path / "memory", samples=20, spl_samples=20, stride=3)
+    names = sorted(p.name for p in (tmp_path / "cli").glob("*.csv"))
+    assert names == sorted(p.name for p in (tmp_path / "memory").glob("*.csv"))
+    for name in names:
+        assert ((tmp_path / "cli" / name).read_bytes()
+                == (tmp_path / "memory" / name).read_bytes()), name
+
+
+def test_analyze_with_a_stride_skips_a_malformed_unpicked_snapshot(ten_run, tmp_path):
+    snaps = tmp_path / "snaps"
+    shutil.copytree(ten_run, snaps)
+    (snaps / "graph_iteration_4.graphml").write_text("<graphml><broken")
+    assert _analyze(snaps, tmp_path / "a", "--stride", "3") == 0
+    assert _analyze(snaps, tmp_path / "b", "--stride", "2") == 1
+
+
+def test_analyze_rejects_a_stride_below_one(ten_run, tmp_path):
+    assert _analyze(ten_run, tmp_path / "a", "--stride", "0") == 1
+
+
+def test_analyze_series_of_no_snapshots_raises(tmp_path):
+    with pytest.raises(EmptyGraph):
+        analyze_series(iter(()), tmp_path)
