@@ -18,7 +18,7 @@ def main() -> int:
     parser.add_argument("graphml", help="GraphML file to fit")
     args = parser.parse_args()
     g = read_graphml(args.graphml)
-    degrees = degree_sequence(g)
+    degrees = degree_sequence(g.undirected_view(self_loops=False))
     print(f"{g.node_count} nodes, {g.edge_count} edges, "
           f"max degree {max(degrees, default=0)}")
     try:

@@ -5,7 +5,6 @@ from .core import (
     KnowledgeGraph,
     MergeDelta,
     Snapshot,
-    SnapshotSeries,
     largest_component,
     merge_local,
     normalize_label,
@@ -39,7 +38,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "Snapshot",
-    "SnapshotSeries",
     "SyntheticGenerator",
     "extract_with_retry",
     "isolate_reasoning",

@@ -1,35 +1,27 @@
 """Per-snapshot and cross-snapshot network metrics.
 
-Distance and centrality metrics run on the undirected simple view; clustering,
-transitivity, assortativity and k-core additionally exclude self-loops. All
-seeded operations are deterministic for a fixed seed.
+Per-snapshot metrics read views that their caller builds once per snapshot:
+the undirected simple view with self-loops left out, or its largest
+component's view; none strips self-loops or builds a view itself. The series
+functions build their own, as references for ``report.analyze_series``' one
+pass. Assortativity is computed here (``pearson``), so the analysis does not
+import ``scipy.stats``. All seeded operations are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 import networkx as nx
 
-from .core import KnowledgeGraph, Snapshot, SnapshotSeries, largest_component
+from .core import KnowledgeGraph, Snapshot, largest_component
 from .errors import EmptyGraph, NotConnected, UndefinedMetric
 
 LOUVAIN_RESTARTS = 5
 LOUVAIN_SMALL_RESTARTS = 16       # order traps are likelier on tiny graphs
 MERGE_REFINE_MAX_NODES = 64
-
-
-def _strip_self_loops(g: nx.Graph) -> nx.Graph:
-    if nx.number_of_selfloops(g) == 0:
-        return g
-    h = g.copy()
-    h.remove_edges_from(nx.selfloop_edges(h))
-    return h
-
-
-def _as_graph(s: Snapshot | KnowledgeGraph) -> KnowledgeGraph:
-    return s.graph if isinstance(s, Snapshot) else s
 
 
 # ---------------------------------------------------------------------------
@@ -47,20 +39,18 @@ class BasicMetrics:
     avg_clustering: float
 
 
-def basic_metrics(s: Snapshot | KnowledgeGraph) -> BasicMetrics:
-    """Node/edge counts, degrees, self-loops, LCC size and mean clustering."""
-    g = _as_graph(s)
+def basic_metrics(g: KnowledgeGraph, simple: nx.Graph, lcc: nx.Graph) -> BasicMetrics:
+    """Counts, degrees and self-loops of ``g``, the mean clustering of its
+    self-loop-free view ``simple``, and the size of its largest component's view."""
     if g.node_count == 0:
         raise EmptyGraph("basic_metrics needs at least one node")
-    und = g.undirected_view()
-    simple = _strip_self_loops(und)
     return BasicMetrics(
         nodes=g.node_count,
         edges=g.edge_count,
         avg_degree=2.0 * g.edge_count / g.node_count,
         max_degree=g.max_degree(),
         self_loops=g.self_loop_count,
-        lcc_size=max(len(c) for c in nx.connected_components(und)),
+        lcc_size=lcc.number_of_nodes(),
         avg_clustering=nx.average_clustering(simple) if simple.number_of_edges() else 0.0,
     )
 
@@ -222,7 +212,8 @@ def _merge_refine(g: nx.Graph, communities: list[set]) -> list[set]:
 
 
 def louvain(g: nx.Graph, seed: int = 0) -> tuple[dict, float]:
-    """Seeded greedy modularity optimization; best of a few deterministic restarts.
+    """Seeded greedy modularity optimization on a self-loop-free graph; best of
+    a few deterministic restarts.
 
     Node visiting order is shuffled from the seed. Small graphs additionally
     get the merge-and-resplit polish after each restart. Returns a
@@ -232,25 +223,24 @@ def louvain(g: nx.Graph, seed: int = 0) -> tuple[dict, float]:
     """
     if g.number_of_nodes() == 0:
         raise EmptyGraph("louvain needs at least one node")
-    simple = _strip_self_loops(g)
-    if simple.number_of_edges() == 0:
-        communities = [{v} for v in sorted(simple.nodes)]
+    if g.number_of_edges() == 0:
+        communities = [{v} for v in sorted(g.nodes)]
     else:
-        refine = simple.number_of_nodes() <= MERGE_REFINE_MAX_NODES
+        refine = g.number_of_nodes() <= MERGE_REFINE_MAX_NODES
         restarts = LOUVAIN_SMALL_RESTARTS if refine else LOUVAIN_RESTARTS
         best: list[set] | None = None
         best_q = float("-inf")
         for j in range(restarts):
             rng = random.Random(seed * restarts + j)
-            cand = _louvain_once(simple, rng)
+            cand = _louvain_once(g, rng)
             if refine:
-                cand = _merge_refine(simple, cand)
-            q = modularity_of(simple, cand)
+                cand = _merge_refine(g, cand)
+            q = modularity_of(g, cand)
             if q > best_q + 1e-12:
                 best, best_q = cand, q
         communities = sorted((set(c) for c in best), key=min)
     partition = {v: cid for cid, comm in enumerate(communities) for v in comm}
-    return partition, modularity_of(simple, communities)
+    return partition, modularity_of(g, communities)
 
 
 def bridge_nodes(g: nx.Graph, partition: dict) -> set:
@@ -267,36 +257,50 @@ def bridge_nodes(g: nx.Graph, partition: dict) -> set:
 # degree-structure metrics
 
 
+def pearson(xs: list[float], ys: list[float]) -> float | None:
+    """Pearson correlation of paired samples; None when either has zero variance."""
+    n = len(xs)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    vx = sum((x - mx) ** 2 for x in xs)
+    vy = sum((y - my) ** 2 for y in ys)
+    if vx <= 0.0 or vy <= 0.0:
+        return None
+    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    return cov / math.sqrt(vx * vy)
+
+
 def assortativity(g: nx.Graph) -> float:
-    """Pearson correlation of degrees over edge endpoints, both orientations."""
-    simple = _strip_self_loops(g)
-    if simple.number_of_edges() < 2:
+    """Degree assortativity (Newman, Phys. Rev. E 67, 026126, 2003): the Pearson
+    correlation of the degrees at the two ends of every edge, taken both ways."""
+    if g.number_of_edges() < 2:
         raise UndefinedMetric("assortativity needs at least two edges")
-    degrees = dict(simple.degree())
-    endpoint_degrees = {degrees[u] for e in simple.edges() for u in e}
-    if len(endpoint_degrees) < 2:
+    degree = dict(g.degree())
+    xs = [degree[v] for e in g.edges() for v in e]
+    ys = [degree[v] for u, w in g.edges() for v in (w, u)]
+    r = pearson(xs, ys)
+    if r is None:
         raise UndefinedMetric("assortativity is undefined on a regular graph")
-    return float(nx.degree_pearson_correlation_coefficient(simple))
+    return r
 
 
 def transitivity(g: nx.Graph) -> float:
     """Fraction of closed triplets; 0.0 when the graph has no triples."""
-    return nx.transitivity(_strip_self_loops(g))
+    return nx.transitivity(g)
 
 
 def kcore(g: nx.Graph) -> tuple[int, int]:
     """Maximal k with a non-empty k-core, and that core's node count."""
-    simple = _strip_self_loops(g)
-    if simple.number_of_nodes() == 0:
+    if g.number_of_nodes() == 0:
         return 0, 0
-    core = nx.core_number(simple)
+    core = nx.core_number(g)
     max_k = max(core.values())
     return max_k, sum(1 for v in core.values() if v == max_k)
 
 
 def articulation_points(g: nx.Graph) -> set:
     """Nodes whose removal increases the number of connected components."""
-    return set(nx.articulation_points(_strip_self_loops(g)))
+    return set(nx.articulation_points(g))
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +360,10 @@ def sampled_spl_distribution(g: nx.Graph, samples: int = 2000,
     lcc_nodes = sorted(min((c for c in comps if len(c) == max_size), key=min))
     if len(lcc_nodes) < 2:
         return SplSample({}, 0, 0)
-    rng = random.Random(seed)
     cache: dict = {}
     hist: dict[int, int] = {}
     unreachable = 0
-    for _ in range(samples):
-        u = rng.choice(lcc_nodes)
-        v = rng.choice(lcc_nodes)
-        while v == u:
-            v = rng.choice(lcc_nodes)
+    for u, v in _sample_pairs(lcc_nodes, samples, random.Random(seed)):
         if u not in cache:
             cache[u] = nx.single_source_shortest_path_length(g, u)
         d = cache[u].get(v)
@@ -412,23 +411,22 @@ def _sample_pairs(nodes: list[str], samples: int | None,
     return pairs
 
 
-def newly_connected_pairs(ledger: PairDistanceLedger, s: Snapshot,
+def newly_connected_pairs(ledger: PairDistanceLedger, iteration: int, g: nx.Graph,
                           samples: int | None = 1000) -> PairStats:
-    """Count sampled pairs that became reachable or closer since their last record.
+    """Count sampled pairs of ``g`` that became reachable or closer since their last record.
 
     Pairs without a prior record only establish a baseline. ``samples=None``
     enumerates every unordered pair. The ledger is updated in place.
     """
-    if ledger.last_iteration >= s.iteration:
+    if ledger.last_iteration >= iteration:
         raise ValueError(
-            f"ledger already saw iteration {ledger.last_iteration}; got {s.iteration}"
+            f"ledger already saw iteration {ledger.last_iteration}; got {iteration}"
         )
-    g = s.graph.undirected_view()
     nodes = sorted(g.nodes)
     if len(nodes) < 2:
-        ledger.last_iteration = s.iteration
+        ledger.last_iteration = iteration
         return PairStats(0, 0, 0)
-    rng = random.Random(ledger.seed * 1_000_003 + s.iteration)
+    rng = random.Random(ledger.seed * 1_000_003 + iteration)
     pairs = _sample_pairs(nodes, samples, rng)
     cache: dict = {}
     newly = shortened = with_prior = 0
@@ -444,7 +442,7 @@ def newly_connected_pairs(ledger: PairDistanceLedger, s: Snapshot,
             elif prior is not UNREACHABLE and dist is not UNREACHABLE and dist < prior:
                 shortened += 1
         ledger.records[(u, v)] = dist
-    ledger.last_iteration = s.iteration
+    ledger.last_iteration = iteration
     return PairStats(newly, shortened, with_prior)
 
 
@@ -458,11 +456,6 @@ class HubEmergence:
     trajectories: dict[str, dict[int, int]]
     t_emerge: dict[str, int]
     mean_degree: dict[int, float]
-
-
-def simple_degrees(und: nx.Graph) -> dict[str, int]:
-    """Node degrees of an undirected view with self-loops left out."""
-    return {v: len(nbrs) - (v in nbrs) for v, nbrs in und.adj.items()}
 
 
 def summarize_hubs(degrees_by_iter: dict[int, dict[str, int]], d_emerge: int = 5,
@@ -486,7 +479,7 @@ def summarize_hubs(degrees_by_iter: dict[int, dict[str, int]], d_emerge: int = 5
     return HubEmergence(top_hubs, trajectories, t_emerge, mean_degree)
 
 
-def hub_emergence(series: SnapshotSeries, d_emerge: int = 5,
+def hub_emergence(series: list[Snapshot], d_emerge: int = 5,
                   top_n: int = 10) -> HubEmergence:
     """Degree trajectories of the strongest hubs on each snapshot's LCC.
 
@@ -497,8 +490,8 @@ def hub_emergence(series: SnapshotSeries, d_emerge: int = 5,
         raise EmptyGraph("empty snapshot series")
     # a snapshot can be empty when early extractions failed
     return summarize_hubs({
-        snap.iteration: simple_degrees(
-            largest_component(snap.graph, "undirected").undirected_view())
+        snap.iteration: dict(
+            largest_component(snap.graph).undirected_view(self_loops=False).degree())
         if snap.graph.node_count else {}
         for snap in series}, d_emerge, top_n)
 
@@ -532,7 +525,7 @@ def summarize_bridges(bridge_sets: dict[int, set[str]], *, window: int = 200,
     return BridgeSeries(bridge_sets, persistence, early, window_iters, presence)
 
 
-def bridge_analysis(series: SnapshotSeries, seed: int = 0, *,
+def bridge_analysis(series: list[Snapshot], seed: int = 0, *,
                     window: int = 200, top_nodes: int = 100) -> BridgeSeries:
     """Per-snapshot bridge sets, persistence counts, and a presence matrix.
 
@@ -582,7 +575,7 @@ def summarize_betweenness(per_iter: dict[int, dict[str, float]],
     return BetweennessSeries(iterations, nodes, values, top_nodes, mean, max_)
 
 
-def betweenness_timeseries(series: SnapshotSeries,
+def betweenness_timeseries(series: list[Snapshot],
                            top_n: int = 10) -> BetweennessSeries:
     """Normalized betweenness of every node over time; absent nodes score 0."""
     if len(series) == 0:

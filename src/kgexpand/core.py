@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -138,15 +138,6 @@ class KnowledgeGraph:
 
     # -- views ----------------------------------------------------------
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Directed multigraph view; nodes and edges inserted in sorted order."""
-        g = nx.MultiDiGraph()
-        for key in sorted(self._nodes):
-            g.add_node(key, label=self._nodes[key])
-        for src, kind, tgt in self.triples():
-            g.add_edge(src, tgt, relation=kind)
-        return g
-
     def directed_simple_view(self) -> nx.DiGraph:
         """Directed view with parallel kinds collapsed (for PageRank-style scores)."""
         g = nx.DiGraph()
@@ -186,7 +177,11 @@ def merge_local(global_graph: KnowledgeGraph, local: KnowledgeGraph) -> MergeDel
 
 def _component_sets(g: KnowledgeGraph, mode: str) -> list[set[str]]:
     if mode in ("weak", "undirected"):
-        return [set(c) for c in nx.connected_components(g.undirected_view())]
+        # union-find over the triples: no graph view is built
+        components = nx.utils.UnionFind(g._nodes)
+        for s, _, t in g._edges:
+            components.union(s, t)
+        return list(components.to_sets())
     if mode == "strong":
         return [set(c) for c in nx.strongly_connected_components(g.directed_simple_view())]
     raise ValueError(f"unknown component mode: {mode!r}")
@@ -215,42 +210,3 @@ class Snapshot:
 
     iteration: int
     graph: KnowledgeGraph
-
-
-@dataclass
-class SnapshotSeries:
-    """Ordered per-iteration snapshots of one run."""
-
-    snapshots: list[Snapshot] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-    def __iter__(self):
-        return iter(self.snapshots)
-
-    def __getitem__(self, idx):
-        return self.snapshots[idx]
-
-    def append(self, snapshot: Snapshot) -> None:
-        if self.snapshots and snapshot.iteration <= self.snapshots[-1].iteration:
-            raise ValueError("snapshot iterations must strictly increase")
-        self.snapshots.append(snapshot)
-
-    def validate_supergraph(self) -> None:
-        """Assert each snapshot contains its predecessor's nodes and edges."""
-        for prev, cur in zip(self.snapshots, self.snapshots[1:]):
-            if not prev.graph.node_keys <= cur.graph.node_keys:
-                raise ValueError(
-                    f"snapshot {cur.iteration} lost nodes present at {prev.iteration}"
-                )
-            if not set(prev.graph.triples()) <= set(cur.graph.triples()):
-                raise ValueError(
-                    f"snapshot {cur.iteration} lost edges present at {prev.iteration}"
-                )
-
-    @property
-    def final(self) -> Snapshot:
-        if not self.snapshots:
-            raise EmptyGraph("empty snapshot series")
-        return self.snapshots[-1]

@@ -14,7 +14,7 @@ import xml.etree.ElementTree as ET
 from collections.abc import Iterator
 from pathlib import Path
 
-from .core import KnowledgeGraph, Snapshot, SnapshotSeries
+from .core import KnowledgeGraph, Snapshot
 from .errors import EmptyGraph, GraphMLError
 
 log = logging.getLogger(__name__)
@@ -172,21 +172,27 @@ class SnapshotStore:
         return path
 
     def iteration_paths(self) -> list[tuple[int, Path]]:
-        found = []
-        for path in self.directory.iterdir():
+        """Snapshot files in iteration order; two names for one iteration
+        (``graph_iteration_1`` and ``graph_iteration_01``) are rejected."""
+        found: dict[int, Path] = {}
+        for path in sorted(self.directory.iterdir()):
             m = SNAPSHOT_PATTERN.search(path.name)
-            if m:
-                found.append((int(m.group(1)), path))
-        return sorted(found)
+            if not m:
+                continue
+            iteration = int(m.group(1))
+            if iteration in found:
+                raise GraphMLError(f"{found[iteration]} and {path} are both "
+                                   f"snapshots of iteration {iteration}")
+            found[iteration] = path
+        return sorted(found.items())
 
     def snapshots(self, stride: int = 1) -> Iterator[Snapshot]:
-        """Every ``stride``-th snapshot in iteration order, read one at a time;
-        files that are not picked are never parsed."""
-        for iteration, path in self.iteration_paths()[::stride]:
-            yield Snapshot(iteration, read_graphml(path))
-
-    def load(self) -> SnapshotSeries:
-        return SnapshotSeries(list(self.snapshots()))
+        """Every ``stride``-th snapshot in iteration order, and always the last
+        one, read one at a time; files that are not picked are never parsed."""
+        found = self.iteration_paths()
+        for i, (iteration, path) in enumerate(found):
+            if i % stride == 0 or i == len(found) - 1:
+                yield Snapshot(iteration, read_graphml(path))
 
     def final(self) -> Snapshot:
         """The highest-iteration snapshot; no other file is read."""

@@ -8,12 +8,11 @@ self-loop-free undirected view and compute it themselves otherwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import networkx as nx
 
-from .analytics import CentralityTable, centralities, louvain
+from .analytics import CentralityTable, centralities, louvain, pearson
 from .core import KnowledgeGraph, largest_component
 from .errors import EmptyGraph, GeneratorError, NonConvergent, TrivialPath
 from .prompts import (
@@ -67,9 +66,8 @@ def _lexicographic_shortest_path(g: nx.Graph, source: str, target: str,
     return path
 
 
-def _attach_metrics(g: KnowledgeGraph, nodes: list[str],
+def _attach_metrics(und: nx.Graph, nodes: list[str],
                     table: CentralityTable | None) -> dict[str, dict[str, float]]:
-    und = g.undirected_view(self_loops=False)
     table = table or centralities(und)
     return {
         "degree": {v: float(und.degree(v)) for v in nodes},
@@ -96,7 +94,7 @@ def diameter_path(g: KnowledgeGraph,
     return ExtractedPath(
         nodes=nodes,
         displays=[g.display(v) for v in nodes],
-        node_metrics=_attach_metrics(g, nodes, table),
+        node_metrics=_attach_metrics(g.undirected_view(self_loops=False), nodes, table),
         source_eccentricity=ecc[source],
         terminal_eccentricity=ecc[target],
     )
@@ -122,7 +120,7 @@ def top_k_longest_paths(g: KnowledgeGraph, k: int = 5,
         ecc_u = max(dist[u].values())
         ecc_v = max(dist[v].values())
         if metrics_cache is None:
-            metrics_cache = _attach_metrics(g, list(und.nodes), table)
+            metrics_cache = _attach_metrics(und, list(und.nodes), table)
         paths.append(ExtractedPath(
             nodes=nodes,
             displays=[g.display(n) for n in nodes],
@@ -165,12 +163,13 @@ def induced_path_graph(g: KnowledgeGraph, path: ExtractedPath) -> KnowledgeGraph
     return sub
 
 
-def path_metrics(path: ExtractedPath, g: KnowledgeGraph,
+def path_metrics(path: ExtractedPath, und: nx.Graph,
                  node_tables: dict[str, dict[str, float]]) -> PathMetrics:
+    """Means of the node tables over the path, and the density of the subgraph
+    the path induces in the graph's self-loop-free view ``und``."""
     nodes = path.nodes
     means = {name: sum(node_tables[name][v] for v in nodes) / len(nodes)
              for name in node_tables}
-    und = g.undirected_view(self_loops=False)
     sub = und.subgraph(nodes)
     n = len(nodes)
     possible = n * (n - 1) / 2
@@ -178,9 +177,8 @@ def path_metrics(path: ExtractedPath, g: KnowledgeGraph,
     return PathMetrics(means=means, density=means["density"])
 
 
-def _node_tables(g: KnowledgeGraph,
-                 table: CentralityTable | None = None) -> dict[str, dict[str, float]]:
-    und = g.undirected_view(self_loops=False)
+def _node_tables(g: KnowledgeGraph, und: nx.Graph,
+                 table: CentralityTable | None) -> dict[str, dict[str, float]]:
     table = table or centralities(und)
     if table.eigenvector is None:
         raise NonConvergent("eigenvector centrality did not converge")
@@ -196,31 +194,20 @@ def _node_tables(g: KnowledgeGraph,
     }
 
 
-def _pearson(xs: list[float], ys: list[float]) -> float | None:
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    vx = sum((x - mx) ** 2 for x in xs)
-    vy = sum((y - my) ** 2 for y in ys)
-    if vx <= 0.0 or vy <= 0.0:
-        return None
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return cov / math.sqrt(vx * vy)
-
-
 def path_metric_correlations(paths: list[ExtractedPath], g: KnowledgeGraph,
                              table: CentralityTable | None = None) -> CorrelationMatrix:
     """Pearson correlations of path-level metric means across paths."""
     if len(paths) < 3:
         raise ValueError("need at least three paths to correlate")
-    tables = _node_tables(g, table)
-    per_path = [path_metrics(p, g, tables) for p in paths]
+    und = g.undirected_view(self_loops=False)
+    tables = _node_tables(g, und, table)
+    per_path = [path_metrics(p, und, tables) for p in paths]
     columns = {name: [pm.means[name] for pm in per_path] for name in PATH_METRIC_NAMES}
     matrix: list[list[float | None]] = []
     for a in PATH_METRIC_NAMES:
         row: list[float | None] = []
         for b in PATH_METRIC_NAMES:
-            row.append(1.0 if a == b else _pearson(columns[a], columns[b]))
+            row.append(1.0 if a == b else pearson(columns[a], columns[b]))
         matrix.append(row)
     return CorrelationMatrix(metrics=PATH_METRIC_NAMES, matrix=matrix)
 

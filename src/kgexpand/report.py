@@ -61,10 +61,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def degree_sequence(g: KnowledgeGraph) -> list[int]:
-    """Degrees on the undirected simple view, self-loops excluded."""
-    und = g.undirected_view(self_loops=False)
-    return [d for _, d in und.degree()]
+def degree_sequence(simple: nx.Graph) -> list[int]:
+    """Degrees on a snapshot's self-loop-free undirected view."""
+    return [d for _, d in simple.degree()]
+
+
+def snapshot_views(g: KnowledgeGraph) -> tuple[nx.Graph, nx.Graph]:
+    """A snapshot's self-loop-free undirected view, and its largest component's.
+
+    For a connected (or empty) snapshot both are the same view. Otherwise the
+    component's view is built from its own triples, which keeps each node's
+    neighbour order, and so the bytes of betweenness; a subgraph of the first
+    view would reorder neighbours (as a copy) or slow every BFS (as a view).
+    """
+    simple = g.undirected_view(self_loops=False)
+    if g.node_count == 0 or nx.is_connected(simple):
+        return simple, simple
+    return simple, largest_component(g).undirected_view(self_loops=False)
 
 
 @dataclass
@@ -84,8 +97,9 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
 
     ``snapshots`` (in iteration order, already thinned by ``stride``, which is
     only recorded) is read once, and the last one is the final snapshot. Each
-    gets one pass (one view, LCC, Louvain partition and betweenness table);
-    ``analytics.summarize_*`` aggregate the results.
+    gets one pass: its self-loop-free view and its LCC view are built once and
+    passed to every metric, with one Louvain partition and one betweenness
+    table; ``analytics.summarize_*`` aggregate the results.
     """
     seeds = seeds or AnalyzeSeeds()
     out = Path(out_dir)
@@ -97,8 +111,9 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
     final = None
     for snap in snapshots:
         final, it, g = snap, snap.iteration, snap.graph
+        simple, lcc = snapshot_views(g)
         # after the loop, ``degrees`` is the final snapshot's degree sequence
-        degrees = degree_sequence(g)
+        degrees = degree_sequence(simple)
         try:
             fit, verdict = scalefree.classify(degrees)
             scalefree_rows.append([it, _fmt(fit.alpha), fit.xmin, fit.n_tail,
@@ -107,7 +122,7 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
         except KgExpandError as exc:
             scalefree_rows.append([it, "nan", "nan", "nan", "nan", "nan",
                                    type(exc).__name__])
-        pair_stats = analytics.newly_connected_pairs(ledger, snap, samples)
+        pair_stats = analytics.newly_connected_pairs(ledger, it, simple, samples)
         if g.node_count == 0:
             # leading snapshots can be empty when extraction failed early
             zero = {"nodes", "edges", "self_loops", "lcc_size", "bridge_nodes",
@@ -115,23 +130,19 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
             values_by_iter[it] = {n: 0 if n in zero else math.nan for n in GLOBAL_METRICS}
             bet_by_iter[it], bridge_sets[it], degrees_by_iter[it] = {}, set(), {}
             continue
-        basic = analytics.basic_metrics(snap)
-        und = g.undirected_view()
-        lcc = largest_component(g, "undirected")
-        lcc_und = lcc.undirected_view()
-        avg_spl, diameter = analytics.spl_and_diameter(lcc_und)
-        partition, q = analytics.louvain(und, seeds.louvain)
-        bridge_sets[it] = analytics.bridge_nodes(und, partition)
+        basic = analytics.basic_metrics(g, simple, lcc)
+        avg_spl, diameter = analytics.spl_and_diameter(lcc)
+        partition, q = analytics.louvain(simple, seeds.louvain)
+        bridge_sets[it] = analytics.bridge_nodes(simple, partition)
         try:
-            assort = analytics.assortativity(und)
+            assort = analytics.assortativity(simple)
         except UndefinedMetric:
             assort = float("nan")
-        kmax, ksize = analytics.kcore(und)
-        bc = bet_by_iter[it] = nx.betweenness_centrality(und, normalized=True)
+        kmax, ksize = analytics.kcore(simple)
+        bc = bet_by_iter[it] = nx.betweenness_centrality(simple, normalized=True)
         # a spanning LCC is the same graph in the same node order, so the same table
-        lcc_bc = (bc if lcc.node_count == g.node_count
-                   else nx.betweenness_centrality(lcc_und, normalized=True))
-        degrees_by_iter[it] = analytics.simple_degrees(lcc_und)
+        lcc_bc = bc if lcc is simple else nx.betweenness_centrality(lcc, normalized=True)
+        degrees_by_iter[it] = dict(lcc.degree())
         values_by_iter[it] = {
             **dataclasses.asdict(basic),
             "modularity": q,
@@ -139,11 +150,11 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
             "avg_spl_lcc": avg_spl,
             "diameter_lcc": diameter,
             "assortativity": assort,
-            "transitivity": analytics.transitivity(und),
+            "transitivity": analytics.transitivity(simple),
             "kcore_max": kmax,
             "kcore_size": ksize,
             "avg_betweenness_lcc": sum(lcc_bc.values()) / len(lcc_bc),
-            "articulation_points": len(analytics.articulation_points(und)),
+            "articulation_points": len(analytics.articulation_points(simple)),
             "bridge_nodes": len(bridge_sets[it]),
             "newly_connected": pair_stats.newly_connected,
             "shortened_paths": pair_stats.shortened,
@@ -173,10 +184,14 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
                          _fmt(int(bridges.presence[row_idx][col_idx]))))
     # final-snapshot centrality distributions (plot-ready per-node values)
     final_it = final.iteration
-    final_und = final.graph.undirected_view()
+    histogram: dict[int, int] = {}
     if final.graph.node_count:
-        # the loop built this betweenness table on an identical view
-        final_table = analytics.centralities(final_und, betweenness=bet_by_iter[final_it])
+        # Every other metric reads the self-loop-free view; these rows keep the
+        # view with self-loops. A self-loop adds to the adjacency diagonal and
+        # so changes eigenvector scores, and this view keeps them as they were.
+        # Closeness is the same on either view; the loop's betweenness is reused.
+        final_table = analytics.centralities(final.graph.undirected_view(),
+                                             betweenness=bet_by_iter[final_it])
         for node in sorted(final_table.closeness):
             rows.append((final_it, "closeness", node,
                          _fmt(final_table.closeness[node])))
@@ -184,6 +199,9 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
             for node in sorted(final_table.eigenvector):
                 rows.append((final_it, "eigenvector", node,
                              _fmt(final_table.eigenvector[node])))
+        # ``simple`` is still the final snapshot's view
+        histogram = analytics.sampled_spl_distribution(simple, spl_samples,
+                                                       seeds.sampling).histogram
 
     with open(out / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -195,12 +213,6 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
         writer.writerow(["iteration", "alpha", "xmin", "n_tail", "lr", "p", "verdict"])
         writer.writerows(scalefree_rows)
 
-    if final_und.number_of_nodes():
-        dist = analytics.sampled_spl_distribution(final_und, spl_samples,
-                                                  seeds.sampling)
-        histogram = dist.histogram
-    else:
-        histogram = {}
     with open(out / "spl_histogram.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin", "count"])
@@ -244,12 +256,12 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
 def summarize_snapshot(snap: Snapshot, louvain_seed: int = 0) -> dict[str, str]:
     """Values for the 13 summary rows, computed on one snapshot."""
     g = snap.graph
-    basic = analytics.basic_metrics(snap)
-    lcc_und = largest_component(g, "undirected").undirected_view()
-    avg_spl, diameter = analytics.spl_and_diameter(lcc_und)
-    _, q = analytics.louvain(g.undirected_view(), louvain_seed)
+    simple, lcc = snapshot_views(g)
+    basic = analytics.basic_metrics(g, simple, lcc)
+    avg_spl, diameter = analytics.spl_and_diameter(lcc)
+    _, q = analytics.louvain(simple, louvain_seed)
     try:
-        fit, verdict = scalefree.classify(degree_sequence(g))
+        fit, verdict = scalefree.classify(degree_sequence(simple))
         lr, p = f"{verdict.lr:.4f}", f"{verdict.p:.4f}"
         alpha, xmin = f"{fit.alpha:.4f}", f"{float(fit.xmin):.1f}"
         classification = "Yes" if verdict.is_scale_free else "No"

@@ -343,6 +343,21 @@ def bridge_nodes(g: nx.Graph, partition: dict) -> set:
 
 
 # ---------------------------------------------------------------------------
+# snapshot series
+
+
+def validate_supergraph(snapshots) -> None:
+    """Raise ValueError unless each snapshot holds its predecessor's nodes and edges."""
+    for prev, cur in zip(snapshots, snapshots[1:]):
+        if not prev.graph.node_keys <= cur.graph.node_keys:
+            raise ValueError(
+                f"snapshot {cur.iteration} lost nodes present at {prev.iteration}")
+        if not set(prev.graph.triples()) <= set(cur.graph.triples()):
+            raise ValueError(
+                f"snapshot {cur.iteration} lost edges present at {prev.iteration}")
+
+
+# ---------------------------------------------------------------------------
 # graph generators for the oracle suites
 
 

@@ -16,13 +16,13 @@ import pytest
 
 from kgexpand import analytics, scalefree
 from kgexpand.cli import main
-from kgexpand.core import KnowledgeGraph, Snapshot, SnapshotSeries
+from kgexpand.core import KnowledgeGraph, Snapshot
 from kgexpand.errors import UndefinedMetric
 from kgexpand.extraction import parse_graph_literal, serialize_graph_literal
 from kgexpand.graphml_io import SnapshotStore
 from kgexpand.loop import RECORDS_FILENAME
 from kgexpand.paths import agentic_path_report, compositional_pipeline, diameter_path
-from kgexpand.report import SUMMARY_ROWS, degree_sequence
+from kgexpand.report import SUMMARY_ROWS, degree_sequence, snapshot_views
 from kgexpand.sessions import EchoSession
 
 from . import oracles
@@ -69,7 +69,8 @@ def test_criterion_1_oracle_equivalence(corpus):
     started = time.monotonic()
     for g in corpus:
         und = g
-        b = analytics.basic_metrics(_kg_from_nx(g))
+        kg = _kg_from_nx(g)
+        b = analytics.basic_metrics(kg, *snapshot_views(kg))
         assert b.avg_clustering == pytest.approx(
             oracles.average_clustering(und), abs=EXACT)
         assert analytics.transitivity(und) == pytest.approx(
@@ -147,11 +148,12 @@ def test_criterion_4_end_to_end_synthetic_run(synthetic_run_dir, tmp_path):
     assert elapsed < 300.0, f"200-iteration run took {elapsed:.0f}s"
     snapshots = sorted(out.glob("graph_iteration_*.graphml"))
     assert len(snapshots) == 200
-    series = SnapshotStore(out).load()
+    series = list(SnapshotStore(out).snapshots())
     counts = [(s.graph.node_count, s.graph.edge_count) for s in series]
     assert counts == sorted(counts), "node/edge counts must be non-decreasing"
-    series.validate_supergraph()
-    fit, verdict = scalefree.classify(degree_sequence(series.final.graph))
+    oracles.validate_supergraph(series)
+    fit, verdict = scalefree.classify(
+        degree_sequence(series[-1].graph.undirected_view(self_loops=False)))
     assert verdict.is_scale_free, (
         f"final graph not scale-free: LR={verdict.lr:.2f} p={verdict.p:.4f}")
     rerun = tmp_path / "rerun"
@@ -175,7 +177,7 @@ def test_criterion_5_newly_connected_pairs_exact():
         [("a", "f")],                               # shortcut shortens paths
     ]
     g = KnowledgeGraph()
-    series = SnapshotSeries()
+    series = []
     for i, batch in enumerate(batches):
         for u, v in batch:
             g.add_edge(u, "HAS", v)
@@ -185,8 +187,8 @@ def test_criterion_5_newly_connected_pairs_exact():
     seen: dict = {}
     observed = []
     for snap in series:
-        stats = analytics.newly_connected_pairs(ledger, snap, samples=None)
         und = snap.graph.undirected_view()
+        stats = analytics.newly_connected_pairs(ledger, snap.iteration, und, samples=None)
         expected_new = expected_short = 0
         dist = oracles.floyd_warshall(und)
         for u in sorted(und):
@@ -220,12 +222,12 @@ def test_criterion_6_bridge_pipeline_ground_truth():
     batches += [[("a0", "b0")], [], [("b5", "c5")], [],
                 [("a3", "c3")], [], [("a0", "c0")], [], []]
     g = KnowledgeGraph()
-    series = SnapshotSeries()
+    series = []
     for i, batch in enumerate(batches):
         for u, v in batch:
             g.add_edge(u, "HAS", v)
         series.append(Snapshot(i, g.copy()))
-    assert series.final.graph.node_count == 30
+    assert series[-1].graph.node_count == 30
 
     result = analytics.bridge_analysis(series, seed=5)
     truth = {

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from kgexpand.core import (
     KnowledgeGraph,
-    Snapshot,
-    SnapshotSeries,
     largest_component,
     merge_local,
     normalize_label,
@@ -226,26 +224,6 @@ def test_strong_component_matches_reachability_oracle():
     biggest = max(len(c) for c in sccs)
     expected = min((c for c in sccs if len(c) == biggest), key=min)
     assert largest_component(g, "strong").node_keys == expected
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-
-
-def test_snapshot_series_requires_increasing_iterations():
-    series = SnapshotSeries()
-    series.append(Snapshot(0, KnowledgeGraph()))
-    with pytest.raises(ValueError):
-        series.append(Snapshot(0, KnowledgeGraph()))
-
-
-def test_supergraph_validation_catches_lost_edges():
-    g1 = _graph(("A", "HAS", "B"))
-    series = SnapshotSeries()
-    series.append(Snapshot(0, g1))
-    series.append(Snapshot(1, KnowledgeGraph()))
-    with pytest.raises(ValueError):
-        series.validate_supergraph()
 
 
 @given(knowledge_graphs())

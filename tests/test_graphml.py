@@ -164,7 +164,7 @@ def test_store_orders_by_iteration_not_lexically(tmp_path):
     store = SnapshotStore(tmp_path)
     store.write(Snapshot(10, g10))
     store.write(Snapshot(2, g2))
-    series = store.load()
+    series = list(store.snapshots())
     assert [s.iteration for s in series] == [2, 10]
     assert series[0].graph.edge_count == 1
     assert series[1].graph.edge_count == 2
@@ -177,5 +177,16 @@ def test_store_ignores_unrelated_files(tmp_path):
     g = KnowledgeGraph()
     g.add_edge("a", "HAS", "b")
     store.write(Snapshot(0, g))
-    series = store.load()
+    series = list(store.snapshots())
     assert len(series) == 1
+
+
+def test_store_rejects_two_files_for_one_iteration(tmp_path):
+    store = SnapshotStore(tmp_path)
+    store.write(Snapshot(1, KnowledgeGraph()))
+    (tmp_path / "graph_iteration_01.graphml").write_bytes(
+        (tmp_path / "graph_iteration_1.graphml").read_bytes())
+    with pytest.raises(GraphMLError, match="iteration 1") as err:
+        store.iteration_paths()
+    assert "graph_iteration_01.graphml" in str(err.value)
+    assert "graph_iteration_1.graphml" in str(err.value)

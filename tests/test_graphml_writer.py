@@ -179,8 +179,8 @@ class ControlCharacterSession:
 def test_a_reply_with_control_characters_leaves_every_snapshot_readable(tmp_path):
     result = run(RunConfig(iterations=4, snapshot_dir=str(tmp_path), max_retries=0),
                  ControlCharacterSession())
-    loaded = SnapshotStore(tmp_path).load()
+    loaded = list(SnapshotStore(tmp_path).snapshots())
     assert [s.iteration for s in loaded] == [0, 1, 2, 3]
-    assert loaded.final.graph.triples() == result.graph.triples()
-    assert loaded.final.graph.triples() == [
+    assert loaded[-1].graph.triples() == result.graph.triples()
+    assert loaded[-1].graph.triples() == [
         (f"concept {i}", "HAS", f"concept {i + 1}") for i in range(4)]

@@ -1,4 +1,5 @@
-"""Import cost of the CLI: importing it and `run` load neither scipy, numpy nor requests."""
+"""Import cost of the CLI: importing it and `run` load neither scipy, numpy nor
+requests, and `analyze` does not load scipy.stats."""
 
 import os
 import subprocess
@@ -30,4 +31,13 @@ def test_run_does_not_load(module, tmp_path):
         module,
         "from kgexpand.cli import main\n"
         "assert main(['run', '--synthetic', '--iterations', '3', '--out', 'snaps']) == 0",
+        tmp_path)
+
+
+def test_analyze_does_not_load_scipy_stats(tmp_path):
+    assert not _loads(
+        "scipy.stats",
+        "from kgexpand.cli import main\n"
+        "assert main(['run', '--synthetic', '--iterations', '3', '--out', 'snaps']) == 0\n"
+        "assert main(['analyze', 'snaps', '--out', 'analysis']) == 0",
         tmp_path)

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from kgexpand.core import KnowledgeGraph
+from kgexpand.core import KnowledgeGraph, Snapshot
 from kgexpand.errors import ConfigError, GeneratorError
 from kgexpand.extraction import THINK_CLOSE, THINK_OPEN
 from kgexpand.graphml_io import SnapshotStore
@@ -12,6 +12,8 @@ from kgexpand.loop import RECORDS_FILENAME, RunConfig, run
 from kgexpand.prompts import build_followup_prompt, build_initial_prompt
 from kgexpand.sessions import HTTPGeneratorSession, SyntheticGenerator
 from kgexpand.extraction import parse_graph_literal
+
+from . import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +118,9 @@ class OneTripleSession:
 def test_single_iteration_run(tmp_path):
     cfg = RunConfig(iterations=1, snapshot_dir=str(tmp_path))
     result = run(cfg, OneTripleSession())
-    series = SnapshotStore(result.snapshot_dir).load()
+    series = list(SnapshotStore(result.snapshot_dir).snapshots())
     assert len(series) == 1
-    g = series.final.graph
+    g = series[-1].graph
     assert (g.node_count, g.edge_count) == (2, 1)
     assert (tmp_path / "graph_iteration_0.graphml").exists()
     assert (tmp_path / RECORDS_FILENAME).exists()
@@ -146,10 +148,18 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_series_is_supergraph_monotone(tmp_path):
     cfg = RunConfig(iterations=30, seed=9, snapshot_dir=str(tmp_path))
     result = run(cfg)
-    series = SnapshotStore(result.snapshot_dir).load()
-    series.validate_supergraph()
+    series = list(SnapshotStore(result.snapshot_dir).snapshots())
+    oracles.validate_supergraph(series)
     counts = [(s.graph.node_count, s.graph.edge_count) for s in series]
     assert counts == sorted(counts)
+
+
+def test_supergraph_validation_catches_lost_edges():
+    g1 = KnowledgeGraph()
+    g1.add_edge("A", "HAS", "B")
+    series = [Snapshot(0, g1), Snapshot(1, KnowledgeGraph())]
+    with pytest.raises(ValueError):
+        oracles.validate_supergraph(series)
 
 
 class ScriptedLoopSession:
@@ -177,7 +187,7 @@ def test_skipped_iteration_still_writes_snapshot(tmp_path):
     result = run(cfg, session)
     assert [r.skipped for r in result.records] == [False, True, False]
     assert len(list(tmp_path.glob("*.graphml"))) == 3
-    counts = [s.graph.edge_count for s in SnapshotStore(result.snapshot_dir).load()]
+    counts = [s.graph.edge_count for s in SnapshotStore(result.snapshot_dir).snapshots()]
     assert counts[1] == counts[0]  # unchanged snapshot on the skipped iteration
 
 
@@ -207,10 +217,10 @@ def test_run_writes_the_live_graph_without_copying_it(tmp_path, monkeypatch):
 
     monkeypatch.setattr(KnowledgeGraph, "copy", no_copy)
     result = run(RunConfig(iterations=5, seed=3, snapshot_dir=str(tmp_path)))
-    series = SnapshotStore(tmp_path).load()
+    series = list(SnapshotStore(tmp_path).snapshots())
     assert [s.iteration for s in series] == list(range(5))
-    assert series.final.graph.triples() == result.graph.triples()
-    assert series.final.graph.display_map() == result.graph.display_map()
+    assert series[-1].graph.triples() == result.graph.triples()
+    assert series[-1].graph.display_map() == result.graph.display_map()
 
 
 def test_records_one_per_iteration(tmp_path):

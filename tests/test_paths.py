@@ -150,9 +150,9 @@ def test_correlations_match_direct_pearson():
     g = _diamond_with_tails(2)
     paths = paths_mod.top_k_longest_paths(g, k=4)
     corr = paths_mod.path_metric_correlations(paths, g)
-    tables = paths_mod._node_tables(g)
-    series = {name: [] for name in corr.metrics}
     und = g.undirected_view(self_loops=False)
+    tables = paths_mod._node_tables(g, und, None)
+    series = {name: [] for name in corr.metrics}
     for p in paths:
         for name in corr.metrics:
             if name == "density":

@@ -11,7 +11,7 @@ import pytest
 from kgexpand import analytics, cli, graphml_io
 from kgexpand import paths as paths_mod
 from kgexpand.cli import main
-from kgexpand.core import KnowledgeGraph, Snapshot, SnapshotSeries, largest_component
+from kgexpand.core import KnowledgeGraph, Snapshot, largest_component
 from kgexpand.errors import EmptyGraph, KgExpandError
 from kgexpand.graphml_io import SnapshotStore
 from kgexpand.loop import RunConfig, run
@@ -20,7 +20,7 @@ from kgexpand.report import AnalyzeSeeds, _fmt, analyze_series
 LOUVAIN_SEED = 3
 
 
-def _series() -> SnapshotSeries:
+def _series() -> list[Snapshot]:
     """An empty first snapshot, then disconnected, connected and disconnected again.
 
     Self-loops and parallel relation kinds are in from the second snapshot on,
@@ -35,7 +35,7 @@ def _series() -> SnapshotSeries:
         [("g", "HAS", "h")],
     ]
     g = KnowledgeGraph()
-    series = SnapshotSeries()
+    series = []
     for i, batch in enumerate(batches):
         for u, kind, v in batch:
             g.add_edge(u, kind, v)
@@ -121,7 +121,8 @@ def test_hub_rows_match_hub_emergence(analyzed):
 def test_partition_metrics_match_louvain(analyzed):
     series, rows, _ = analyzed
     for snap in list(series)[1:]:
-        partition, q = analytics.louvain(snap.graph.undirected_view(), LOUVAIN_SEED)
+        partition, q = analytics.louvain(snap.graph.undirected_view(self_loops=False),
+                                         LOUVAIN_SEED)
         glob = {r["metric"]: r["value"] for r in rows
                 if r["iteration"] == str(snap.iteration) and r["subject"] == "global"}
         assert glob["modularity"] == _fmt(q)
@@ -232,11 +233,36 @@ def test_a_malformed_intermediate_snapshot_is_not_read(run_dir, tmp_path, comman
     assert main([command, str(snaps), "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("command", ["analyze", "paths", "report"])
+def test_two_files_for_one_iteration_exit_1(run_dir, tmp_path, capsys, command):
+    snaps = tmp_path / "snaps"
+    shutil.copytree(run_dir, snaps)
+    shutil.copy(snaps / "graph_iteration_1.graphml", snaps / "graph_iteration_01.graphml")
+    assert main([command, str(snaps), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "graph_iteration_01.graphml" in err and "graph_iteration_1.graphml" in err
+
+
 def test_report_bundle_counts_every_snapshot(run_dir, tmp_path):
     assert main(["report", str(run_dir), "--out", str(tmp_path / "r")]) == 0
     bundle = json.loads((tmp_path / "r" / "report_bundle.json").read_text())
     assert bundle["snapshots"] == 12
     assert bundle["final_iteration"] == 11
+
+
+def test_analyze_series_builds_each_view_once_and_copies_no_graph(monkeypatch, tmp_path):
+    # per snapshot the self-loop-free view, plus the view of an LCC that does
+    # not span it; once more for the final eigenvector rows
+    series = _series()
+    views = _counting(monkeypatch, KnowledgeGraph.undirected_view, KnowledgeGraph)
+
+    def no_copy(self, *args, **kwargs):
+        raise AssertionError("a networkx graph was copied")
+
+    monkeypatch.setattr(nx.Graph, "copy", no_copy)
+    analyze_series(series, tmp_path, samples=10, spl_samples=10)
+    assert len(views) <= 2 * sum(1 for s in series if s.graph.node_count) + 1
 
 
 def test_analyze_series_runs_betweenness_once_per_spanning_snapshot(monkeypatch, tmp_path):
@@ -276,14 +302,23 @@ def test_analyze_with_a_stride_reads_only_the_picked_snapshots(monkeypatch, ten_
     manifest = json.loads((tmp_path / "cli" / "analysis_manifest.json").read_text())
     assert (manifest["iterations"], manifest["stride"]) == ([0, 3, 6, 9], 3)
     # the same analysis over the picked snapshots held in memory
-    picked = SnapshotSeries([s for s in SnapshotStore(ten_run).load()
-                             if s.iteration % 3 == 0])
+    picked = [s for s in SnapshotStore(ten_run).snapshots() if s.iteration % 3 == 0]
     analyze_series(picked, tmp_path / "memory", samples=20, spl_samples=20, stride=3)
     names = sorted(p.name for p in (tmp_path / "cli").glob("*.csv"))
     assert names == sorted(p.name for p in (tmp_path / "memory").glob("*.csv"))
     for name in names:
         assert ((tmp_path / "cli" / name).read_bytes()
                 == (tmp_path / "memory" / name).read_bytes()), name
+
+
+def test_analyze_with_a_stride_always_reads_the_last_snapshot(monkeypatch, ten_run,
+                                                              tmp_path):
+    calls = _counting(monkeypatch, graphml_io.read_graphml, graphml_io, cli)
+    assert _analyze(ten_run, tmp_path / "a", "--stride", "4") == 0
+    assert [Path(args[0]).name for args in calls] == [
+        f"graph_iteration_{i}.graphml" for i in (0, 4, 8, 9)]
+    manifest = json.loads((tmp_path / "a" / "analysis_manifest.json").read_text())
+    assert manifest["iterations"] == [0, 4, 8, 9]
 
 
 def test_analyze_with_a_stride_skips_a_malformed_unpicked_snapshot(ten_run, tmp_path):
