@@ -22,6 +22,8 @@ from .errors import EmptyGraph, NotConnected, UndefinedMetric
 LOUVAIN_RESTARTS = 5
 LOUVAIN_SMALL_RESTARTS = 16       # order traps are likelier on tiny graphs
 MERGE_REFINE_MAX_NODES = 64
+EIGENVECTOR_TOL = 1e-8
+EIGENVECTOR_MAX_ITER = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +317,7 @@ class CentralityTable:
     eigenvector_converged: bool = True
 
 
-def centralities(g: nx.Graph, *, betweenness: dict | None = None, eig_tol: float = 1e-8,
-                 eig_max_iter: int = 1000) -> CentralityTable:
+def centralities(g: nx.Graph, *, betweenness: dict | None = None) -> CentralityTable:
     """Normalized betweenness, component-scaled closeness, eigenvector scores.
 
     Eigenvector centrality uses power iteration; when it fails to converge the
@@ -329,7 +330,8 @@ def centralities(g: nx.Graph, *, betweenness: dict | None = None, eig_tol: float
         betweenness = nx.betweenness_centrality(g, normalized=True)
     closeness = nx.closeness_centrality(g)
     try:
-        eigenvector = nx.eigenvector_centrality(g, max_iter=eig_max_iter, tol=eig_tol)
+        eigenvector = nx.eigenvector_centrality(g, max_iter=EIGENVECTOR_MAX_ITER,
+                                               tol=EIGENVECTOR_TOL)
         converged = True
     except nx.PowerIterationFailedConvergence:
         eigenvector = None
@@ -345,33 +347,27 @@ def centralities(g: nx.Graph, *, betweenness: dict | None = None, eig_tol: float
 class SplSample:
     histogram: dict[int, int]
     sampled: int
-    unreachable: int
 
 
-def sampled_spl_distribution(g: nx.Graph, samples: int = 2000,
+def sampled_spl_distribution(lcc: nx.Graph, samples: int = 2000,
                              seed: int = 0) -> SplSample:
-    """Distance histogram over uniformly sampled LCC node pairs (with replacement)."""
+    """Distance histogram over uniformly sampled node pairs (with replacement)
+    of a connected view, such as a snapshot's LCC view from ``snapshot_views``."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    if g.number_of_nodes() == 0:
+    if lcc.number_of_nodes() == 0:
         raise EmptyGraph("cannot sample paths in an empty graph")
-    comps = list(nx.connected_components(g))
-    max_size = max(len(c) for c in comps)
-    lcc_nodes = sorted(min((c for c in comps if len(c) == max_size), key=min))
-    if len(lcc_nodes) < 2:
-        return SplSample({}, 0, 0)
+    nodes = sorted(lcc)
+    if len(nodes) < 2:
+        return SplSample({}, 0)
     cache: dict = {}
     hist: dict[int, int] = {}
-    unreachable = 0
-    for u, v in _sample_pairs(lcc_nodes, samples, random.Random(seed)):
+    for u, v in _sample_pairs(nodes, samples, random.Random(seed)):
         if u not in cache:
-            cache[u] = nx.single_source_shortest_path_length(g, u)
-        d = cache[u].get(v)
-        if d is None:
-            unreachable += 1
-        else:
-            hist[d] = hist.get(d, 0) + 1
-    return SplSample(dict(sorted(hist.items())), samples, unreachable)
+            cache[u] = nx.single_source_shortest_path_length(lcc, u)
+        d = cache[u][v]
+        hist[d] = hist.get(d, 0) + 1
+    return SplSample(dict(sorted(hist.items())), samples)
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +551,6 @@ class BetweennessSeries:
     top_nodes: list[str]
     mean: list[float]
     max: list[float]
-
-    def trace(self, node: str) -> list[float]:
-        col = self.nodes.index(node)
-        return [row[col] for row in self.values]
 
 
 def summarize_betweenness(per_iter: dict[int, dict[str, float]],

@@ -17,7 +17,6 @@ import yaml
 
 from . import paths as paths_mod
 from . import report as report_mod
-from .analytics import centralities
 from .errors import KgExpandError
 from .graphml_io import SnapshotStore, read_graphml, write_graphml
 from .loop import RunConfig, run
@@ -73,7 +72,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.stride < 1:
         raise KgExpandError(f"--stride must be at least 1, got {args.stride}")
     store = SnapshotStore(args.snapshots)
-    count = len(store.iteration_paths())
+    count = len(store.picked_paths(args.stride))
     if count == 0:
         raise KgExpandError(f"no snapshots found in {args.snapshots}")
     seeds = report_mod.AnalyzeSeeds(
@@ -103,18 +102,20 @@ def _load_graph_argument(path_arg: str):
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
+    if args.k < 0:
+        raise KgExpandError(f"--k must be at least 0, got {args.k}")
     g = _load_graph_argument(args.graph)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    table = centralities(g.undirected_view(self_loops=False)) if g.node_count else None
-    top = paths_mod.top_k_longest_paths(g, args.k, table)
+    tables = paths_mod.path_tables(g)
+    top = paths_mod.top_k_longest_paths(g, tables, args.k)
     for i, path in enumerate(top):
         sub = paths_mod.induced_path_graph(g, path)
         write_graphml(sub, out / f"path_{i}.graphml", node_attrs=path.node_metrics)
     if len(top) >= 3:
-        corr = paths_mod.path_metric_correlations(top, g, table)
+        corr = paths_mod.path_metric_correlations(g, tables, top)
         _write_correlations(out / "path_correlations.csv", corr)
-    main_path = paths_mod.diameter_path(g, table)
+    main_path = paths_mod.diameter_path(g, tables)
     print(f"diameter path ({main_path.length} steps): {main_path.render()}")
     if args.mode != "none":
         session = RunConfig(synthetic=not args.endpoint, endpoint=args.endpoint or "",

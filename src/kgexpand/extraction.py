@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .core import DEFAULT_RELATION, KnowledgeGraph, normalize_relation
-from .errors import GeneratorError, InvalidLabel, MalformedLiteral, NoGraphFound
+from .errors import InvalidLabel, MalformedLiteral, NoGraphFound
 
 THINK_OPEN = "<|thinking|>"
 THINK_CLOSE = "<|/thinking|>"
@@ -214,10 +214,7 @@ def extract_with_retry(session, raw_reasoning: str, max_retries: int = 2,
                 f"Your previous reply could not be parsed ({last_error}). "
                 "Output only the dictionary."
             )
-        try:
-            reply = session.complete(ask)
-        except GeneratorError:
-            raise
+        reply = session.complete(ask)
         try:
             local = parse_graph_literal(reply, iteration=iteration)
             return ExtractionOutcome(local=local, retries_used=attempt)

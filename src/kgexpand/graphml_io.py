@@ -186,13 +186,18 @@ class SnapshotStore:
             found[iteration] = path
         return sorted(found.items())
 
-    def snapshots(self, stride: int = 1) -> Iterator[Snapshot]:
-        """Every ``stride``-th snapshot in iteration order, and always the last
-        one, read one at a time; files that are not picked are never parsed."""
+    def picked_paths(self, stride: int = 1) -> list[tuple[int, Path]]:
+        """Every ``stride``-th snapshot file in iteration order, and always the
+        last one."""
         found = self.iteration_paths()
-        for i, (iteration, path) in enumerate(found):
-            if i % stride == 0 or i == len(found) - 1:
-                yield Snapshot(iteration, read_graphml(path))
+        return [item for i, item in enumerate(found)
+                if i % stride == 0 or i == len(found) - 1]
+
+    def snapshots(self, stride: int = 1) -> Iterator[Snapshot]:
+        """The picked snapshots, read one at a time; files that are not picked
+        are never parsed."""
+        for iteration, path in self.picked_paths(stride):
+            yield Snapshot(iteration, read_graphml(path))
 
     def final(self) -> Snapshot:
         """The highest-iteration snapshot; no other file is read."""

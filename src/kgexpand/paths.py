@@ -1,13 +1,14 @@
 """Longest-shortest-path extraction, path metrics, and agentic reasoning drivers.
 
 Paths live on the undirected view of the largest component. All ranking and
-tie-breaking is lexicographic so repeated extraction is identical. Functions
-that take an optional ``table`` accept a precomputed ``centralities`` of the
-self-loop-free undirected view and compute it themselves otherwise.
+tie-breaking is lexicographic so repeated extraction is identical. The path
+functions share one ``PathTables`` of the final graph: its self-loop-free
+undirected view, that view's all-pairs BFS lengths and its centrality table.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -66,70 +67,65 @@ def _lexicographic_shortest_path(g: nx.Graph, source: str, target: str,
     return path
 
 
-def _attach_metrics(und: nx.Graph, nodes: list[str],
-                    table: CentralityTable | None) -> dict[str, dict[str, float]]:
-    table = table or centralities(und)
-    return {
-        "degree": {v: float(und.degree(v)) for v in nodes},
-        "betweenness": {v: table.betweenness[v] for v in nodes},
-        "closeness": {v: table.closeness[v] for v in nodes},
-    }
+@dataclass
+class PathTables:
+    """What every path function reads of the final graph, built once."""
+
+    view: nx.Graph                      # self-loop-free undirected view
+    dist: dict[str, dict[str, int]]     # node -> reachable node -> BFS hops
+    centrality: CentralityTable         # ``centralities(view)``
 
 
-def diameter_path(g: KnowledgeGraph,
-                  table: CentralityTable | None = None) -> ExtractedPath:
-    """A shortest path realizing the maximum eccentricity of the LCC."""
+def path_tables(g: KnowledgeGraph) -> PathTables:
+    """The self-loop-free view of ``g``, its all-pairs BFS lengths and its
+    centrality table."""
     if g.node_count == 0:
-        raise EmptyGraph("diameter_path needs a non-empty graph")
-    lcc = largest_component(g, "undirected")
-    und = lcc.undirected_view(self_loops=False)
-    if und.number_of_nodes() == 1:
-        raise TrivialPath("largest component is a single node")
-    dist = {v: nx.single_source_shortest_path_length(und, v) for v in und}
-    ecc = {v: max(dist[v].values()) for v in und}
-    diameter = max(ecc.values())
-    source = min(v for v in und if ecc[v] == diameter)
-    target = min(v for v, d in dist[source].items() if d == diameter)
-    nodes = _lexicographic_shortest_path(und, source, target, dist[target])
+        raise EmptyGraph("paths need a non-empty graph")
+    view = g.undirected_view(self_loops=False)
+    dist = {v: nx.single_source_shortest_path_length(view, v) for v in view}
+    return PathTables(view, dist, centralities(view))
+
+
+def _extracted_path(g: KnowledgeGraph, tables: PathTables,
+                    source: str, target: str) -> ExtractedPath:
+    dist, view = tables.dist, tables.view
+    nodes = _lexicographic_shortest_path(view, source, target, dist[target])
     return ExtractedPath(
         nodes=nodes,
         displays=[g.display(v) for v in nodes],
-        node_metrics=_attach_metrics(g.undirected_view(self_loops=False), nodes, table),
-        source_eccentricity=ecc[source],
-        terminal_eccentricity=ecc[target],
+        node_metrics={
+            "degree": {v: float(view.degree(v)) for v in nodes},
+            "betweenness": {v: tables.centrality.betweenness[v] for v in nodes},
+            "closeness": {v: tables.centrality.closeness[v] for v in nodes},
+        },
+        source_eccentricity=max(dist[source].values()),
+        terminal_eccentricity=max(dist[target].values()),
     )
 
 
-def top_k_longest_paths(g: KnowledgeGraph, k: int = 5,
-                        table: CentralityTable | None = None) -> list[ExtractedPath]:
+def diameter_path(g: KnowledgeGraph, tables: PathTables) -> ExtractedPath:
+    """A shortest path realizing the maximum eccentricity of the LCC.
+
+    Distances and neighbours within the LCC are the same in the whole view,
+    so the LCC's eccentricities are read from the shared distance table.
+    """
+    lcc = largest_component(g, "undirected").node_keys
+    if len(lcc) == 1:
+        raise TrivialPath("largest component is a single node")
+    ecc = {v: max(tables.dist[v].values()) for v in lcc}
+    diameter = max(ecc.values())
+    source = min(v for v in lcc if ecc[v] == diameter)
+    target = min(v for v, d in tables.dist[source].items() if d == diameter)
+    return _extracted_path(g, tables, source, target)
+
+
+def top_k_longest_paths(g: KnowledgeGraph, tables: PathTables,
+                        k: int = 5) -> list[ExtractedPath]:
     """The k longest shortest paths over distinct unordered endpoint pairs."""
-    if g.node_count == 0:
-        raise EmptyGraph("top_k_longest_paths needs a non-empty graph")
-    und = g.undirected_view(self_loops=False)
-    dist = {v: nx.single_source_shortest_path_length(und, v) for v in und}
-    pairs = []
-    for u in und:
-        for v, d in dist[u].items():
-            if u < v:
-                pairs.append((-d, u, v))
-    pairs.sort()
-    metrics_cache: dict[str, dict[str, float]] | None = None
-    paths = []
-    for _, u, v in pairs[:k]:
-        nodes = _lexicographic_shortest_path(und, u, v, dist[v])
-        ecc_u = max(dist[u].values())
-        ecc_v = max(dist[v].values())
-        if metrics_cache is None:
-            metrics_cache = _attach_metrics(und, list(und.nodes), table)
-        paths.append(ExtractedPath(
-            nodes=nodes,
-            displays=[g.display(n) for n in nodes],
-            node_metrics={m: {n: metrics_cache[m][n] for n in nodes}
-                          for m in metrics_cache},
-            source_eccentricity=ecc_u,
-            terminal_eccentricity=ecc_v,
-        ))
-    return paths
+    # the (-d, u, v) tuples are distinct, so this is sorted(...)[:k] for k >= 0
+    pairs = heapq.nsmallest(k, ((-d, u, v) for u, row in tables.dist.items()
+                                for v, d in row.items() if u < v))
+    return [_extracted_path(g, tables, u, v) for _, u, v in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +173,8 @@ def path_metrics(path: ExtractedPath, und: nx.Graph,
     return PathMetrics(means=means, density=means["density"])
 
 
-def _node_tables(g: KnowledgeGraph, und: nx.Graph,
-                 table: CentralityTable | None) -> dict[str, dict[str, float]]:
-    table = table or centralities(und)
+def _node_tables(g: KnowledgeGraph, tables: PathTables) -> dict[str, dict[str, float]]:
+    und, table = tables.view, tables.centrality
     if table.eigenvector is None:
         raise NonConvergent("eigenvector centrality did not converge")
     pagerank = nx.pagerank(g.directed_simple_view(), alpha=0.85, tol=1e-8)
@@ -194,14 +189,13 @@ def _node_tables(g: KnowledgeGraph, und: nx.Graph,
     }
 
 
-def path_metric_correlations(paths: list[ExtractedPath], g: KnowledgeGraph,
-                             table: CentralityTable | None = None) -> CorrelationMatrix:
+def path_metric_correlations(g: KnowledgeGraph, tables: PathTables,
+                             paths: list[ExtractedPath]) -> CorrelationMatrix:
     """Pearson correlations of path-level metric means across paths."""
     if len(paths) < 3:
         raise ValueError("need at least three paths to correlate")
-    und = g.undirected_view(self_loops=False)
-    tables = _node_tables(g, und, table)
-    per_path = [path_metrics(p, und, tables) for p in paths]
+    node_tables = _node_tables(g, tables)
+    per_path = [path_metrics(p, tables.view, node_tables) for p in paths]
     columns = {name: [pm.means[name] for pm in per_path] for name in PATH_METRIC_NAMES}
     matrix: list[list[float | None]] = []
     for a in PATH_METRIC_NAMES:

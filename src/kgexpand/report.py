@@ -199,8 +199,8 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
             for node in sorted(final_table.eigenvector):
                 rows.append((final_it, "eigenvector", node,
                              _fmt(final_table.eigenvector[node])))
-        # ``simple`` is still the final snapshot's view
-        histogram = analytics.sampled_spl_distribution(simple, spl_samples,
+        # ``lcc`` is still the final snapshot's LCC view
+        histogram = analytics.sampled_spl_distribution(lcc, spl_samples,
                                                        seeds.sampling).histogram
 
     with open(out / "metrics.csv", "w", newline="") as fh:

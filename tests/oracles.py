@@ -3,7 +3,9 @@
 Everything here recomputes metrics from first principles (Floyd-Warshall
 distances, explicit path enumeration, subset enumeration, exhaustive set
 partitions, dense eigendecomposition) so the production implementations are
-checked against genuinely different algorithms.
+checked against genuinely different algorithms. Where a fast path replaced a
+simple one (the GraphML writer, the longest-path extractors), the simple one
+is kept here as its reference.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ import xml.etree.ElementTree as ET
 import networkx as nx
 import numpy as np
 from scipy.special import zeta
+
+from kgexpand.analytics import centralities
+from kgexpand.core import largest_component
+from kgexpand.errors import EmptyGraph, TrivialPath
+from kgexpand.paths import ExtractedPath
 
 INF = float("inf")
 
@@ -468,3 +475,79 @@ def write_graphml_etree(g, path, node_attrs=None) -> None:
     tree = ET.ElementTree(root)
     ET.indent(tree, space="  ")
     tree.write(path, encoding="utf-8", xml_declaration=True)
+
+
+# ---------------------------------------------------------------------------
+# longest shortest paths, one view, one BFS and one full sort per call
+
+
+def _lexicographic_shortest_path(g: nx.Graph, source, target, dist_from_target) -> list:
+    d = dist_from_target[source]
+    path = [source]
+    current = source
+    for step in range(d, 0, -1):
+        current = min(u for u in g.neighbors(current)
+                      if dist_from_target.get(u) == step - 1)
+        path.append(current)
+    return path
+
+
+def _attach_metrics(und: nx.Graph, nodes: list) -> dict:
+    table = centralities(und)
+    return {
+        "degree": {v: float(und.degree(v)) for v in nodes},
+        "betweenness": {v: table.betweenness[v] for v in nodes},
+        "closeness": {v: table.closeness[v] for v in nodes},
+    }
+
+
+def diameter_path(g):
+    """The reference for ``paths.diameter_path``: the LCC's own view and BFS."""
+    if g.node_count == 0:
+        raise EmptyGraph("diameter_path needs a non-empty graph")
+    lcc = largest_component(g, "undirected")
+    und = lcc.undirected_view(self_loops=False)
+    if und.number_of_nodes() == 1:
+        raise TrivialPath("largest component is a single node")
+    dist = {v: nx.single_source_shortest_path_length(und, v) for v in und}
+    ecc = {v: max(dist[v].values()) for v in und}
+    diameter = max(ecc.values())
+    source = min(v for v in und if ecc[v] == diameter)
+    target = min(v for v, d in dist[source].items() if d == diameter)
+    nodes = _lexicographic_shortest_path(und, source, target, dist[target])
+    return ExtractedPath(
+        nodes=nodes,
+        displays=[g.display(v) for v in nodes],
+        node_metrics=_attach_metrics(g.undirected_view(self_loops=False), nodes),
+        source_eccentricity=ecc[source],
+        terminal_eccentricity=ecc[target],
+    )
+
+
+def top_k_longest_paths(g, k: int = 5) -> list:
+    """The reference for ``paths.top_k_longest_paths``: every pair, fully sorted."""
+    if g.node_count == 0:
+        raise EmptyGraph("top_k_longest_paths needs a non-empty graph")
+    und = g.undirected_view(self_loops=False)
+    dist = {v: nx.single_source_shortest_path_length(und, v) for v in und}
+    pairs = []
+    for u in und:
+        for v, d in dist[u].items():
+            if u < v:
+                pairs.append((-d, u, v))
+    pairs.sort()
+    metrics_cache = None
+    paths = []
+    for _, u, v in pairs[:k]:
+        nodes = _lexicographic_shortest_path(und, u, v, dist[v])
+        if metrics_cache is None:
+            metrics_cache = _attach_metrics(und, list(und.nodes))
+        paths.append(ExtractedPath(
+            nodes=nodes,
+            displays=[g.display(n) for n in nodes],
+            node_metrics={m: {n: metrics_cache[m][n] for n in nodes}
+                          for m in metrics_cache},
+            source_eccentricity=max(dist[u].values()),
+            terminal_eccentricity=max(dist[v].values()),
+        ))
+    return paths

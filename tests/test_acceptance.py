@@ -21,7 +21,12 @@ from kgexpand.errors import UndefinedMetric
 from kgexpand.extraction import parse_graph_literal, serialize_graph_literal
 from kgexpand.graphml_io import SnapshotStore
 from kgexpand.loop import RECORDS_FILENAME
-from kgexpand.paths import agentic_path_report, compositional_pipeline, diameter_path
+from kgexpand.paths import (
+    agentic_path_report,
+    compositional_pipeline,
+    diameter_path,
+    path_tables,
+)
 from kgexpand.report import SUMMARY_ROWS, degree_sequence, snapshot_views
 from kgexpand.sessions import EchoSession
 
@@ -257,7 +262,7 @@ def test_criterion_7_path_suite():
     for seed in range(100):
         n = 8 + seed % 5
         g = _kg_from_nx(oracles.random_connected_graph(n, seed % 7, 4000 + seed))
-        path = diameter_path(g)
+        path = diameter_path(g, path_tables(g))
         lcc = g.undirected_view(self_loops=False)
         _, diameter = analytics.spl_and_diameter(lcc)
         assert path.length == diameter
@@ -265,7 +270,7 @@ def test_criterion_7_path_suite():
         g = KnowledgeGraph()
         for i in range(nodes - 1):
             g.add_edge(f"c{i:02d}", "HAS", f"c{i+1:02d}")
-        path = diameter_path(g)
+        path = diameter_path(g, path_tables(g))
         assert path.length == nodes - 1
         echo = EchoSession()
         agentic_path_report(path, g, echo)

@@ -301,7 +301,6 @@ def test_complete_graph_distances_are_all_one():
     dist = analytics.sampled_spl_distribution(nx.complete_graph(10), 500, seed=3)
     assert set(dist.histogram) == {1}
     assert dist.histogram[1] == 500
-    assert dist.unreachable == 0
 
 
 def test_sampling_is_deterministic_and_matches_bfs():
@@ -335,11 +334,10 @@ def test_path_graph_histogram_matches_protocol_replay():
 
 
 def test_sampling_restricted_to_lcc():
-    g = nx.path_graph(["a", "b", "c"])
-    g.add_edge("x", "y")
-    dist = analytics.sampled_spl_distribution(g, 200, seed=5)
+    _, lcc = snapshot_views(kg_from_edges([("a", "b"), ("b", "c"), ("x", "y")]))
+    dist = analytics.sampled_spl_distribution(lcc, 200, seed=5)
     assert set(dist.histogram) <= {1, 2}
-    assert dist.unreachable == 0
+    assert sum(dist.histogram.values()) == 200
 
 
 # ---------------------------------------------------------------------------

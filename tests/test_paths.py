@@ -2,6 +2,8 @@ import math
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgexpand import paths as paths_mod
 from kgexpand.analytics import spl_and_diameter
@@ -32,13 +34,25 @@ def path_kg(n):
     return kg_from_edges([(f"p{i}", f"p{i+1}") for i in range(n - 1)])
 
 
+def diameter_path(g):
+    return paths_mod.diameter_path(g, paths_mod.path_tables(g))
+
+
+def top_k_longest_paths(g, k):
+    return paths_mod.top_k_longest_paths(g, paths_mod.path_tables(g), k)
+
+
+def path_metric_correlations(paths, g):
+    return paths_mod.path_metric_correlations(g, paths_mod.path_tables(g), paths)
+
+
 # ---------------------------------------------------------------------------
 # diameter path
 
 
 def test_path_graph_diameter_path_is_the_whole_path():
     g = path_kg(5)
-    path = paths_mod.diameter_path(g)
+    path = diameter_path(g)
     assert path.length == 4
     assert path.nodes == [f"p{i}" for i in range(5)]
     assert path.source_eccentricity == 4
@@ -47,7 +61,7 @@ def test_path_graph_diameter_path_is_the_whole_path():
 
 def test_cycle_diameter_path_is_lexicographic_antipodal():
     edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("f", "a")]
-    path = paths_mod.diameter_path(kg_from_edges(edges))
+    path = diameter_path(kg_from_edges(edges))
     assert path.length == 3
     assert path.nodes[0] == "a"
     assert path.nodes == ["a", "b", "c", "d"]
@@ -57,13 +71,13 @@ def test_singleton_component_is_trivial():
     g = KnowledgeGraph()
     g.add_node("only")
     with pytest.raises(TrivialPath):
-        paths_mod.diameter_path(g)
+        diameter_path(g)
 
 
 def test_repeated_extraction_is_identical():
     g = kg_from_nx(oracles.random_connected_graph(12, 6, 8))
-    first = paths_mod.diameter_path(g)
-    second = paths_mod.diameter_path(g)
+    first = diameter_path(g)
+    second = diameter_path(g)
     assert first.nodes == second.nodes
     assert first.node_metrics == second.node_metrics
 
@@ -71,7 +85,7 @@ def test_repeated_extraction_is_identical():
 @pytest.mark.parametrize("seed", range(20))
 def test_diameter_path_length_equals_diameter(seed):
     g = kg_from_nx(oracles.random_connected_graph(11, 5, seed))
-    path = paths_mod.diameter_path(g)
+    path = diameter_path(g)
     lcc = largest_component(g, "undirected").undirected_view()
     _, diameter = spl_and_diameter(lcc)
     assert path.length == diameter
@@ -88,20 +102,20 @@ def test_diameter_path_length_equals_diameter(seed):
 
 def test_star_longest_paths_are_leaf_to_leaf():
     g = kg_from_edges([("hub", f"leaf{i}") for i in range(4)])
-    top = paths_mod.top_k_longest_paths(g, k=3)
+    top = top_k_longest_paths(g, k=3)
     assert all(p.length == 2 for p in top)
     assert top[0].nodes == ["leaf0", "hub", "leaf1"]
 
 
 def test_fewer_reachable_pairs_than_k():
     g = kg_from_edges([("a", "b")])
-    top = paths_mod.top_k_longest_paths(g, k=5)
+    top = top_k_longest_paths(g, k=5)
     assert len(top) == 1
 
 
 def test_ranking_matches_all_pairs_bfs_oracle():
     g = kg_from_nx(oracles.random_connected_graph(12, 6, 21))
-    top = paths_mod.top_k_longest_paths(g, k=5)
+    top = top_k_longest_paths(g, k=5)
     und = g.undirected_view(self_loops=False)
     dist = oracles.floyd_warshall(und)
     all_pairs = sorted(
@@ -116,7 +130,7 @@ def test_ranking_matches_all_pairs_bfs_oracle():
 
 def test_attached_metrics_come_from_full_graph():
     g = kg_from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("b", "x"), ("x", "y")])
-    top = paths_mod.top_k_longest_paths(g, k=1)
+    top = top_k_longest_paths(g, k=1)
     path = top[0]
     und = g.undirected_view(self_loops=False)
     for v in path.nodes:
@@ -124,6 +138,49 @@ def test_attached_metrics_come_from_full_graph():
     bet = nx.betweenness_centrality(und, normalized=True)
     for v in path.nodes:
         assert path.node_metrics["betweenness"][v] == pytest.approx(bet[v])
+
+
+# ---------------------------------------------------------------------------
+# shared tables against the references that build their own view and BFS
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on a pool of eight names: often disconnected, with self-loops,
+    components of equal size, and as few as one node."""
+    nodes = draw(st.lists(st.sampled_from([f"n{i}" for i in range(8)]),
+                          min_size=1, max_size=8, unique=True))
+    g = KnowledgeGraph()
+    for v in nodes:
+        g.add_node(v)
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    for u, v in draw(st.lists(pairs, max_size=12)):
+        g.add_edge(u, "HAS", v)
+    return g
+
+
+def _single_node():
+    g = KnowledgeGraph()
+    g.add_node("only")
+    return g
+
+
+@given(small_graphs(), st.integers(0, 10))
+@example(_single_node(), 3)
+@example(kg_from_edges([("a", "b")]), 2)
+@example(kg_from_edges([("a", "a"), ("a", "b")]), 2)
+@example(kg_from_edges([("x", "y"), ("b", "c"), ("y", "z"), ("c", "a")]), 6)
+@settings(max_examples=200, deadline=None)
+def test_shared_tables_give_the_reference_paths(g, k):
+    tables = paths_mod.path_tables(g)
+    assert paths_mod.top_k_longest_paths(g, tables, k) == oracles.top_k_longest_paths(g, k)
+    try:
+        expected = oracles.diameter_path(g)
+    except TrivialPath:
+        with pytest.raises(TrivialPath):
+            paths_mod.diameter_path(g, tables)
+    else:
+        assert paths_mod.diameter_path(g, tables) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +193,8 @@ def _diamond_with_tails(seed):
 
 def test_identical_paths_give_undefined_correlations():
     g = path_kg(4)
-    path = paths_mod.diameter_path(g)
-    corr = paths_mod.path_metric_correlations([path, path, path], g)
+    path = diameter_path(g)
+    corr = path_metric_correlations([path, path, path], g)
     for i, a in enumerate(corr.metrics):
         for j, b in enumerate(corr.metrics):
             if i == j:
@@ -148,10 +205,10 @@ def test_identical_paths_give_undefined_correlations():
 
 def test_correlations_match_direct_pearson():
     g = _diamond_with_tails(2)
-    paths = paths_mod.top_k_longest_paths(g, k=4)
-    corr = paths_mod.path_metric_correlations(paths, g)
+    paths = top_k_longest_paths(g, k=4)
+    corr = path_metric_correlations(paths, g)
     und = g.undirected_view(self_loops=False)
-    tables = paths_mod._node_tables(g, und, None)
+    tables = paths_mod._node_tables(g, paths_mod.path_tables(g))
     series = {name: [] for name in corr.metrics}
     for p in paths:
         for name in corr.metrics:
@@ -181,8 +238,8 @@ def test_correlations_match_direct_pearson():
 
 def test_matrix_is_symmetric_with_unit_diagonal():
     g = _diamond_with_tails(5)
-    paths = paths_mod.top_k_longest_paths(g, k=5)
-    corr = paths_mod.path_metric_correlations(paths, g)
+    paths = top_k_longest_paths(g, k=5)
+    corr = path_metric_correlations(paths, g)
     size = len(corr.metrics)
     for i in range(size):
         assert corr.matrix[i][i] == 1.0
@@ -196,15 +253,15 @@ def test_matrix_is_symmetric_with_unit_diagonal():
 
 def test_too_few_paths_rejected():
     g = path_kg(4)
-    path = paths_mod.diameter_path(g)
+    path = diameter_path(g)
     with pytest.raises(ValueError):
-        paths_mod.path_metric_correlations([path, path], g)
+        path_metric_correlations([path, path], g)
 
 
 def test_path_density_lower_bound():
     for seed in range(6):
         g = kg_from_nx(oracles.random_connected_graph(10, 5, seed))
-        for p in paths_mod.top_k_longest_paths(g, k=3):
+        for p in top_k_longest_paths(g, k=3):
             n = len(p.nodes)
             und = g.undirected_view(self_loops=False)
             density = und.subgraph(p.nodes).number_of_edges() / (n * (n - 1) / 2)
@@ -218,7 +275,7 @@ def test_path_density_lower_bound():
 
 def test_two_node_path_issues_exactly_four_prompts():
     g = kg_from_edges([("a", "b")])
-    path = paths_mod.diameter_path(g)
+    path = diameter_path(g)
     echo = EchoSession()
     report = paths_mod.agentic_path_report(path, g, echo)
     assert len(echo.calls) == 4            # 2 nodes + 1 relation + 1 synthesis
@@ -229,7 +286,7 @@ def test_two_node_path_issues_exactly_four_prompts():
 
 def test_agentic_report_contains_substituted_templates():
     g = kg_from_edges([("Alpha", "Beta"), ("Beta", "Gamma")], kind="INFLUENCES")
-    path = paths_mod.diameter_path(g)
+    path = diameter_path(g)
     echo = EchoSession()
     report = paths_mod.agentic_path_report(path, g, echo)
     md = report.to_markdown()
@@ -242,7 +299,7 @@ def test_agentic_report_contains_substituted_templates():
 @pytest.mark.parametrize("nodes", range(2, 12))
 def test_agentic_call_count_contract(nodes):
     g = path_kg(nodes)
-    path = paths_mod.diameter_path(g)
+    path = diameter_path(g)
     echo = EchoSession()
     paths_mod.agentic_path_report(path, g, echo)
     assert len(echo.calls) == nodes + (nodes - 1) + 1
@@ -251,7 +308,7 @@ def test_agentic_call_count_contract(nodes):
 @pytest.mark.parametrize("nodes", range(3, 12))
 def test_compositional_call_count_contract(nodes):
     g = path_kg(nodes)
-    path = paths_mod.diameter_path(g)
+    path = diameter_path(g)
     echo = EchoSession()
     report = paths_mod.compositional_pipeline(path, g, echo)
     expected = nodes + (nodes - 1) + math.ceil((nodes - 1) / 3) + 1
@@ -263,7 +320,7 @@ def test_compositional_call_count_contract(nodes):
 
 def test_three_node_compositional_shape():
     g = path_kg(3)
-    path = paths_mod.diameter_path(g)
+    path = diameter_path(g)
     report = paths_mod.compositional_pipeline(path, g, EchoSession())
     assert len(report.building_blocks) == 3
     assert len(report.pairwise_synergies) == 2
@@ -273,7 +330,7 @@ def test_three_node_compositional_shape():
 
 def test_step_d_contains_all_prior_outputs():
     g = path_kg(5)
-    path = paths_mod.diameter_path(g)
+    path = diameter_path(g)
     echo = EchoSession()
     report = paths_mod.compositional_pipeline(path, g, echo)
     final_prompt = echo.calls[-1]
@@ -287,7 +344,7 @@ def test_step_d_contains_all_prior_outputs():
 
 def test_final_step_uses_separate_session():
     g = path_kg(4)
-    path = paths_mod.diameter_path(g)
+    path = diameter_path(g)
     small, big = EchoSession(), EchoSession()
     paths_mod.compositional_pipeline(path, g, small, final_gen=big)
     assert len(big.calls) == 1
@@ -296,7 +353,7 @@ def test_final_step_uses_separate_session():
 
 def test_compositional_needs_two_edges():
     g = kg_from_edges([("a", "b")])
-    path = paths_mod.diameter_path(g)
+    path = diameter_path(g)
     with pytest.raises(TrivialPath):
         paths_mod.compositional_pipeline(path, g, EchoSession())
 
@@ -315,7 +372,7 @@ def test_generator_failure_leaves_markers():
             return "ok"
 
     g = path_kg(3)
-    path = paths_mod.diameter_path(g)
+    path = diameter_path(g)
     report = paths_mod.agentic_path_report(path, g, Flaky())
     assert "[generation failed: boom]" in report.to_markdown()
 

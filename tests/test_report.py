@@ -184,15 +184,23 @@ def test_paths_and_report_read_one_snapshot(monkeypatch, run_dir, tmp_path, comm
         str(run_dir / "graph_iteration_11.graphml")]
 
 
-def test_shared_table_gives_the_same_paths_as_computing_it(run_dir):
-    g = SnapshotStore(run_dir).final().graph
-    table = analytics.centralities(g.undirected_view(self_loops=False))
-    own = paths_mod.top_k_longest_paths(g, 4)
-    shared = paths_mod.top_k_longest_paths(g, 4, table)
-    assert shared == own
-    assert (paths_mod.path_metric_correlations(shared, g, table)
-            == paths_mod.path_metric_correlations(own, g))
-    assert paths_mod.diameter_path(g, table) == paths_mod.diameter_path(g)
+def test_paths_builds_one_view(monkeypatch, run_dir, tmp_path):
+    views = _counting(monkeypatch, KnowledgeGraph.undirected_view, KnowledgeGraph)
+    assert main(["paths", str(run_dir), "--out", str(tmp_path / "p")]) == 0
+    assert len(views) == 1
+
+
+def test_paths_rejects_a_negative_k(run_dir, tmp_path, capsys):
+    assert main(["paths", str(run_dir), "--k", "-1", "--out", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err.startswith("error: --k")
+    assert not (tmp_path / "p").exists()
+
+
+def test_paths_on_a_graph_with_no_nodes_exits_1(tmp_path, capsys):
+    graphml_io.write_graphml(KnowledgeGraph(), tmp_path / "empty.graphml")
+    assert main(["paths", str(tmp_path / "empty.graphml"),
+                 "--out", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +327,11 @@ def test_analyze_with_a_stride_always_reads_the_last_snapshot(monkeypatch, ten_r
         f"graph_iteration_{i}.graphml" for i in (0, 4, 8, 9)]
     manifest = json.loads((tmp_path / "a" / "analysis_manifest.json").read_text())
     assert manifest["iterations"] == [0, 4, 8, 9]
+
+
+def test_analyze_with_a_stride_prints_the_number_analyzed(ten_run, tmp_path, capsys):
+    assert _analyze(ten_run, tmp_path / "a", "--stride", "4") == 0
+    assert capsys.readouterr().out.startswith("analyzed 4 snapshots")
 
 
 def test_analyze_with_a_stride_skips_a_malformed_unpicked_snapshot(ten_run, tmp_path):
