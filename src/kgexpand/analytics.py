@@ -5,7 +5,9 @@ the undirected simple view with self-loops left out, or its largest
 component's view; none strips self-loops or builds a view itself. The series
 functions build their own, as references for ``report.analyze_series``' one
 pass. Assortativity is computed here (``pearson``), so the analysis does not
-import ``scipy.stats``. All seeded operations are deterministic for a fixed seed.
+import ``scipy.stats``. ``louvain`` indexes the graph's sorted nodes once per
+call and runs every restart, merge trial and modularity sum on that one
+integer adjacency. All seeded operations are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -79,20 +81,30 @@ def spl_and_diameter(lcc: nx.Graph) -> tuple[float, int]:
 # community structure
 
 
-def modularity_of(g: nx.Graph, communities: list[set]) -> float:
-    """Standard modularity of a partition; graph must be self-loop free."""
-    m = g.number_of_edges()
+def _modularity(adj: list[dict[int, float]], m: int,
+                communities: list[set[int]]) -> float:
+    """Standard modularity of a partition of the indexed adjacency ``adj``
+    with ``m`` edges, summed over the communities in the given order."""
     if m == 0:
         return 0.0
     q = 0.0
     for comm in communities:
-        internal = sum(1 for u, v in g.edges(comm) if u in comm and v in comm)
-        degree_sum = sum(d for _, d in g.degree(comm))
+        internal = sum(1 for v in comm for u in adj[v] if u in comm) // 2
+        degree_sum = sum(len(adj[v]) for v in comm)
         q += internal / m - (degree_sum / (2.0 * m)) ** 2
     return q
 
 
-def _louvain_one_level(adj: dict, degree: dict, m2: float, order: list,
+def _communities(labels) -> list[set[int]]:
+    """Nodes grouped by the community of each ``(node, community)`` pair, in
+    order of each community's first pair."""
+    groups: dict = {}
+    for v, c in labels:
+        groups.setdefault(c, set()).add(v)
+    return list(groups.values())
+
+
+def _louvain_one_level(adj: list, degree: list, m2: float, order: list,
                        node_comm: dict) -> bool:
     """Local-moving phase; only strictly positive gains move, so it terminates."""
     sigma_tot: dict = {}
@@ -131,34 +143,27 @@ def _louvain_one_level(adj: dict, degree: dict, m2: float, order: list,
     return improved
 
 
-def _louvain_once(g: nx.Graph, rng: random.Random) -> list[set]:
-    """One full Louvain run (local moves + aggregation) on a self-loop-free graph."""
-    nodes = sorted(g.nodes)
-    membership = {v: i for i, v in enumerate(nodes)}
-    adj: dict = {i: {} for i in range(len(nodes))}
-    for u, v in g.edges():
-        iu, iv = membership[u], membership[v]
-        adj[iu][iv] = adj[iu].get(iv, 0.0) + 1.0
-        adj[iv][iu] = adj[iv].get(iu, 0.0) + 1.0
-    loops = {i: 0.0 for i in adj}
-    m2 = 2.0 * g.number_of_edges()
+def _louvain_once(adj: list[dict[int, float]], degree: list[float], m2: float,
+                  rng: random.Random) -> list[set[int]]:
+    """One full Louvain run (local moves + aggregation) from the indexed
+    adjacency ``adj`` and its degrees, which it leaves as they are."""
+    membership = list(range(len(adj)))      # node -> node of the current level
+    loops = [0.0] * len(adj)
     while True:
-        degree = {v: sum(adj[v].values()) + 2.0 * loops[v] for v in adj}
-        order = sorted(adj)
+        order = list(range(len(adj)))
         rng.shuffle(order)
-        node_comm = {v: v for v in adj}
+        node_comm = {v: v for v in range(len(adj))}
         if not _louvain_one_level(adj, degree, m2, order, node_comm):
             break
-        membership = {orig: node_comm[agg] for orig, agg in membership.items()}
         comm_ids = sorted(set(node_comm.values()))
         relabel = {c: i for i, c in enumerate(comm_ids)}
-        membership = {orig: relabel[c] for orig, c in membership.items()}
-        new_adj: dict = {i: {} for i in range(len(comm_ids))}
-        new_loops = {i: 0.0 for i in range(len(comm_ids))}
-        for v in adj:
+        membership = [relabel[node_comm[v]] for v in membership]
+        new_adj: list[dict[int, float]] = [{} for _ in comm_ids]
+        new_loops = [0.0] * len(comm_ids)
+        for v, nbrs in enumerate(adj):
             cv = relabel[node_comm[v]]
             new_loops[cv] += loops[v]
-            for u, w in adj[v].items():
+            for u, w in nbrs.items():
                 if u < v:
                     continue
                 cu = relabel[node_comm[u]]
@@ -168,13 +173,12 @@ def _louvain_once(g: nx.Graph, rng: random.Random) -> list[set]:
                     new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
                     new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
         adj, loops = new_adj, new_loops
-    groups: dict = {}
-    for v, c in membership.items():
-        groups.setdefault(c, set()).add(v)
-    return list(groups.values())
+        degree = [sum(nbrs.values()) + 2.0 * loop for nbrs, loop in zip(adj, loops)]
+    return _communities(enumerate(membership))
 
 
-def _merge_refine(g: nx.Graph, communities: list[set]) -> list[set]:
+def _merge_refine(adj: list[dict[int, float]], degree: list[float], m: int,
+                  communities: list[set[int]]) -> list[set[int]]:
     """Escape shallow local optima by merging community pairs and re-splitting.
 
     Greedy single-node moves cannot leave states whose improvement needs a
@@ -183,12 +187,8 @@ def _merge_refine(g: nx.Graph, communities: list[set]) -> list[set]:
     the local-move phase performs exactly that escape; a merge is kept only
     when the refit partition scores strictly higher.
     """
-    nodes = sorted(g.nodes)
-    adj = {v: {u: 1.0 for u in g.neighbors(v) if u != v} for v in nodes}
-    degree = {v: float(len(adj[v])) for v in adj}
-    m2 = 2.0 * g.number_of_edges()
     comms = sorted((sorted(c) for c in communities), key=min)
-    best_q = modularity_of(g, [set(c) for c in comms])
+    best_q = _modularity(adj, m, [set(c) for c in comms])
     improved = True
     while improved:
         improved = False
@@ -198,13 +198,11 @@ def _merge_refine(g: nx.Graph, communities: list[set]) -> list[set]:
                 for cid, comm in enumerate(comms):
                     for v in comm:
                         node_comm[v] = i if cid == j else cid
-                _louvain_one_level(adj, degree, m2, nodes, node_comm)
-                groups: dict = {}
-                for v, c in node_comm.items():
-                    groups.setdefault(c, set()).add(v)
-                q = modularity_of(g, list(groups.values()))
+                _louvain_one_level(adj, degree, 2.0 * m, range(len(adj)), node_comm)
+                groups = _communities(node_comm.items())
+                q = _modularity(adj, m, groups)
                 if q > best_q + 1e-9:
-                    comms = sorted((sorted(c) for c in groups.values()), key=min)
+                    comms = sorted((sorted(c) for c in groups), key=min)
                     best_q = q
                     improved = True
                     break
@@ -217,32 +215,40 @@ def louvain(g: nx.Graph, seed: int = 0) -> tuple[dict, float]:
     """Seeded greedy modularity optimization on a self-loop-free graph; best of
     a few deterministic restarts.
 
-    Node visiting order is shuffled from the seed. Small graphs additionally
-    get the merge-and-resplit polish after each restart. Returns a
-    node-to-community-id map and the modularity of that partition, recomputed
-    from the partition itself. Community ids are assigned by each community's
-    smallest member so the labeling is reproducible.
+    Node ``i`` is the ``i``-th of ``sorted(g.nodes)``; every restart, every
+    merge trial and the modularity read one adjacency of these indices, built
+    once per call. Node visiting order is shuffled from the seed. Small graphs
+    additionally get the merge-and-resplit polish after each restart. Returns
+    a node-to-community-id map and the modularity of that partition,
+    recomputed from the partition itself. Community ids are assigned by each
+    community's smallest member so the labeling is reproducible.
     """
     if g.number_of_nodes() == 0:
         raise EmptyGraph("louvain needs at least one node")
-    if g.number_of_edges() == 0:
-        communities = [{v} for v in sorted(g.nodes)]
+    nodes = sorted(g.nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    adj = [{index[u]: 1.0 for u in g.adj[v]} for v in nodes]
+    degree = [float(len(nbrs)) for nbrs in adj]
+    m = g.number_of_edges()
+    if m == 0:
+        communities = [{i} for i in range(len(nodes))]
     else:
-        refine = g.number_of_nodes() <= MERGE_REFINE_MAX_NODES
+        refine = len(nodes) <= MERGE_REFINE_MAX_NODES
         restarts = LOUVAIN_SMALL_RESTARTS if refine else LOUVAIN_RESTARTS
-        best: list[set] | None = None
+        best: list[set[int]] = []
         best_q = float("-inf")
         for j in range(restarts):
-            rng = random.Random(seed * restarts + j)
-            cand = _louvain_once(g, rng)
+            cand = _louvain_once(adj, degree, 2.0 * m,
+                                 random.Random(seed * restarts + j))
             if refine:
-                cand = _merge_refine(g, cand)
-            q = modularity_of(g, cand)
+                cand = _merge_refine(adj, degree, m, cand)
+            q = _modularity(adj, m, cand)
             if q > best_q + 1e-12:
                 best, best_q = cand, q
-        communities = sorted((set(c) for c in best), key=min)
-    partition = {v: cid for cid, comm in enumerate(communities) for v in comm}
-    return partition, modularity_of(g, communities)
+        communities = sorted(best, key=min)
+    partition = {nodes[v]: cid for cid, comm in enumerate(communities)
+                 for v in sorted(comm)}
+    return partition, _modularity(adj, m, communities)
 
 
 def bridge_nodes(g: nx.Graph, partition: dict) -> set:
@@ -313,15 +319,14 @@ def articulation_points(g: nx.Graph) -> set:
 class CentralityTable:
     betweenness: dict
     closeness: dict
-    eigenvector: dict | None
-    eigenvector_converged: bool = True
+    eigenvector: dict | None             # None when power iteration did not converge
 
 
 def centralities(g: nx.Graph, *, betweenness: dict | None = None) -> CentralityTable:
     """Normalized betweenness, component-scaled closeness, eigenvector scores.
 
     Eigenvector centrality uses power iteration; when it fails to converge the
-    other two tables are still returned and the failure is flagged. A
+    other two tables are still returned and ``eigenvector`` is None. A
     ``betweenness`` table already computed on ``g`` is used as is.
     """
     if g.number_of_nodes() == 0:
@@ -332,11 +337,9 @@ def centralities(g: nx.Graph, *, betweenness: dict | None = None) -> CentralityT
     try:
         eigenvector = nx.eigenvector_centrality(g, max_iter=EIGENVECTOR_MAX_ITER,
                                                tol=EIGENVECTOR_TOL)
-        converged = True
     except nx.PowerIterationFailedConvergence:
         eigenvector = None
-        converged = False
-    return CentralityTable(betweenness, closeness, eigenvector, converged)
+    return CentralityTable(betweenness, closeness, eigenvector)
 
 
 # ---------------------------------------------------------------------------

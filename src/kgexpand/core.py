@@ -175,27 +175,19 @@ def merge_local(global_graph: KnowledgeGraph, local: KnowledgeGraph) -> MergeDel
     return delta
 
 
-def _component_sets(g: KnowledgeGraph, mode: str) -> list[set[str]]:
-    if mode in ("weak", "undirected"):
-        # union-find over the triples: no graph view is built
-        components = nx.utils.UnionFind(g._nodes)
-        for s, _, t in g._edges:
-            components.union(s, t)
-        return list(components.to_sets())
-    if mode == "strong":
-        return [set(c) for c in nx.strongly_connected_components(g.directed_simple_view())]
-    raise ValueError(f"unknown component mode: {mode!r}")
-
-
-def largest_component(g: KnowledgeGraph, mode: str = "undirected") -> KnowledgeGraph:
-    """Induced subgraph on the largest component under the given connectivity.
+def largest_component(g: KnowledgeGraph) -> KnowledgeGraph:
+    """Induced subgraph on the largest component, edges taken as undirected.
 
     Ties between equal-sized components go to the one containing the
     lexicographically smallest node key.
     """
     if g.node_count == 0:
         raise EmptyGraph("cannot take the largest component of an empty graph")
-    components = _component_sets(g, mode)
+    # union-find over the triples: no graph view is built
+    union_find = nx.utils.UnionFind(g._nodes)
+    for s, _, t in g._edges:
+        union_find.union(s, t)
+    components = list(union_find.to_sets())
     max_size = max(len(c) for c in components)
     best = min((c for c in components if len(c) == max_size), key=min)
     sub = KnowledgeGraph()

@@ -62,7 +62,6 @@ class LocalGraph:
 
     graph: KnowledgeGraph = field(default_factory=KnowledgeGraph)
     iteration: int = -1
-    source_span: tuple[int, int] = (0, 0)
     warnings: int = 0  # edges accepted with defaulted relation or dropped entries
 
     @property
@@ -126,7 +125,7 @@ def parse_graph_literal(text: str, iteration: int = -1) -> LocalGraph:
     if not isinstance(obj, dict):
         raise MalformedLiteral(f"top level is {type(obj).__name__}, expected dict")
 
-    local = LocalGraph(iteration=iteration, source_span=(start, end))
+    local = LocalGraph(iteration=iteration)
     for raw_src, targets in obj.items():
         try:
             src_label = _coerce_label(raw_src)

@@ -29,6 +29,7 @@ from .sessions import GeneratorSession
 
 PATH_METRIC_NAMES = ("degree", "betweenness", "closeness", "eigenvector",
                      "pagerank", "clustering", "density")
+BRIDGE_GROUP_SIZE = 3       # pairwise synergies per bridge-synergy prompt
 
 
 @dataclass
@@ -109,7 +110,7 @@ def diameter_path(g: KnowledgeGraph, tables: PathTables) -> ExtractedPath:
     Distances and neighbours within the LCC are the same in the whole view,
     so the LCC's eccentricities are read from the shared distance table.
     """
-    lcc = largest_component(g, "undirected").node_keys
+    lcc = largest_component(g).node_keys
     if len(lcc) == 1:
         raise TrivialPath("largest component is a single node")
     ecc = {v: max(tables.dist[v].values()) for v in lcc}
@@ -130,12 +131,6 @@ def top_k_longest_paths(g: KnowledgeGraph, tables: PathTables,
 
 # ---------------------------------------------------------------------------
 # path-level metric correlations
-
-
-@dataclass
-class PathMetrics:
-    means: dict[str, float]        # metric name -> mean over path nodes
-    density: float
 
 
 @dataclass
@@ -160,9 +155,9 @@ def induced_path_graph(g: KnowledgeGraph, path: ExtractedPath) -> KnowledgeGraph
 
 
 def path_metrics(path: ExtractedPath, und: nx.Graph,
-                 node_tables: dict[str, dict[str, float]]) -> PathMetrics:
+                 node_tables: dict[str, dict[str, float]]) -> dict[str, float]:
     """Means of the node tables over the path, and the density of the subgraph
-    the path induces in the graph's self-loop-free view ``und``."""
+    the path induces in the graph's self-loop-free view ``und``, by metric name."""
     nodes = path.nodes
     means = {name: sum(node_tables[name][v] for v in nodes) / len(nodes)
              for name in node_tables}
@@ -170,7 +165,7 @@ def path_metrics(path: ExtractedPath, und: nx.Graph,
     n = len(nodes)
     possible = n * (n - 1) / 2
     means["density"] = sub.number_of_edges() / possible if possible else 0.0
-    return PathMetrics(means=means, density=means["density"])
+    return means
 
 
 def _node_tables(g: KnowledgeGraph, tables: PathTables) -> dict[str, dict[str, float]]:
@@ -196,7 +191,7 @@ def path_metric_correlations(g: KnowledgeGraph, tables: PathTables,
         raise ValueError("need at least three paths to correlate")
     node_tables = _node_tables(g, tables)
     per_path = [path_metrics(p, tables.view, node_tables) for p in paths]
-    columns = {name: [pm.means[name] for pm in per_path] for name in PATH_METRIC_NAMES}
+    columns = {name: [means[name] for means in per_path] for name in PATH_METRIC_NAMES}
     matrix: list[list[float | None]] = []
     for a in PATH_METRIC_NAMES:
         row: list[float | None] = []
@@ -283,8 +278,7 @@ def agentic_path_report(path: ExtractedPath, g: KnowledgeGraph,
 
 def compositional_pipeline(path: ExtractedPath, g: KnowledgeGraph,
                            gen: GeneratorSession,
-                           final_gen: GeneratorSession | None = None,
-                           group_size: int = 3) -> ReasoningReport:
+                           final_gen: GeneratorSession | None = None) -> ReasoningReport:
     """Building blocks, pairwise synergies, bridge synergies, final discovery.
 
     Step D goes to ``final_gen`` (possibly a larger model); it defaults to the
@@ -303,8 +297,8 @@ def compositional_pipeline(path: ExtractedPath, g: KnowledgeGraph,
             block_a=f"{name_a}: {block_a}", block_b=f"{name_b}: {block_b}")
         report.pairwise_synergies.append(_ask(gen, prompt))
     synergies = report.pairwise_synergies
-    for i in range(0, len(synergies), group_size):
-        group = "\n".join(synergies[i:i + group_size])
+    for i in range(0, len(synergies), BRIDGE_GROUP_SIZE):
+        group = "\n".join(synergies[i:i + BRIDGE_GROUP_SIZE])
         report.bridge_synergies.append(
             _ask(gen, BRIDGE_SYNERGY_TEMPLATE.format(synergies=group)))
     materials = "\n".join(

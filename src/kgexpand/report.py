@@ -86,6 +86,13 @@ class AnalyzeSeeds:
     sampling: int = 0
 
 
+def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
                    seeds: AnalyzeSeeds | None = None, samples: int | None = 1000,
                    spl_samples: int = 2000, stride: int = 1) -> Path:
@@ -203,40 +210,17 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
         histogram = analytics.sampled_spl_distribution(lcc, spl_samples,
                                                        seeds.sampling).histogram
 
-    with open(out / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "metric", "subject", "value"])
-        writer.writerows(rows)
-
-    with open(out / "scalefree.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "alpha", "xmin", "n_tail", "lr", "p", "verdict"])
-        writer.writerows(scalefree_rows)
-
-    with open(out / "spl_histogram.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "count"])
-        for length, count in histogram.items():
-            writer.writerow([length, count])
-
-    degree_counts = Counter(degrees)
-    with open(out / "degree_histogram.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "count"])
-        for degree in sorted(degree_counts):
-            writer.writerow([degree, degree_counts[degree]])
-
-    with open(out / "bridge_persistence.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "persistence"])
-        for node in sorted(bridges.persistence):
-            writer.writerow([node, bridges.persistence[node]])
-
-    with open(out / "hub_emergence.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "t_emerge"])
-        for node in sorted(hubs.t_emerge):
-            writer.writerow([node, hubs.t_emerge[node]])
+    _write_csv(out / "metrics.csv", ["iteration", "metric", "subject", "value"], rows)
+    _write_csv(out / "scalefree.csv",
+               ["iteration", "alpha", "xmin", "n_tail", "lr", "p", "verdict"],
+               scalefree_rows)
+    _write_csv(out / "spl_histogram.csv", ["bin", "count"], histogram.items())
+    _write_csv(out / "degree_histogram.csv", ["bin", "count"],
+               sorted(Counter(degrees).items()))
+    _write_csv(out / "bridge_persistence.csv", ["node", "persistence"],
+               sorted(bridges.persistence.items()))
+    _write_csv(out / "hub_emergence.csv", ["node", "t_emerge"],
+               sorted(hubs.t_emerge.items()))
 
     (out / "analysis_manifest.json").write_text(json.dumps({
         "seeds": {"louvain": seeds.louvain, "sampling": seeds.sampling},
@@ -320,11 +304,8 @@ def build_report(final: Snapshot, snapshots: int, out_dir: str | Path,
         f"Final snapshot: iteration {final.iteration}\n\n"
         + summary_markdown(values))
     summary_csv = out / "summary.csv"
-    with open(summary_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for row in SUMMARY_ROWS:
-            writer.writerow([row, values[row]])
+    _write_csv(summary_csv, ["metric", "value"],
+               ((row, values[row]) for row in SUMMARY_ROWS))
 
     def _listing(directory, patterns):
         if directory is None:

@@ -4,8 +4,8 @@ Everything here recomputes metrics from first principles (Floyd-Warshall
 distances, explicit path enumeration, subset enumeration, exhaustive set
 partitions, dense eigendecomposition) so the production implementations are
 checked against genuinely different algorithms. Where a fast path replaced a
-simple one (the GraphML writer, the longest-path extractors), the simple one
-is kept here as its reference.
+simple one (the GraphML writer, the longest-path extractors, Louvain), the
+simple one is kept here as its reference.
 """
 
 from __future__ import annotations
@@ -19,7 +19,12 @@ import networkx as nx
 import numpy as np
 from scipy.special import zeta
 
-from kgexpand.analytics import centralities
+from kgexpand.analytics import (
+    LOUVAIN_RESTARTS,
+    LOUVAIN_SMALL_RESTARTS,
+    MERGE_REFINE_MAX_NODES,
+    centralities,
+)
 from kgexpand.core import largest_component
 from kgexpand.errors import EmptyGraph, TrivialPath
 from kgexpand.paths import ExtractedPath
@@ -350,6 +355,177 @@ def bridge_nodes(g: nx.Graph, partition: dict) -> set:
 
 
 # ---------------------------------------------------------------------------
+# Louvain on the networkx graph: the reference for ``analytics.louvain``, which
+# indexes the nodes once and shares one adjacency across restarts
+
+
+def modularity_of(g: nx.Graph, communities: list[set]) -> float:
+    """Standard modularity of a partition; graph must be self-loop free."""
+    m = g.number_of_edges()
+    if m == 0:
+        return 0.0
+    q = 0.0
+    for comm in communities:
+        internal = sum(1 for u, v in g.edges(comm) if u in comm and v in comm)
+        degree_sum = sum(d for _, d in g.degree(comm))
+        q += internal / m - (degree_sum / (2.0 * m)) ** 2
+    return q
+
+
+def _louvain_one_level(adj: dict, degree: dict, m2: float, order: list,
+                       node_comm: dict) -> bool:
+    """Local-moving phase; only strictly positive gains move, so it terminates."""
+    sigma_tot: dict = {}
+    for v, c in node_comm.items():
+        sigma_tot[c] = sigma_tot.get(c, 0.0) + degree[v]
+    fresh = max(node_comm.values()) + 1
+    improved = False
+    moved = True
+    while moved:
+        moved = False
+        for v in order:
+            c_old = node_comm[v]
+            k_v = degree[v]
+            weight_to: dict = {}
+            for u, w in adj[v].items():
+                c = node_comm[u]
+                weight_to[c] = weight_to.get(c, 0.0) + w
+            sigma_tot[c_old] -= k_v
+            stay = weight_to.get(c_old, 0.0) - k_v * sigma_tot[c_old] / m2
+            best_c, best_gain = c_old, 0.0
+            if -stay > 1e-12:
+                # isolating v into a fresh community beats staying put
+                best_c, best_gain = fresh, -stay
+            for c in sorted(weight_to):
+                if c == c_old:
+                    continue
+                gain = weight_to[c] - k_v * sigma_tot[c] / m2 - stay
+                if gain > best_gain + 1e-12:
+                    best_c, best_gain = c, gain
+            sigma_tot[best_c] = sigma_tot.get(best_c, 0.0) + k_v
+            if best_c != c_old:
+                node_comm[v] = best_c
+                moved = improved = True
+                if best_c == fresh:
+                    fresh += 1
+    return improved
+
+
+def _louvain_once(g: nx.Graph, rng: random.Random) -> list[set]:
+    """One full Louvain run (local moves + aggregation) on a self-loop-free graph."""
+    nodes = sorted(g.nodes)
+    membership = {v: i for i, v in enumerate(nodes)}
+    adj: dict = {i: {} for i in range(len(nodes))}
+    for u, v in g.edges():
+        iu, iv = membership[u], membership[v]
+        adj[iu][iv] = adj[iu].get(iv, 0.0) + 1.0
+        adj[iv][iu] = adj[iv].get(iu, 0.0) + 1.0
+    loops = {i: 0.0 for i in adj}
+    m2 = 2.0 * g.number_of_edges()
+    while True:
+        degree = {v: sum(adj[v].values()) + 2.0 * loops[v] for v in adj}
+        order = sorted(adj)
+        rng.shuffle(order)
+        node_comm = {v: v for v in adj}
+        if not _louvain_one_level(adj, degree, m2, order, node_comm):
+            break
+        membership = {orig: node_comm[agg] for orig, agg in membership.items()}
+        comm_ids = sorted(set(node_comm.values()))
+        relabel = {c: i for i, c in enumerate(comm_ids)}
+        membership = {orig: relabel[c] for orig, c in membership.items()}
+        new_adj: dict = {i: {} for i in range(len(comm_ids))}
+        new_loops = {i: 0.0 for i in range(len(comm_ids))}
+        for v in adj:
+            cv = relabel[node_comm[v]]
+            new_loops[cv] += loops[v]
+            for u, w in adj[v].items():
+                if u < v:
+                    continue
+                cu = relabel[node_comm[u]]
+                if cu == cv:
+                    new_loops[cv] += w
+                else:
+                    new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
+                    new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
+        adj, loops = new_adj, new_loops
+    groups: dict = {}
+    for v, c in membership.items():
+        groups.setdefault(c, set()).add(v)
+    return list(groups.values())
+
+
+def _merge_refine(g: nx.Graph, communities: list[set]) -> list[set]:
+    """Escape shallow local optima by merging community pairs and re-splitting.
+
+    Greedy single-node moves cannot leave states whose improvement needs a
+    transient loss (two mutually attracted nodes that belong in different
+    communities, say). Tentatively merging a pair of communities and re-running
+    the local-move phase performs exactly that escape; a merge is kept only
+    when the refit partition scores strictly higher.
+    """
+    nodes = sorted(g.nodes)
+    adj = {v: {u: 1.0 for u in g.neighbors(v) if u != v} for v in nodes}
+    degree = {v: float(len(adj[v])) for v in adj}
+    m2 = 2.0 * g.number_of_edges()
+    comms = sorted((sorted(c) for c in communities), key=min)
+    best_q = modularity_of(g, [set(c) for c in comms])
+    improved = True
+    while improved:
+        improved = False
+        for i in range(len(comms)):
+            for j in range(i + 1, len(comms)):
+                node_comm = {}
+                for cid, comm in enumerate(comms):
+                    for v in comm:
+                        node_comm[v] = i if cid == j else cid
+                _louvain_one_level(adj, degree, m2, nodes, node_comm)
+                groups: dict = {}
+                for v, c in node_comm.items():
+                    groups.setdefault(c, set()).add(v)
+                q = modularity_of(g, list(groups.values()))
+                if q > best_q + 1e-9:
+                    comms = sorted((sorted(c) for c in groups.values()), key=min)
+                    best_q = q
+                    improved = True
+                    break
+            if improved:
+                break
+    return [set(c) for c in comms]
+
+
+def louvain(g: nx.Graph, seed: int = 0) -> tuple[dict, float]:
+    """Seeded greedy modularity optimization on a self-loop-free graph; best of
+    a few deterministic restarts.
+
+    Node visiting order is shuffled from the seed. Small graphs additionally
+    get the merge-and-resplit polish after each restart. Returns a
+    node-to-community-id map and the modularity of that partition, recomputed
+    from the partition itself. Community ids are assigned by each community's
+    smallest member so the labeling is reproducible.
+    """
+    if g.number_of_nodes() == 0:
+        raise EmptyGraph("louvain needs at least one node")
+    if g.number_of_edges() == 0:
+        communities = [{v} for v in sorted(g.nodes)]
+    else:
+        refine = g.number_of_nodes() <= MERGE_REFINE_MAX_NODES
+        restarts = LOUVAIN_SMALL_RESTARTS if refine else LOUVAIN_RESTARTS
+        best: list[set] | None = None
+        best_q = float("-inf")
+        for j in range(restarts):
+            rng = random.Random(seed * restarts + j)
+            cand = _louvain_once(g, rng)
+            if refine:
+                cand = _merge_refine(g, cand)
+            q = modularity_of(g, cand)
+            if q > best_q + 1e-12:
+                best, best_q = cand, q
+        communities = sorted((set(c) for c in best), key=min)
+    partition = {v: cid for cid, comm in enumerate(communities) for v in comm}
+    return partition, modularity_of(g, communities)
+
+
+# ---------------------------------------------------------------------------
 # snapshot series
 
 
@@ -505,7 +681,7 @@ def diameter_path(g):
     """The reference for ``paths.diameter_path``: the LCC's own view and BFS."""
     if g.node_count == 0:
         raise EmptyGraph("diameter_path needs a non-empty graph")
-    lcc = largest_component(g, "undirected")
+    lcc = largest_component(g)
     und = lcc.undirected_view(self_loops=False)
     if und.number_of_nodes() == 1:
         raise TrivialPath("largest component is a single node")

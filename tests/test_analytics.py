@@ -2,6 +2,8 @@ import math
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgexpand import analytics
 from kgexpand.core import KnowledgeGraph, Snapshot
@@ -167,6 +169,59 @@ def test_louvain_edgeless_graph():
     partition, q = analytics.louvain(g, seed=0)
     assert len(set(partition.values())) == 3
     assert q == 0.0
+
+
+def test_louvain_empty_graph_rejected():
+    with pytest.raises(EmptyGraph):
+        analytics.louvain(nx.Graph(), seed=0)
+
+
+@st.composite
+def simple_graphs(draw):
+    """Self-loop-free graphs on up to 12 nodes, often disconnected. Keys sort
+    apart from creation order ("v10" before "v2")."""
+    n = draw(st.integers(1, 12))
+    nodes = [f"v{i}" for i in range(n)]
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    if n > 1:
+        pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+        g.add_edges_from((u, v) for u, v in draw(st.lists(pairs, max_size=2 * n))
+                         if u != v)
+    return g
+
+
+def _two_triangles():
+    return nx.Graph([("a", "b"), ("b", "c"), ("c", "a"), ("x", "y"), ("y", "z"),
+                     ("z", "x")])
+
+
+_EDGELESS = nx.empty_graph(["p", "q", "r", "s"])
+_ONE_NODE = nx.empty_graph(["only"])
+# the largest graph that gets merge-refine, and the smallest that does not
+_AT_REFINE_LIMIT = oracles.random_connected_graph(
+    analytics.MERGE_REFINE_MAX_NODES, 40, 1)
+_PAST_REFINE_LIMIT = oracles.random_connected_graph(
+    analytics.MERGE_REFINE_MAX_NODES + 1, 40, 2)
+
+
+@given(simple_graphs(), st.integers(0, 3))
+@example(_EDGELESS, 1)
+@example(_ONE_NODE, 0)
+@example(_two_triangles(), 2)
+# a partition whose modularity, summed in another community order, differs in
+# its last bit
+@example(oracles.random_connected_graph(9, 7, 3), 3)
+@example(_AT_REFINE_LIMIT, 0)
+@example(_AT_REFINE_LIMIT, 3)
+@example(_PAST_REFINE_LIMIT, 0)
+@example(_PAST_REFINE_LIMIT, 3)
+@settings(max_examples=200, deadline=None)
+def test_louvain_matches_the_networkx_reference(g, seed):
+    partition, q = analytics.louvain(g, seed)
+    ref_partition, ref_q = oracles.louvain(g, seed)
+    assert partition == ref_partition
+    assert repr(q) == repr(ref_q)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import random
 
-import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -149,15 +148,14 @@ def test_component_tie_breaks_lexicographically():
     g = _graph(("P", "HAS", "Q"), ("Q", "HAS", "R"), ("R", "HAS", "P"),
                ("A", "HAS", "B"), ("B", "HAS", "C"), ("C", "HAS", "A"))
     g.add_node("Z")
-    sub = largest_component(g, "undirected")
+    sub = largest_component(g)
     assert sub.node_keys == {"a", "b", "c"}
 
 
-def test_strong_component_of_a_chain_is_a_single_node():
-    g = _graph(("A", "HAS", "B"), ("B", "HAS", "C"))
-    sub = largest_component(g, "strong")
-    assert sub.node_keys == {"a"}
-    assert sub.edge_count == 0
+def test_component_ignores_edge_direction():
+    # no directed path joins a and c, but the undirected edges do
+    g = _graph(("A", "HAS", "B"), ("C", "HAS", "B"), ("D", "HAS", "E"))
+    assert largest_component(g).node_keys == {"a", "b", "c"}
 
 
 def test_empty_graph_rejected():
@@ -196,34 +194,13 @@ def test_largest_component_matches_flood_fill(seed):
     biggest = max(len(c) for c in comps)
     expected = min((c for c in comps if len(c) == biggest), key=min)
 
-    assert largest_component(g, "undirected").node_keys == expected
+    assert largest_component(g).node_keys == expected
 
 
 def test_largest_component_induces_edges():
     g = _graph(("A", "HAS", "B"), ("B", "IS-A", "A"), ("C", "HAS", "D"))
-    sub = largest_component(g, "undirected")
+    sub = largest_component(g)
     assert set(sub.triples()) == {("a", "HAS", "b"), ("b", "IS-A", "a")}
-
-
-def test_strong_component_matches_reachability_oracle():
-    rng = random.Random(3)
-    g = KnowledgeGraph()
-    names = [f"n{i}" for i in range(9)]
-    for _ in range(16):
-        g.add_edge(rng.choice(names), "HAS", rng.choice(names))
-    dg = g.directed_simple_view()
-    reach = {v: set(nx.descendants(dg, v)) | {v} for v in dg}
-    sccs = []
-    assigned = set()
-    for v in sorted(dg):
-        if v in assigned:
-            continue
-        scc = {u for u in reach[v] if v in reach[u]}
-        sccs.append(scc)
-        assigned |= scc
-    biggest = max(len(c) for c in sccs)
-    expected = min((c for c in sccs if len(c) == biggest), key=min)
-    assert largest_component(g, "strong").node_keys == expected
 
 
 @given(knowledge_graphs())

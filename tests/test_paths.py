@@ -86,7 +86,7 @@ def test_repeated_extraction_is_identical():
 def test_diameter_path_length_equals_diameter(seed):
     g = kg_from_nx(oracles.random_connected_graph(11, 5, seed))
     path = diameter_path(g)
-    lcc = largest_component(g, "undirected").undirected_view()
+    lcc = largest_component(g).undirected_view()
     _, diameter = spl_and_diameter(lcc)
     assert path.length == diameter
     # consecutive nodes adjacent, no repeats

@@ -60,7 +60,7 @@ def analyzed(tmp_path_factory):
 def test_series_has_empty_disconnected_and_connected_snapshots():
     series = _series()
     assert series[0].graph.node_count == 0
-    sizes = [(largest_component(s.graph, "undirected").node_count, s.graph.node_count)
+    sizes = [(largest_component(s.graph).node_count, s.graph.node_count)
              for s in list(series)[1:]]
     assert sizes == [(4, 7), (9, 9), (9, 11)]
 
@@ -132,7 +132,7 @@ def test_partition_metrics_match_louvain(analyzed):
 def test_lcc_betweenness_matches_networkx_on_the_lcc(analyzed):
     series, rows, _ = analyzed
     for snap in list(series)[1:]:
-        lcc_und = largest_component(snap.graph, "undirected").undirected_view()
+        lcc_und = largest_component(snap.graph).undirected_view()
         bc = nx.betweenness_centrality(lcc_und)
         value = next(r["value"] for r in rows if r["iteration"] == str(snap.iteration)
                      and r["metric"] == "avg_betweenness_lcc")
@@ -279,7 +279,7 @@ def test_analyze_series_runs_betweenness_once_per_spanning_snapshot(monkeypatch,
     calls = _counting(monkeypatch, nx.betweenness_centrality, nx)
     series = _series()
     analyze_series(series, tmp_path, samples=10, spl_samples=10)
-    expected = sum(1 if largest_component(s.graph, "undirected").node_count
+    expected = sum(1 if largest_component(s.graph).node_count
                    == s.graph.node_count else 2
                    for s in series if s.graph.node_count)
     assert len(calls) == expected
