@@ -11,6 +11,7 @@ from kgexpand.errors import KgExpandError
 from kgexpand.graphml_io import read_graphml
 from kgexpand.report import degree_sequence
 from kgexpand.scalefree import classify
+from kgexpand.sweep import snapshot_index
 
 
 def main() -> int:
@@ -18,7 +19,7 @@ def main() -> int:
     parser.add_argument("graphml", help="GraphML file to fit")
     args = parser.parse_args()
     g = read_graphml(args.graphml)
-    degrees = degree_sequence(g.undirected_view(self_loops=False))
+    degrees = degree_sequence(snapshot_index(g.undirected_view(self_loops=False)))
     print(f"{g.node_count} nodes, {g.edge_count} edges, "
           f"max degree {max(degrees, default=0)}")
     try:

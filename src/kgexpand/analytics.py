@@ -1,13 +1,17 @@
 """Per-snapshot and cross-snapshot network metrics.
 
-Per-snapshot metrics read views that their caller builds once per snapshot:
-the undirected simple view with self-loops left out, or its largest
-component's view; none strips self-loops or builds a view itself. The series
-functions build their own, as references for ``report.analyze_series``' one
-pass. Assortativity is computed here (``pearson``), so the analysis does not
-import ``scipy.stats``. ``louvain`` indexes the graph's sorted nodes once per
-call and runs every restart, merge trial and modularity sum on that one
-integer adjacency. All seeded operations are deterministic for a fixed seed.
+Per-snapshot metrics read what their caller builds once per snapshot: the
+undirected simple view with self-loops left out, its ``sweep.SnapshotIndex``
+and one ``sweep.DistanceSweep`` of that index. Every distance-based value
+(betweenness, closeness, mean SPL, diameter, sampled pair distances) reads
+the sweep; none strips self-loops, builds a view or runs a BFS itself. The
+series functions build their own, as references for
+``report.analyze_series``' one pass. Assortativity is computed here
+(``pearson``), so the analysis does not import ``scipy.stats``. ``louvain``
+indexes the graph's sorted nodes once per call and runs every restart, merge
+trial and modularity sum on that one integer adjacency; its local-move phase
+stops at the first fixed point, and merge-refine results are memoized per
+call. All seeded operations are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -15,11 +19,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import networkx as nx
 
 from .core import KnowledgeGraph, Snapshot, largest_component
-from .errors import EmptyGraph, NotConnected, UndefinedMetric
+from .errors import EmptyGraph, UndefinedMetric
+
+if TYPE_CHECKING:
+    from .sweep import DistanceSweep, SnapshotIndex
 
 LOUVAIN_RESTARTS = 5
 LOUVAIN_SMALL_RESTARTS = 16       # order traps are likelier on tiny graphs
@@ -43,9 +51,11 @@ class BasicMetrics:
     avg_clustering: float
 
 
-def basic_metrics(g: KnowledgeGraph, simple: nx.Graph, lcc: nx.Graph) -> BasicMetrics:
+def basic_metrics(g: KnowledgeGraph, simple: nx.Graph,
+                  index: SnapshotIndex) -> BasicMetrics:
     """Counts, degrees and self-loops of ``g``, the mean clustering of its
-    self-loop-free view ``simple``, and the size of its largest component's view."""
+    self-loop-free view ``simple``, and the size of its largest component
+    from ``index``, the view's index."""
     if g.node_count == 0:
         raise EmptyGraph("basic_metrics needs at least one node")
     return BasicMetrics(
@@ -54,27 +64,22 @@ def basic_metrics(g: KnowledgeGraph, simple: nx.Graph, lcc: nx.Graph) -> BasicMe
         avg_degree=2.0 * g.edge_count / g.node_count,
         max_degree=g.max_degree(),
         self_loops=g.self_loop_count,
-        lcc_size=lcc.number_of_nodes(),
+        lcc_size=len(index.lcc),
         avg_clustering=nx.average_clustering(simple) if simple.number_of_edges() else 0.0,
     )
 
 
-def spl_and_diameter(lcc: nx.Graph) -> tuple[float, int]:
-    """Exact mean shortest-path length and diameter of a connected graph."""
-    n = lcc.number_of_nodes()
+def spl_and_diameter(sweep: DistanceSweep) -> tuple[float, int]:
+    """Exact mean shortest-path length and diameter of the swept graph's
+    largest component, from its integer distance sums and eccentricities."""
+    lcc = sweep.index.lcc
+    n = len(lcc)
     if n == 0:
         raise EmptyGraph("empty graph has no path lengths")
-    if not nx.is_connected(lcc):
-        raise NotConnected("spl_and_diameter needs a connected graph")
     if n == 1:
         return 0.0, 0
-    total = 0
-    diameter = 0
-    for src in lcc:
-        lengths = nx.single_source_shortest_path_length(lcc, src)
-        total += sum(lengths.values())
-        diameter = max(diameter, max(lengths.values()))
-    return total / (n * (n - 1)), diameter
+    total = int(sweep.dist_sum[lcc].sum())
+    return total / (n * (n - 1)), int(sweep.eccentricity[lcc].max())
 
 
 # ---------------------------------------------------------------------------
@@ -104,42 +109,53 @@ def _communities(labels) -> list[set[int]]:
     return list(groups.values())
 
 
-def _louvain_one_level(adj: list, degree: list, m2: float, order: list,
-                       node_comm: dict) -> bool:
-    """Local-moving phase; only strictly positive gains move, so it terminates."""
-    sigma_tot: dict = {}
-    for v, c in node_comm.items():
-        sigma_tot[c] = sigma_tot.get(c, 0.0) + degree[v]
-    fresh = max(node_comm.values()) + 1
+def _louvain_one_level(adj: list, degree: list, m2: float, order,
+                       node_comm: list[int]) -> bool:
+    """Local-moving phase over ``node_comm`` (node -> community id, in place).
+
+    Only strictly positive gains move, so it terminates. Every weight and
+    degree is an integer-valued float, so every sum is exact and a node's
+    choice depends on the current state alone: once ``len(order)`` nodes in a
+    row have stayed, a further sweep would move nothing, and it returns.
+    """
+    sigma_tot = [0.0] * (max(node_comm) + 1)     # the next fresh id is its length
+    for v, c in enumerate(node_comm):
+        sigma_tot[c] += degree[v]
     improved = False
-    moved = True
-    while moved:
-        moved = False
+    n = len(order)
+    stays = 0
+    while stays < n:
         for v in order:
+            if stays == n:
+                break
             c_old = node_comm[v]
             k_v = degree[v]
             weight_to: dict = {}
             for u, w in adj[v].items():
                 c = node_comm[u]
                 weight_to[c] = weight_to.get(c, 0.0) + w
-            sigma_tot[c_old] -= k_v
-            stay = weight_to.get(c_old, 0.0) - k_v * sigma_tot[c_old] / m2
+            stay = weight_to.get(c_old, 0.0) - k_v * (sigma_tot[c_old] - k_v) / m2
             best_c, best_gain = c_old, 0.0
             if -stay > 1e-12:
                 # isolating v into a fresh community beats staying put
-                best_c, best_gain = fresh, -stay
+                best_c, best_gain = len(sigma_tot), -stay
             for c in sorted(weight_to):
                 if c == c_old:
                     continue
                 gain = weight_to[c] - k_v * sigma_tot[c] / m2 - stay
                 if gain > best_gain + 1e-12:
                     best_c, best_gain = c, gain
-            sigma_tot[best_c] = sigma_tot.get(best_c, 0.0) + k_v
-            if best_c != c_old:
-                node_comm[v] = best_c
-                moved = improved = True
-                if best_c == fresh:
-                    fresh += 1
+            if best_c == c_old:
+                stays += 1
+                continue
+            stays = 0
+            improved = True
+            sigma_tot[c_old] -= k_v
+            if best_c == len(sigma_tot):
+                sigma_tot.append(k_v)
+            else:
+                sigma_tot[best_c] += k_v
+            node_comm[v] = best_c
     return improved
 
 
@@ -152,10 +168,10 @@ def _louvain_once(adj: list[dict[int, float]], degree: list[float], m2: float,
     while True:
         order = list(range(len(adj)))
         rng.shuffle(order)
-        node_comm = {v: v for v in range(len(adj))}
+        node_comm = list(range(len(adj)))
         if not _louvain_one_level(adj, degree, m2, order, node_comm):
             break
-        comm_ids = sorted(set(node_comm.values()))
+        comm_ids = sorted(set(node_comm))
         relabel = {c: i for i, c in enumerate(comm_ids)}
         membership = [relabel[node_comm[v]] for v in membership]
         new_adj: list[dict[int, float]] = [{} for _ in comm_ids]
@@ -178,7 +194,7 @@ def _louvain_once(adj: list[dict[int, float]], degree: list[float], m2: float,
 
 
 def _merge_refine(adj: list[dict[int, float]], degree: list[float], m: int,
-                  communities: list[set[int]]) -> list[set[int]]:
+                  communities: list[set[int]], memo: dict) -> list[set[int]]:
     """Escape shallow local optima by merging community pairs and re-splitting.
 
     Greedy single-node moves cannot leave states whose improvement needs a
@@ -186,20 +202,36 @@ def _merge_refine(adj: list[dict[int, float]], degree: list[float], m: int,
     communities, say). Tentatively merging a pair of communities and re-running
     the local-move phase performs exactly that escape; a merge is kept only
     when the refit partition scores strictly higher.
+
+    The search from a state ``(communities, best_q)`` is deterministic, and
+    restarts often reach the same states, so ``memo`` maps every state
+    visited in one ``louvain`` call to the search's result.
     """
     comms = sorted((sorted(c) for c in communities), key=min)
     best_q = _modularity(adj, m, [set(c) for c in comms])
+    visited = []
     improved = True
     while improved:
+        state = (tuple(map(tuple, comms)), best_q)
+        if state in memo:
+            comms = memo[state]
+            break
+        visited.append(state)
         improved = False
+        labels = [0] * len(adj)
+        for cid, comm in enumerate(comms):
+            for v in comm:
+                labels[v] = cid
+        # community by community: the order of the trial's groups, and so of
+        # its modularity sum
+        visit = [v for comm in comms for v in comm]
         for i in range(len(comms)):
             for j in range(i + 1, len(comms)):
-                node_comm = {}
-                for cid, comm in enumerate(comms):
-                    for v in comm:
-                        node_comm[v] = i if cid == j else cid
+                node_comm = labels.copy()
+                for v in comms[j]:
+                    node_comm[v] = i
                 _louvain_one_level(adj, degree, 2.0 * m, range(len(adj)), node_comm)
-                groups = _communities(node_comm.items())
+                groups = _communities((v, node_comm[v]) for v in visit)
                 q = _modularity(adj, m, groups)
                 if q > best_q + 1e-9:
                     comms = sorted((sorted(c) for c in groups), key=min)
@@ -208,6 +240,8 @@ def _merge_refine(adj: list[dict[int, float]], degree: list[float], m: int,
                     break
             if improved:
                 break
+    for state in visited:
+        memo[state] = comms
     return [set(c) for c in comms]
 
 
@@ -237,11 +271,12 @@ def louvain(g: nx.Graph, seed: int = 0) -> tuple[dict, float]:
         restarts = LOUVAIN_SMALL_RESTARTS if refine else LOUVAIN_RESTARTS
         best: list[set[int]] = []
         best_q = float("-inf")
+        memo: dict = {}
         for j in range(restarts):
             cand = _louvain_once(adj, degree, 2.0 * m,
                                  random.Random(seed * restarts + j))
             if refine:
-                cand = _merge_refine(adj, degree, m, cand)
+                cand = _merge_refine(adj, degree, m, cand, memo)
             q = _modularity(adj, m, cand)
             if q > best_q + 1e-12:
                 best, best_q = cand, q
@@ -322,24 +357,26 @@ class CentralityTable:
     eigenvector: dict | None             # None when power iteration did not converge
 
 
-def centralities(g: nx.Graph, *, betweenness: dict | None = None) -> CentralityTable:
+def centralities(g: nx.Graph, *, sweep: DistanceSweep | None = None) -> CentralityTable:
     """Normalized betweenness, component-scaled closeness, eigenvector scores.
 
-    Eigenvector centrality uses power iteration; when it fails to converge the
-    other two tables are still returned and ``eigenvector`` is None. A
-    ``betweenness`` table already computed on ``g`` is used as is.
+    Betweenness and closeness come from ``sweep``, a sweep of ``g``'s
+    self-loop-free view (made here when not given); a self-loop changes no
+    shortest path. Eigenvector centrality uses power iteration on ``g``
+    itself; when it fails to converge the other two tables are still
+    returned and ``eigenvector`` is None.
     """
     if g.number_of_nodes() == 0:
         raise EmptyGraph("centralities need at least one node")
-    if betweenness is None:
-        betweenness = nx.betweenness_centrality(g, normalized=True)
-    closeness = nx.closeness_centrality(g)
+    if sweep is None:
+        from .sweep import distance_sweep, snapshot_index
+        sweep = distance_sweep(snapshot_index(g))
     try:
         eigenvector = nx.eigenvector_centrality(g, max_iter=EIGENVECTOR_MAX_ITER,
                                                tol=EIGENVECTOR_TOL)
     except nx.PowerIterationFailedConvergence:
         eigenvector = None
-    return CentralityTable(betweenness, closeness, eigenvector)
+    return CentralityTable(sweep.betweenness, sweep.closeness(), eigenvector)
 
 
 # ---------------------------------------------------------------------------
@@ -352,23 +389,25 @@ class SplSample:
     sampled: int
 
 
-def sampled_spl_distribution(lcc: nx.Graph, samples: int = 2000,
+def sampled_spl_distribution(sweep: DistanceSweep, samples: int = 2000,
                              seed: int = 0) -> SplSample:
     """Distance histogram over uniformly sampled node pairs (with replacement)
-    of a connected view, such as a snapshot's LCC view from ``snapshot_views``."""
+    of the swept graph's largest component.
+
+    Pairs are drawn over the component's sorted nodes; their distances are
+    the sweep's depth rows of the drawn sources."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    if lcc.number_of_nodes() == 0:
+    lcc = sweep.index.lcc.tolist()
+    if not lcc:
         raise EmptyGraph("cannot sample paths in an empty graph")
-    nodes = sorted(lcc)
-    if len(nodes) < 2:
+    if len(lcc) < 2:
         return SplSample({}, 0)
-    cache: dict = {}
+    pairs = _sample_pairs(lcc, samples, random.Random(seed))
+    rows = sweep.depths({u for u, _ in pairs})
     hist: dict[int, int] = {}
-    for u, v in _sample_pairs(nodes, samples, random.Random(seed)):
-        if u not in cache:
-            cache[u] = nx.single_source_shortest_path_length(lcc, u)
-        d = cache[u][v]
+    for u, v in pairs:
+        d = int(rows[u][v])
         hist[d] = hist.get(d, 0) + 1
     return SplSample(dict(sorted(hist.items())), samples)
 
@@ -396,8 +435,8 @@ class PairStats:
     with_prior: int
 
 
-def _sample_pairs(nodes: list[str], samples: int | None,
-                  rng: random.Random) -> list[tuple[str, str]]:
+def _sample_pairs(nodes: list[int], samples: int | None,
+                  rng: random.Random) -> list[tuple[int, int]]:
     if samples is None:
         return [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
     pairs = []
@@ -410,29 +449,38 @@ def _sample_pairs(nodes: list[str], samples: int | None,
     return pairs
 
 
-def newly_connected_pairs(ledger: PairDistanceLedger, iteration: int, g: nx.Graph,
-                          samples: int | None = 1000) -> PairStats:
-    """Count sampled pairs of ``g`` that became reachable or closer since their last record.
+def draw_pairs(ledger: PairDistanceLedger, iteration: int, n: int,
+               samples: int | None = 1000) -> list[tuple[int, int]]:
+    """The node-index pairs ``newly_connected_pairs`` reads at ``iteration`` on
+    a graph of ``n`` nodes: ``samples`` draws from the ledger's seed, or every
+    unordered pair for ``samples=None``. Draw them before the sweep, so it
+    keeps the depth rows of their first nodes."""
+    if n < 2:
+        return []
+    rng = random.Random(ledger.seed * 1_000_003 + iteration)
+    return _sample_pairs(list(range(n)), samples, rng)
 
-    Pairs without a prior record only establish a baseline. ``samples=None``
-    enumerates every unordered pair. The ledger is updated in place.
+
+def newly_connected_pairs(ledger: PairDistanceLedger, iteration: int,
+                          sweep: DistanceSweep,
+                          pairs: list[tuple[int, int]]) -> PairStats:
+    """Count ``pairs`` (from ``draw_pairs``) of the swept graph that became
+    reachable or closer since their last record.
+
+    Pairs without a prior record only establish a baseline. The ledger is
+    updated in place; it records pairs by node key.
     """
     if ledger.last_iteration >= iteration:
         raise ValueError(
             f"ledger already saw iteration {ledger.last_iteration}; got {iteration}"
         )
-    nodes = sorted(g.nodes)
-    if len(nodes) < 2:
-        ledger.last_iteration = iteration
-        return PairStats(0, 0, 0)
-    rng = random.Random(ledger.seed * 1_000_003 + iteration)
-    pairs = _sample_pairs(nodes, samples, rng)
-    cache: dict = {}
+    nodes = sweep.index.nodes
+    rows = sweep.depths({u for u, _ in pairs})
     newly = shortened = with_prior = 0
-    for u, v in pairs:
-        if u not in cache:
-            cache[u] = nx.single_source_shortest_path_length(g, u)
-        dist = cache[u].get(v, UNREACHABLE)
+    for i, j in pairs:
+        d = int(rows[i][j])
+        dist = d if d >= 0 else UNREACHABLE
+        u, v = nodes[i], nodes[j]
         if (u, v) in ledger.records:
             with_prior += 1
             prior = ledger.records[(u, v)]
@@ -575,7 +623,8 @@ def betweenness_timeseries(series: list[Snapshot],
     """Normalized betweenness of every node over time; absent nodes score 0."""
     if len(series) == 0:
         raise EmptyGraph("empty snapshot series")
+    from .sweep import distance_sweep, snapshot_index
     return summarize_betweenness({
-        snap.iteration: nx.betweenness_centrality(snap.graph.undirected_view(),
-                                                  normalized=True)
+        snap.iteration: distance_sweep(snapshot_index(
+            snap.graph.undirected_view(self_loops=False))).betweenness
         for snap in series}, top_n)

@@ -138,13 +138,6 @@ class KnowledgeGraph:
 
     # -- views ----------------------------------------------------------
 
-    def directed_simple_view(self) -> nx.DiGraph:
-        """Directed view with parallel kinds collapsed (for PageRank-style scores)."""
-        g = nx.DiGraph()
-        g.add_nodes_from(sorted(self._nodes))
-        g.add_edges_from((s, t) for s, _, t in self.triples())
-        return g
-
     def undirected_view(self, *, self_loops: bool = True) -> nx.Graph:
         """Undirected simple view: direction dropped, parallel edges collapsed."""
         g = nx.Graph()

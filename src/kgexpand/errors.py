@@ -13,10 +13,6 @@ class EmptyGraph(KgExpandError):
     """An operation that needs at least one node got an empty graph."""
 
 
-class NotConnected(KgExpandError):
-    """An operation that needs a connected graph got a disconnected one."""
-
-
 class UndefinedMetric(KgExpandError):
     """The metric is mathematically undefined on this input (e.g. zero variance)."""
 

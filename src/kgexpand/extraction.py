@@ -6,7 +6,9 @@ when asked to reformat, replies with a Python-style adjacency map:
     {source: {target: {"relation": KIND}, ...}, ...}
 
 Single or double quotes, trailing commas and surrounding prose are tolerated;
-the first balanced top-level brace block wins.
+the first balanced top-level brace block wins. Replies are untrusted input:
+one longer than ``MAX_REPLY_CHARS`` or with braces nested deeper than
+``MAX_BRACE_DEPTH`` is rejected before ``ast.literal_eval`` sees it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .errors import InvalidLabel, MalformedLiteral, NoGraphFound
 
 THINK_OPEN = "<|thinking|>"
 THINK_CLOSE = "<|/thinking|>"
+
+# The adjacency map nests three deep ({source: {target: {"relation": ...}}}).
+MAX_BRACE_DEPTH = 8
+MAX_REPLY_CHARS = 1_000_000
 
 _GRAPH_HEADER = re.compile(r"^\s*graph\s*:?\s*$", re.IGNORECASE | re.MULTILINE)
 
@@ -70,7 +76,8 @@ class LocalGraph:
 
 
 def _find_brace_block(text: str) -> tuple[int, int]:
-    """Locate the first balanced top-level {...} block, quote-aware."""
+    """Locate the first balanced top-level {...} block, quote-aware; a block
+    nested deeper than ``MAX_BRACE_DEPTH`` is malformed."""
     start = text.find("{")
     if start < 0:
         raise NoGraphFound("no opening brace in reply")
@@ -89,6 +96,9 @@ def _find_brace_block(text: str) -> tuple[int, int]:
             quote = ch
         elif ch == "{":
             depth += 1
+            if depth > MAX_BRACE_DEPTH:
+                raise MalformedLiteral(
+                    f"braces nest deeper than {MAX_BRACE_DEPTH} in reply")
         elif ch == "}":
             depth -= 1
             if depth == 0:
@@ -109,11 +119,16 @@ def parse_graph_literal(text: str, iteration: int = -1) -> LocalGraph:
     """Parse the first balanced adjacency-map literal in ``text``.
 
     Raises NoGraphFound when there is no brace block at all and
-    MalformedLiteral when the block is not a readable map of maps. Entries
+    MalformedLiteral when the block is not a readable map of maps, or when
+    the reply is over ``MAX_REPLY_CHARS`` or nests braces deeper than
+    ``MAX_BRACE_DEPTH``. Entries
     that are individually unusable (empty labels, non-map attributes) are
     dropped and counted as warnings; a missing relation tag defaults to
     RELATES-TO, also counted.
     """
+    if len(text) > MAX_REPLY_CHARS:
+        raise MalformedLiteral(
+            f"reply has {len(text)} characters, over the cap of {MAX_REPLY_CHARS}")
     start, end = _find_brace_block(text)
     try:
         with warnings.catch_warnings():

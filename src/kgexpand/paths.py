@@ -30,6 +30,9 @@ from .sessions import GeneratorSession
 PATH_METRIC_NAMES = ("degree", "betweenness", "closeness", "eigenvector",
                      "pagerank", "clustering", "density")
 BRIDGE_GROUP_SIZE = 3       # pairwise synergies per bridge-synergy prompt
+PAGERANK_ALPHA = 0.85
+PAGERANK_TOL = 1e-8
+PAGERANK_MAX_ITER = 100
 
 
 @dataclass
@@ -168,18 +171,51 @@ def path_metrics(path: ExtractedPath, und: nx.Graph,
     return means
 
 
+def pagerank(g: KnowledgeGraph) -> dict[str, float]:
+    """PageRank of ``g``'s directed simple view (relation kinds collapsed,
+    self-loops kept), by power iteration in numpy.
+
+    It follows networkx's scipy backend step by step: out-edges normalized
+    by row, a dangling node's mass spread uniformly, and a stop once the L1
+    change falls below ``N * PAGERANK_TOL``; after ``PAGERANK_MAX_ITER``
+    iterations it raises NonConvergent. Only the order of float sums differs.
+    """
+    import numpy as np  # imported on use: loading the CLI must not load it
+
+    nodes = sorted(g.node_keys)
+    n = len(nodes)
+    if n == 0:
+        return {}
+    pos = {v: i for i, v in enumerate(nodes)}
+    edges = np.array(sorted({(pos[s], pos[t]) for s, _, t in g.triples()}),
+                     dtype=np.int64).reshape(-1, 2)
+    src, dst = edges[:, 0], edges[:, 1]
+    out_degree = np.bincount(src, minlength=n)
+    weight = 1.0 / out_degree[src]
+    dangling = np.flatnonzero(out_degree == 0)
+    uniform = np.full(n, 1.0 / n)
+    x = uniform
+    for _ in range(PAGERANK_MAX_ITER):
+        last = x
+        spread = np.bincount(dst, weights=last[src] * weight, minlength=n)
+        x = (PAGERANK_ALPHA * (spread + last[dangling].sum() * uniform)
+             + (1 - PAGERANK_ALPHA) * uniform)
+        if np.absolute(x - last).sum() < n * PAGERANK_TOL:
+            return dict(zip(nodes, x.tolist()))
+    raise NonConvergent(f"pagerank did not converge in {PAGERANK_MAX_ITER} iterations")
+
+
 def _node_tables(g: KnowledgeGraph, tables: PathTables) -> dict[str, dict[str, float]]:
     und, table = tables.view, tables.centrality
     if table.eigenvector is None:
         raise NonConvergent("eigenvector centrality did not converge")
-    pagerank = nx.pagerank(g.directed_simple_view(), alpha=0.85, tol=1e-8)
     clustering = nx.clustering(und)
     return {
         "degree": {v: float(d) for v, d in und.degree()},
         "betweenness": table.betweenness,
         "closeness": table.closeness,
         "eigenvector": table.eigenvector,
-        "pagerank": pagerank,
+        "pagerank": pagerank(g),
         "clustering": clustering,
     }
 

@@ -16,12 +16,16 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from . import analytics, scalefree
-from .core import KnowledgeGraph, Snapshot, largest_component
+# ``largest_component`` is unused here, but perfbench/tracer.py patches every
+# module that binds it and its tests expect this binding
+from .core import Snapshot, largest_component  # noqa: F401
 from .errors import EmptyGraph, KgExpandError, UndefinedMetric
+
+if TYPE_CHECKING:
+    from .sweep import SnapshotIndex
 
 GLOBAL_METRICS = (
     "nodes", "edges", "avg_degree", "max_degree", "self_loops", "lcc_size",
@@ -61,23 +65,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def degree_sequence(simple: nx.Graph) -> list[int]:
-    """Degrees on a snapshot's self-loop-free undirected view."""
-    return [d for _, d in simple.degree()]
-
-
-def snapshot_views(g: KnowledgeGraph) -> tuple[nx.Graph, nx.Graph]:
-    """A snapshot's self-loop-free undirected view, and its largest component's.
-
-    For a connected (or empty) snapshot both are the same view. Otherwise the
-    component's view is built from its own triples, which keeps each node's
-    neighbour order, and so the bytes of betweenness; a subgraph of the first
-    view would reorder neighbours (as a copy) or slow every BFS (as a view).
-    """
-    simple = g.undirected_view(self_loops=False)
-    if g.node_count == 0 or nx.is_connected(simple):
-        return simple, simple
-    return simple, largest_component(g).undirected_view(self_loops=False)
+def degree_sequence(index: SnapshotIndex) -> list[int]:
+    """Degrees on a snapshot's self-loop-free undirected view, from its index,
+    in sorted node order."""
+    return index.degree.tolist()
 
 
 @dataclass
@@ -104,10 +95,14 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
 
     ``snapshots`` (in iteration order, already thinned by ``stride``, which is
     only recorded) is read once, and the last one is the final snapshot. Each
-    gets one pass: its self-loop-free view and its LCC view are built once and
-    passed to every metric, with one Louvain partition and one betweenness
-    table; ``analytics.summarize_*`` aggregate the results.
+    gets one pass: its self-loop-free view and that view's index are built
+    once and passed to every metric, with one Louvain partition and one
+    distance sweep, which keeps the depth rows of the sampled pairs' sources
+    and gives both betweenness tables; ``analytics.summarize_*`` aggregate
+    the results.
     """
+    from .sweep import distance_sweep, snapshot_index
+
     seeds = seeds or AnalyzeSeeds()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -118,9 +113,10 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
     final = None
     for snap in snapshots:
         final, it, g = snap, snap.iteration, snap.graph
-        simple, lcc = snapshot_views(g)
+        simple = g.undirected_view(self_loops=False)
+        index = snapshot_index(simple)
         # after the loop, ``degrees`` is the final snapshot's degree sequence
-        degrees = degree_sequence(simple)
+        degrees = degree_sequence(index)
         try:
             fit, verdict = scalefree.classify(degrees)
             scalefree_rows.append([it, _fmt(fit.alpha), fit.xmin, fit.n_tail,
@@ -129,7 +125,10 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
         except KgExpandError as exc:
             scalefree_rows.append([it, "nan", "nan", "nan", "nan", "nan",
                                    type(exc).__name__])
-        pair_stats = analytics.newly_connected_pairs(ledger, it, simple, samples)
+        pairs = analytics.draw_pairs(ledger, it, g.node_count, samples)
+        # after the loop, ``sweep`` is the final snapshot's
+        sweep = distance_sweep(index, keep={u for u, _ in pairs})
+        pair_stats = analytics.newly_connected_pairs(ledger, it, sweep, pairs)
         if g.node_count == 0:
             # leading snapshots can be empty when extraction failed early
             zero = {"nodes", "edges", "self_loops", "lcc_size", "bridge_nodes",
@@ -137,8 +136,8 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
             values_by_iter[it] = {n: 0 if n in zero else math.nan for n in GLOBAL_METRICS}
             bet_by_iter[it], bridge_sets[it], degrees_by_iter[it] = {}, set(), {}
             continue
-        basic = analytics.basic_metrics(g, simple, lcc)
-        avg_spl, diameter = analytics.spl_and_diameter(lcc)
+        basic = analytics.basic_metrics(g, simple, index)
+        avg_spl, diameter = analytics.spl_and_diameter(sweep)
         partition, q = analytics.louvain(simple, seeds.louvain)
         bridge_sets[it] = analytics.bridge_nodes(simple, partition)
         try:
@@ -146,10 +145,8 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
         except UndefinedMetric:
             assort = float("nan")
         kmax, ksize = analytics.kcore(simple)
-        bc = bet_by_iter[it] = nx.betweenness_centrality(simple, normalized=True)
-        # a spanning LCC is the same graph in the same node order, so the same table
-        lcc_bc = bc if lcc is simple else nx.betweenness_centrality(lcc, normalized=True)
-        degrees_by_iter[it] = dict(lcc.degree())
+        bet_by_iter[it] = sweep.betweenness
+        degrees_by_iter[it] = index.lcc_degrees()
         values_by_iter[it] = {
             **dataclasses.asdict(basic),
             "modularity": q,
@@ -160,7 +157,8 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
             "transitivity": analytics.transitivity(simple),
             "kcore_max": kmax,
             "kcore_size": ksize,
-            "avg_betweenness_lcc": sum(lcc_bc.values()) / len(lcc_bc),
+            "avg_betweenness_lcc": (sum(sweep.lcc_betweenness.values())
+                                    / len(sweep.lcc_betweenness)),
             "articulation_points": len(analytics.articulation_points(simple)),
             "bridge_nodes": len(bridge_sets[it]),
             "newly_connected": pair_stats.newly_connected,
@@ -196,9 +194,9 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
         # Every other metric reads the self-loop-free view; these rows keep the
         # view with self-loops. A self-loop adds to the adjacency diagonal and
         # so changes eigenvector scores, and this view keeps them as they were.
-        # Closeness is the same on either view; the loop's betweenness is reused.
+        # Closeness is the same on either view; the loop's sweep gives it.
         final_table = analytics.centralities(final.graph.undirected_view(),
-                                             betweenness=bet_by_iter[final_it])
+                                             sweep=sweep)
         for node in sorted(final_table.closeness):
             rows.append((final_it, "closeness", node,
                          _fmt(final_table.closeness[node])))
@@ -206,8 +204,7 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
             for node in sorted(final_table.eigenvector):
                 rows.append((final_it, "eigenvector", node,
                              _fmt(final_table.eigenvector[node])))
-        # ``lcc`` is still the final snapshot's LCC view
-        histogram = analytics.sampled_spl_distribution(lcc, spl_samples,
+        histogram = analytics.sampled_spl_distribution(sweep, spl_samples,
                                                        seeds.sampling).histogram
 
     _write_csv(out / "metrics.csv", ["iteration", "metric", "subject", "value"], rows)
@@ -239,13 +236,17 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
 
 def summarize_snapshot(snap: Snapshot, louvain_seed: int = 0) -> dict[str, str]:
     """Values for the 13 summary rows, computed on one snapshot."""
+    from .sweep import distance_sweep, snapshot_index
+
     g = snap.graph
-    simple, lcc = snapshot_views(g)
-    basic = analytics.basic_metrics(g, simple, lcc)
-    avg_spl, diameter = analytics.spl_and_diameter(lcc)
+    simple = g.undirected_view(self_loops=False)
+    index = snapshot_index(simple)
+    basic = analytics.basic_metrics(g, simple, index)
+    avg_spl, diameter = analytics.spl_and_diameter(
+        distance_sweep(index, betweenness=False))
     _, q = analytics.louvain(simple, louvain_seed)
     try:
-        fit, verdict = scalefree.classify(degree_sequence(simple))
+        fit, verdict = scalefree.classify(degree_sequence(index))
         lr, p = f"{verdict.lr:.4f}", f"{verdict.p:.4f}"
         alpha, xmin = f"{fit.alpha:.4f}", f"{float(fit.xmin):.1f}"
         classification = "Yes" if verdict.is_scale_free else "No"

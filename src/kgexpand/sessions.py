@@ -42,6 +42,9 @@ class HTTPGeneratorSession:
     Sends ``{"model", "prompt", "max_tokens"}`` as JSON and accepts either a
     bare ``{"text": ...}`` reply or a completions-style ``{"choices": [...]}``.
     The auth token comes from the environment, never from config files.
+    Timeouts, connection errors and 5xx replies are retried
+    ``TRANSPORT_RETRIES`` times; a 4xx reply fails at once, since the same
+    request would be refused again.
     """
 
     def __init__(self, endpoint: str, model: str = "default",
@@ -67,6 +70,9 @@ class HTTPGeneratorSession:
             try:
                 resp = requests.post(self.endpoint, json=body,
                                      headers=headers, timeout=self.timeout)
+                if 400 <= resp.status_code < 500:
+                    raise GeneratorError(f"endpoint {self.endpoint} refused the "
+                                         f"request: HTTP {resp.status_code}")
                 resp.raise_for_status()
                 payload = resp.json()
                 if "text" in payload:

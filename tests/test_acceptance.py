@@ -27,8 +27,9 @@ from kgexpand.paths import (
     diameter_path,
     path_tables,
 )
-from kgexpand.report import SUMMARY_ROWS, degree_sequence, snapshot_views
+from kgexpand.report import SUMMARY_ROWS, degree_sequence
 from kgexpand.sessions import EchoSession
+from kgexpand.sweep import distance_sweep, snapshot_index
 
 from . import oracles
 
@@ -75,7 +76,8 @@ def test_criterion_1_oracle_equivalence(corpus):
     for g in corpus:
         und = g
         kg = _kg_from_nx(g)
-        b = analytics.basic_metrics(kg, *snapshot_views(kg))
+        simple = kg.undirected_view(self_loops=False)
+        b = analytics.basic_metrics(kg, simple, snapshot_index(simple))
         assert b.avg_clustering == pytest.approx(
             oracles.average_clustering(und), abs=EXACT)
         assert analytics.transitivity(und) == pytest.approx(
@@ -88,7 +90,8 @@ def test_criterion_1_oracle_equivalence(corpus):
             assert und.number_of_edges() < 2 or len(endpoint) == 1
         else:
             assert ours == pytest.approx(oracles.assortativity(und), abs=EXACT)
-        avg_spl, diameter = analytics.spl_and_diameter(und)
+        avg_spl, diameter = analytics.spl_and_diameter(
+            distance_sweep(snapshot_index(und)))
         o_spl, o_diam = oracles.spl_diameter(und)
         assert avg_spl == pytest.approx(o_spl, abs=EXACT)
         assert diameter == o_diam
@@ -157,8 +160,8 @@ def test_criterion_4_end_to_end_synthetic_run(synthetic_run_dir, tmp_path):
     counts = [(s.graph.node_count, s.graph.edge_count) for s in series]
     assert counts == sorted(counts), "node/edge counts must be non-decreasing"
     oracles.validate_supergraph(series)
-    fit, verdict = scalefree.classify(
-        degree_sequence(series[-1].graph.undirected_view(self_loops=False)))
+    fit, verdict = scalefree.classify(degree_sequence(
+        snapshot_index(series[-1].graph.undirected_view(self_loops=False))))
     assert verdict.is_scale_free, (
         f"final graph not scale-free: LR={verdict.lr:.2f} p={verdict.p:.4f}")
     rerun = tmp_path / "rerun"
@@ -193,7 +196,10 @@ def test_criterion_5_newly_connected_pairs_exact():
     observed = []
     for snap in series:
         und = snap.graph.undirected_view()
-        stats = analytics.newly_connected_pairs(ledger, snap.iteration, und, samples=None)
+        index = snapshot_index(und)
+        pairs = analytics.draw_pairs(ledger, snap.iteration, len(index.nodes), samples=None)
+        stats = analytics.newly_connected_pairs(
+            ledger, snap.iteration, distance_sweep(index, keep={u for u, _ in pairs}), pairs)
         expected_new = expected_short = 0
         dist = oracles.floyd_warshall(und)
         for u in sorted(und):
@@ -264,7 +270,7 @@ def test_criterion_7_path_suite():
         g = _kg_from_nx(oracles.random_connected_graph(n, seed % 7, 4000 + seed))
         path = diameter_path(g, path_tables(g))
         lcc = g.undirected_view(self_loops=False)
-        _, diameter = analytics.spl_and_diameter(lcc)
+        _, diameter = analytics.spl_and_diameter(distance_sweep(snapshot_index(lcc)))
         assert path.length == diameter
     for nodes in range(3, 12):
         g = KnowledgeGraph()

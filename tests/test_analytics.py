@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from kgexpand import analytics
 from kgexpand.core import KnowledgeGraph, Snapshot
-from kgexpand.errors import EmptyGraph, NotConnected, UndefinedMetric
-from kgexpand.report import snapshot_views
+from kgexpand.errors import EmptyGraph, UndefinedMetric
+from kgexpand.sweep import distance_sweep, snapshot_index
 
 from . import oracles
 
@@ -36,14 +36,23 @@ def snapshot_series(edge_lists):
     return series
 
 
+def sweep_of(g):
+    """One distance sweep of a networkx graph, as the analysis makes per snapshot."""
+    return distance_sweep(snapshot_index(g))
+
+
 def basic_metrics(kg):
-    """``analytics.basic_metrics`` on the views the analysis builds for a snapshot."""
-    return analytics.basic_metrics(kg, *snapshot_views(kg))
+    """``analytics.basic_metrics`` on the view and index the analysis builds for a snapshot."""
+    simple = kg.undirected_view(self_loops=False)
+    return analytics.basic_metrics(kg, simple, snapshot_index(simple))
 
 
 def newly_connected_pairs(ledger, snap, samples):
-    return analytics.newly_connected_pairs(
-        ledger, snap.iteration, snap.graph.undirected_view(self_loops=False), samples)
+    """Draw the pairs, sweep keeping their sources' rows, then count, as the analysis does."""
+    index = snapshot_index(snap.graph.undirected_view(self_loops=False))
+    pairs = analytics.draw_pairs(ledger, snap.iteration, len(index.nodes), samples)
+    sweep = distance_sweep(index, keep={u for u, _ in pairs})
+    return analytics.newly_connected_pairs(ledger, snap.iteration, sweep, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -98,28 +107,28 @@ def test_basic_metrics_match_oracle(seed):
 
 def test_path_graph_spl_matches_closed_form():
     p5 = nx.path_graph([f"v{i}" for i in range(5)])
-    avg, diameter = analytics.spl_and_diameter(p5)
+    avg, diameter = analytics.spl_and_diameter(sweep_of(p5))
     assert avg == pytest.approx(2.0, abs=EXACT)
     assert diameter == 4
 
 
-def test_disconnected_input_rejected():
-    g = nx.Graph([("a", "b")])
+def test_disconnected_input_reads_the_largest_component():
+    g = nx.Graph([("a", "b"), ("b", "c")])
+    g.add_edge("x", "y")
     g.add_node("z")
-    with pytest.raises(NotConnected):
-        analytics.spl_and_diameter(g)
+    assert analytics.spl_and_diameter(sweep_of(g)) == (4 / 3, 2)
 
 
 def test_singleton_has_zero_spl():
     g = nx.Graph()
     g.add_node("v")
-    assert analytics.spl_and_diameter(g) == (0.0, 0)
+    assert analytics.spl_and_diameter(sweep_of(g)) == (0.0, 0)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_spl_matches_floyd_warshall(seed):
     g = oracles.random_connected_graph(15, 8, seed)
-    avg, diameter = analytics.spl_and_diameter(g)
+    avg, diameter = analytics.spl_and_diameter(sweep_of(g))
     o_avg, o_diam = oracles.spl_diameter(g)
     assert avg == pytest.approx(o_avg, abs=EXACT)
     assert diameter == o_diam
@@ -222,6 +231,47 @@ def test_louvain_matches_the_networkx_reference(g, seed):
     ref_partition, ref_q = oracles.louvain(g, seed)
     assert partition == ref_partition
     assert repr(q) == repr(ref_q)
+
+
+# Restarts whose merge-refine reaches states an earlier restart searched from.
+# On the second graph one search accepts two merges in a row, so three states
+# share its result, and later restarts land on them.
+_MEMO_HIT = oracles.random_connected_graph(10, 9, 4)
+_TWO_MERGES = oracles.random_connected_graph(15, 9, 9)
+
+
+@pytest.mark.parametrize("g, seed, chain", [(_MEMO_HIT, 1, 1), (_TWO_MERGES, 0, 3)])
+def test_louvain_memo_reuses_merge_refine_searches(monkeypatch, g, seed, chain):
+    def counting(owner):
+        calls = []
+        fn = owner._louvain_one_level
+
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, "_louvain_one_level", wrapper)
+        return calls
+
+    memos = []
+    merge_refine = analytics._merge_refine
+
+    def keep_memo(adj, degree, m, communities, memo):
+        memos.append(memo)
+        return merge_refine(adj, degree, m, communities, memo)
+
+    monkeypatch.setattr(analytics, "_merge_refine", keep_memo)
+    ours, reference = counting(analytics), counting(oracles)
+    partition, q = analytics.louvain(g, seed)
+    ref_partition, ref_q = oracles.louvain(g, seed)
+    assert partition == ref_partition
+    assert repr(q) == repr(ref_q)
+    # every search the memo answered is a local-move phase not run
+    assert 0 < len(ours) < len(reference)
+    shared: dict = {}
+    for result in memos[0].values():
+        shared[id(result)] = shared.get(id(result), 0) + 1
+    assert max(shared.values()) >= chain
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +403,15 @@ def test_closeness_scales_by_component_on_disconnected_graph():
 
 
 def test_complete_graph_distances_are_all_one():
-    dist = analytics.sampled_spl_distribution(nx.complete_graph(10), 500, seed=3)
+    dist = analytics.sampled_spl_distribution(sweep_of(nx.complete_graph(10)), 500, seed=3)
     assert set(dist.histogram) == {1}
     assert dist.histogram[1] == 500
 
 
 def test_sampling_is_deterministic_and_matches_bfs():
     g = nx.path_graph([f"p{i}" for i in range(10)])
-    a = analytics.sampled_spl_distribution(g, 300, seed=11)
-    b = analytics.sampled_spl_distribution(g, 300, seed=11)
+    a = analytics.sampled_spl_distribution(sweep_of(g), 300, seed=11)
+    b = analytics.sampled_spl_distribution(sweep_of(g), 300, seed=11)
     assert a == b
     total_pairs = sum(a.histogram.values())
     assert total_pairs == 300
@@ -375,7 +425,7 @@ def test_path_graph_histogram_matches_protocol_replay():
 
     nodes = [f"p{i}" for i in range(10)]
     g = nx.path_graph(nodes)
-    got = analytics.sampled_spl_distribution(g, 400, seed=23)
+    got = analytics.sampled_spl_distribution(sweep_of(g), 400, seed=23)
     rng = random_mod.Random(23)
     expected: dict[int, int] = {}
     for _ in range(400):
@@ -389,8 +439,9 @@ def test_path_graph_histogram_matches_protocol_replay():
 
 
 def test_sampling_restricted_to_lcc():
-    _, lcc = snapshot_views(kg_from_edges([("a", "b"), ("b", "c"), ("x", "y")]))
-    dist = analytics.sampled_spl_distribution(lcc, 200, seed=5)
+    kg = kg_from_edges([("a", "b"), ("b", "c"), ("x", "y")])
+    dist = analytics.sampled_spl_distribution(
+        sweep_of(kg.undirected_view(self_loops=False)), 200, seed=5)
     assert set(dist.histogram) <= {1, 2}
     assert sum(dist.histogram.values()) == 200
 

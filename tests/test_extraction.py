@@ -9,6 +9,8 @@ from kgexpand.errors import (
     NoGraphFound,
 )
 from kgexpand.extraction import (
+    MAX_BRACE_DEPTH,
+    MAX_REPLY_CHARS,
     IsolationStatus,
     extract_with_retry,
     isolate_reasoning,
@@ -154,6 +156,24 @@ def test_parser_never_crashes_on_bytes(blob):
         pass
 
 
+def test_reply_over_the_character_cap_is_rejected():
+    padding = " " * (MAX_REPLY_CHARS - len(GOOD))
+    assert parse_graph_literal(GOOD + padding).graph.edge_count == 1
+    with pytest.raises(MalformedLiteral, match="cap"):
+        parse_graph_literal(GOOD + padding + " ")
+
+
+def test_braces_nested_past_the_depth_cap_are_rejected():
+    def nested(depth):
+        return "{'a': " * (depth - 1) + "{}" + "}" * (depth - 1)
+
+    assert parse_graph_literal(nested(MAX_BRACE_DEPTH)).graph.node_count == 1
+    with pytest.raises(MalformedLiteral, match="deeper"):
+        parse_graph_literal(nested(MAX_BRACE_DEPTH + 1))
+    # a quoted brace does not count
+    assert parse_graph_literal("{'" + "{" * 50 + "': {}}").graph.node_count == 1
+
+
 @given(knowledge_graphs())
 def test_every_accepted_edge_is_normalized(graph):
     literal = serialize_graph_literal(graph)
@@ -221,3 +241,15 @@ def test_format_prompt_contains_raw_graph():
     extract_with_retry(session, "THE RAW GRAPH SECTION", max_retries=0)
     assert "THE RAW GRAPH SECTION" in session.prompts[0]
     assert "Output the graph as a Python dictionary" in session.prompts[0]
+
+
+@pytest.mark.parametrize("bad", [
+    "{" * (MAX_BRACE_DEPTH + 1) + "}" * (MAX_BRACE_DEPTH + 1),
+    GOOD + " " * MAX_REPLY_CHARS,
+])
+def test_capped_replies_go_through_the_retry_path(bad):
+    session = ScriptedSession([bad, GOOD])
+    outcome = extract_with_retry(session, "raw", max_retries=2)
+    assert outcome.retries_used == 1
+    assert outcome.local.graph.edge_count == 1
+    assert "could not be parsed" in session.prompts[1]

@@ -290,3 +290,58 @@ def test_http_session_failure_raises_after_retries():
                                    timeout=0.2)
     with pytest.raises(GeneratorError):
         session.complete("unreachable")
+
+
+class _Reply:
+    def __init__(self, status):
+        self.status_code = status
+
+    def raise_for_status(self):
+        import requests
+
+        if self.status_code >= 400:
+            raise requests.HTTPError(f"HTTP {self.status_code}")
+
+    def json(self):
+        return {"text": "ok"}
+
+
+def _scripted_post(monkeypatch, outcomes):
+    """Replace requests.post with one that plays ``outcomes`` in turn: a status
+    code to reply with, or an exception to raise. Returns the call log."""
+    import requests
+
+    calls = []
+
+    def post(*args, **kwargs):
+        calls.append(args)
+        outcome = outcomes[len(calls) - 1]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return _Reply(outcome)
+
+    monkeypatch.setattr(requests, "post", post)
+    return calls
+
+
+@pytest.mark.parametrize("status", [400, 401, 404, 422, 499])
+def test_http_session_fails_fast_on_a_client_error(monkeypatch, status):
+    calls = _scripted_post(monkeypatch, [status, 200])
+    with pytest.raises(GeneratorError, match=str(status)):
+        HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("first", [500, 503, "timeout", "connection"])
+def test_http_session_retries_server_and_transport_errors_once(monkeypatch, first):
+    import requests
+
+    failure = {"timeout": requests.Timeout("slow"),
+               "connection": requests.ConnectionError("refused")}.get(first, first)
+    calls = _scripted_post(monkeypatch, [failure, 200])
+    assert HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x") == "ok"
+    assert len(calls) == 2
+    calls = _scripted_post(monkeypatch, [failure, failure, 200])
+    with pytest.raises(GeneratorError):
+        HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x")
+    assert len(calls) == 2

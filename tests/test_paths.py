@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from kgexpand import paths as paths_mod
 from kgexpand.analytics import spl_and_diameter
 from kgexpand.core import KnowledgeGraph, largest_component
-from kgexpand.errors import TrivialPath
+from kgexpand.errors import NonConvergent, TrivialPath
 from kgexpand.sessions import EchoSession
+from kgexpand.sweep import distance_sweep, snapshot_index
 
 from . import oracles
+from .strategies import knowledge_graphs
 
 
 def kg_from_edges(edges, kind="HAS"):
@@ -87,7 +89,7 @@ def test_diameter_path_length_equals_diameter(seed):
     g = kg_from_nx(oracles.random_connected_graph(11, 5, seed))
     path = diameter_path(g)
     lcc = largest_component(g).undirected_view()
-    _, diameter = spl_and_diameter(lcc)
+    _, diameter = spl_and_diameter(distance_sweep(snapshot_index(lcc)))
     assert path.length == diameter
     # consecutive nodes adjacent, no repeats
     und = g.undirected_view()
@@ -234,6 +236,39 @@ def test_correlations_match_direct_pearson():
                 cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
                 assert corr.matrix[i][j] == pytest.approx(
                     cov / math.sqrt(vx * vy), abs=1e-9)
+
+
+def _directed_simple(g):
+    """Direction kept, relation kinds collapsed, self-loops kept: the view
+    ``paths.pagerank`` ranks."""
+    d = nx.DiGraph()
+    d.add_nodes_from(sorted(g.node_keys))
+    d.add_edges_from((s, t) for s, _, t in g.triples())
+    return d
+
+
+@given(knowledge_graphs(max_edges=30))
+@example(KnowledgeGraph())
+@example(kg_from_edges([("a", "a")]))
+@example(kg_from_edges([("a", "b"), ("b", "a"), ("b", "c"), ("c", "c"), ("x", "y")]))
+@example(path_kg(6))
+@settings(max_examples=200, deadline=None)
+def test_pagerank_matches_networkx(g):
+    # several relation kinds between a pair, self-loops, dangling nodes
+    expected = nx.pagerank(_directed_simple(g), alpha=0.85, tol=1e-8)
+    got = paths_mod.pagerank(g)
+    assert got.keys() == expected.keys()
+    for v, value in expected.items():
+        assert math.isclose(got[v], value, rel_tol=1e-12, abs_tol=0.0), v
+
+
+def test_pagerank_raises_non_convergent_at_the_iteration_cap(monkeypatch):
+    g = path_kg(6)
+    with pytest.raises(nx.PowerIterationFailedConvergence):
+        nx.pagerank(_directed_simple(g), alpha=0.85, tol=1e-8, max_iter=3)
+    monkeypatch.setattr(paths_mod, "PAGERANK_MAX_ITER", 3)
+    with pytest.raises(NonConvergent):
+        paths_mod.pagerank(g)
 
 
 def test_matrix_is_symmetric_with_unit_diagonal():

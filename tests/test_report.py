@@ -2,13 +2,16 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import networkx as nx
 import pytest
 
-from kgexpand import analytics, cli, graphml_io
+from kgexpand import analytics, cli, graphml_io, sweep
 from kgexpand import paths as paths_mod
 from kgexpand.cli import main
 from kgexpand.core import KnowledgeGraph, Snapshot, largest_component
@@ -273,16 +276,17 @@ def test_analyze_series_builds_each_view_once_and_copies_no_graph(monkeypatch, t
     assert len(views) <= 2 * sum(1 for s in series if s.graph.node_count) + 1
 
 
-def test_analyze_series_runs_betweenness_once_per_spanning_snapshot(monkeypatch, tmp_path):
-    # one table per non-empty snapshot, a second only for an LCC that does not
-    # span it; the final closeness/eigenvector rows reuse the loop's table
-    calls = _counting(monkeypatch, nx.betweenness_centrality, nx)
+def test_analyze_series_runs_one_sweep_per_snapshot(monkeypatch, tmp_path):
+    # one sweep per snapshot gives both betweenness tables, the distances and
+    # the final closeness rows; networkx computes none of them
+    sweeps = _counting(monkeypatch, sweep.distance_sweep, sweep)
+    networkx_calls = [_counting(monkeypatch, fn, nx) for fn in (
+        nx.betweenness_centrality, nx.closeness_centrality,
+        nx.single_source_shortest_path_length)]
     series = _series()
     analyze_series(series, tmp_path, samples=10, spl_samples=10)
-    expected = sum(1 if largest_component(s.graph).node_count
-                   == s.graph.node_count else 2
-                   for s in series if s.graph.node_count)
-    assert len(calls) == expected
+    assert len(sweeps) == len(series)
+    assert networkx_calls == [[], [], []]
 
 
 # ---------------------------------------------------------------------------
@@ -349,3 +353,28 @@ def test_analyze_rejects_a_stride_below_one(ten_run, tmp_path):
 def test_analyze_series_of_no_snapshots_raises(tmp_path):
     with pytest.raises(EmptyGraph):
         analyze_series(iter(()), tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# what the read stages import
+
+
+def _loads_after(stages, module, cwd):
+    code = ("import sys\nfrom kgexpand.cli import main\n"
+            "assert main(['run', '--synthetic', '--iterations', '12', '--out', 'snaps']) == 0\n"
+            + "".join(f"assert main({stage!r}) == 0\n" for stage in stages)
+            + f"print({module!r} in sys.modules)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_paths_does_not_load_scipy(tmp_path):
+    # PageRank is computed in numpy; networkx's backend would import scipy.sparse
+    assert not _loads_after([["paths", "snaps", "--out", "p"]], "scipy", tmp_path)
+
+
+def test_analyze_does_not_load_sparse_matrices(tmp_path):
+    # the sweep indexes components itself; scipy.sparse.csgraph alone is 8.6 MB
+    assert not _loads_after([["analyze", "snaps", "--out", "a"]], "scipy.sparse", tmp_path)
