@@ -3,18 +3,21 @@
 Paths live on the undirected view of the largest component. All ranking and
 tie-breaking is lexicographic so repeated extraction is identical. The path
 functions share one ``PathTables`` of the final graph: its self-loop-free
-undirected view, that view's all-pairs BFS lengths and its centrality table.
+undirected view, one sweep of it keeping every node's hop row, and the
+centrality table read from that same sweep.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import networkx as nx
 
 from .analytics import CentralityTable, centralities, louvain, pearson
-from .core import KnowledgeGraph, largest_component
+# unused here; perfbench/tracer.py patches each module binding ``largest_component``
+from .core import KnowledgeGraph, largest_component  # noqa: F401
 from .errors import EmptyGraph, GeneratorError, NonConvergent, TrivialPath
 from .prompts import (
     BRIDGE_SYNERGY_TEMPLATE,
@@ -26,6 +29,9 @@ from .prompts import (
     SYNTHESIS_TEMPLATE,
 )
 from .sessions import GeneratorSession
+
+if TYPE_CHECKING:
+    from .sweep import DistanceSweep, SnapshotIndex
 
 PATH_METRIC_NAMES = ("degree", "betweenness", "closeness", "eigenvector",
                      "pagerank", "clustering", "density")
@@ -53,22 +59,20 @@ class ExtractedPath:
         return " -> ".join(self.displays)
 
 
-def _lexicographic_shortest_path(g: nx.Graph, source: str, target: str,
-                                 dist_from_target: dict[str, int]) -> list[str]:
-    """Smallest node sequence among shortest source->target paths.
+def _lexicographic_shortest_path(index: SnapshotIndex, source: int,
+                                 to_target) -> list[str]:
+    """Keys of the smallest shortest path from node index ``source`` to the
+    target whose hop row is ``to_target``.
 
     Greedy works here: at step k any node with d(target) = d - k has a
-    neighbor one step closer, so the smallest eligible neighbor always
-    extends to a full shortest path.
+    neighbor one step closer, so the first eligible neighbour of a CSR row
+    (ascending, and index order is key order) extends to a full shortest path.
     """
-    d = dist_from_target[source]
     path = [source]
-    current = source
-    for step in range(d, 0, -1):
-        current = min(u for u in g.neighbors(current)
-                      if dist_from_target.get(u) == step - 1)
-        path.append(current)
-    return path
+    for step in range(int(to_target[source]) - 1, -1, -1):
+        nbrs = index.indices[index.indptr[path[-1]]:index.indptr[path[-1] + 1]]
+        path.append(int(nbrs[(to_target[nbrs] == step).argmax()]))
+    return [index.nodes[i] for i in path]
 
 
 @dataclass
@@ -76,24 +80,24 @@ class PathTables:
     """What every path function reads of the final graph, built once."""
 
     view: nx.Graph                      # self-loop-free undirected view
-    dist: dict[str, dict[str, int]]     # node -> reachable node -> BFS hops
-    centrality: CentralityTable         # ``centralities(view)``
+    sweep: DistanceSweep                # of the view, every hop row kept
+    centrality: CentralityTable         # ``centralities(view, sweep=sweep)``
 
 
 def path_tables(g: KnowledgeGraph) -> PathTables:
-    """The self-loop-free view of ``g``, its all-pairs BFS lengths and its
-    centrality table."""
+    """``g``'s self-loop-free view, its all-rows sweep and its centralities."""
     if g.node_count == 0:
         raise EmptyGraph("paths need a non-empty graph")
+    from .sweep import distance_sweep, snapshot_index
     view = g.undirected_view(self_loops=False)
-    dist = {v: nx.single_source_shortest_path_length(view, v) for v in view}
-    return PathTables(view, dist, centralities(view))
+    sweep = distance_sweep(snapshot_index(view), keep=range(g.node_count))
+    return PathTables(view, sweep, centralities(view, sweep=sweep))
 
 
 def _extracted_path(g: KnowledgeGraph, tables: PathTables,
-                    source: str, target: str) -> ExtractedPath:
-    dist, view = tables.dist, tables.view
-    nodes = _lexicographic_shortest_path(view, source, target, dist[target])
+                    source: int, target: int) -> ExtractedPath:
+    sweep, view = tables.sweep, tables.view
+    nodes = _lexicographic_shortest_path(sweep.index, source, sweep.rows[target])
     return ExtractedPath(
         nodes=nodes,
         displays=[g.display(v) for v in nodes],
@@ -102,33 +106,40 @@ def _extracted_path(g: KnowledgeGraph, tables: PathTables,
             "betweenness": {v: tables.centrality.betweenness[v] for v in nodes},
             "closeness": {v: tables.centrality.closeness[v] for v in nodes},
         },
-        source_eccentricity=max(dist[source].values()),
-        terminal_eccentricity=max(dist[target].values()),
+        source_eccentricity=int(sweep.eccentricity[source]),
+        terminal_eccentricity=int(sweep.eccentricity[target]),
     )
 
 
 def diameter_path(g: KnowledgeGraph, tables: PathTables) -> ExtractedPath:
     """A shortest path realizing the maximum eccentricity of the LCC.
 
-    Distances and neighbours within the LCC are the same in the whole view,
-    so the LCC's eccentricities are read from the shared distance table.
+    Distances within the LCC are those of the whole view, so the sweep gives
+    its eccentricities and the smallest source and target at the diameter.
     """
-    lcc = largest_component(g).node_keys
+    lcc = tables.sweep.index.lcc
     if len(lcc) == 1:
         raise TrivialPath("largest component is a single node")
-    ecc = {v: max(tables.dist[v].values()) for v in lcc}
-    diameter = max(ecc.values())
-    source = min(v for v in lcc if ecc[v] == diameter)
-    target = min(v for v, d in tables.dist[source].items() if d == diameter)
+    ecc = tables.sweep.eccentricity[lcc]
+    source = int(lcc[ecc.argmax()])
+    target = int((tables.sweep.rows[source] == ecc.max()).argmax())
     return _extracted_path(g, tables, source, target)
 
 
 def top_k_longest_paths(g: KnowledgeGraph, tables: PathTables,
                         k: int = 5) -> list[ExtractedPath]:
     """The k longest shortest paths over distinct unordered endpoint pairs."""
-    # the (-d, u, v) tuples are distinct, so this is sorted(...)[:k] for k >= 0
-    pairs = heapq.nsmallest(k, ((-d, u, v) for u, row in tables.dist.items()
-                                for v, d in row.items() if u < v))
+    rows, k = tables.sweep.rows, max(k, 0)
+
+    def candidates():
+        """(-hops, u, v) of each row's k longest reachable pairs u < v: they
+        hold the row's share of the k longest, which nsmallest keeps in O(k)."""
+        for u in range(len(rows)):
+            row = rows[u][u + 1:]
+            longest = (-row).argsort(kind="stable")[:k].tolist()
+            yield from ((-int(row[v]), u, u + 1 + v) for v in longest if row[v] > 0)
+
+    pairs = heapq.nsmallest(k, candidates())
     return [_extracted_path(g, tables, u, v) for _, u, v in pairs]
 
 
@@ -164,10 +175,9 @@ def path_metrics(path: ExtractedPath, und: nx.Graph,
     nodes = path.nodes
     means = {name: sum(node_tables[name][v] for v in nodes) / len(nodes)
              for name in node_tables}
-    sub = und.subgraph(nodes)
-    n = len(nodes)
-    possible = n * (n - 1) / 2
-    means["density"] = sub.number_of_edges() / possible if possible else 0.0
+    possible = len(nodes) * (len(nodes) - 1) / 2
+    means["density"] = (und.subgraph(nodes).number_of_edges() / possible
+                        if possible else 0.0)
     return means
 
 
@@ -209,14 +219,13 @@ def _node_tables(g: KnowledgeGraph, tables: PathTables) -> dict[str, dict[str, f
     und, table = tables.view, tables.centrality
     if table.eigenvector is None:
         raise NonConvergent("eigenvector centrality did not converge")
-    clustering = nx.clustering(und)
     return {
         "degree": {v: float(d) for v, d in und.degree()},
         "betweenness": table.betweenness,
         "closeness": table.closeness,
         "eigenvector": table.eigenvector,
         "pagerank": pagerank(g),
-        "clustering": clustering,
+        "clustering": nx.clustering(und),
     }
 
 
@@ -228,12 +237,8 @@ def path_metric_correlations(g: KnowledgeGraph, tables: PathTables,
     node_tables = _node_tables(g, tables)
     per_path = [path_metrics(p, tables.view, node_tables) for p in paths]
     columns = {name: [means[name] for means in per_path] for name in PATH_METRIC_NAMES}
-    matrix: list[list[float | None]] = []
-    for a in PATH_METRIC_NAMES:
-        row: list[float | None] = []
-        for b in PATH_METRIC_NAMES:
-            row.append(1.0 if a == b else pearson(columns[a], columns[b]))
-        matrix.append(row)
+    matrix = [[1.0 if a == b else pearson(columns[a], columns[b])
+               for b in PATH_METRIC_NAMES] for a in PATH_METRIC_NAMES]
     return CorrelationMatrix(metrics=PATH_METRIC_NAMES, matrix=matrix)
 
 
@@ -287,9 +292,8 @@ def _ask(gen: GeneratorSession, prompt: str) -> str:
 
 def _render_relation(g: KnowledgeGraph, a: str, b: str) -> str:
     """Deterministic rendering of the relation between two adjacent concepts."""
-    linking = sorted(t for t in g.triples()
-                     if (t[0], t[2]) in ((a, b), (b, a)))
-    src, kind, tgt = linking[0]
+    src, kind, tgt = min(t for t in g.triples()
+                         if (t[0], t[2]) in ((a, b), (b, a)))
     return f"{g.display(src)} -- {kind} -- {g.display(tgt)}"
 
 
@@ -359,11 +363,9 @@ def graph_context_prompt(g: KnowledgeGraph, task: str, seed: int = 0,
     und = g.undirected_view(self_loops=False)
     table = centralities(und)
     hubs = sorted(und.nodes, key=lambda v: (-table.betweenness[v], v))[:top_hubs]
-    if table.eigenvector is not None:
-        influencers = sorted(und.nodes,
-                             key=lambda v: (-table.eigenvector[v], v))[:top_hubs]
-    else:
-        influencers = hubs
+    eigen = table.eigenvector
+    influencers = (hubs if eigen is None else
+                   sorted(und.nodes, key=lambda v: (-eigen[v], v))[:top_hubs])
     partition, _ = louvain(und, seed)
     members: dict[int, list[str]] = {}
     for v, cid in partition.items():

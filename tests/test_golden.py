@@ -1,10 +1,17 @@
-"""`analyze` output bytes pinned from the networkx-based analysis it replaced.
+"""`analyze`, `paths` and `report` output bytes, pinned on one run.
 
-The digests were taken from `kgexpand run --synthetic --iterations 40 --seed 3`
-then `kgexpand analyze` with default options, when betweenness, closeness and
-every distance still came from networkx. Betweenness-derived rows are left
-out: they agree with networkx to 1e-12 relative, not to the byte (tests in
-test_sweep.py hold them to that). Every other byte must match.
+The run is `kgexpand run --synthetic --iterations 40 --seed 3`.
+
+The `analyze` digests (default options) were taken when betweenness,
+closeness and every distance still came from networkx. Betweenness-derived
+rows are left out: they agree with networkx to 1e-12 relative, not to the
+byte (tests in test_sweep.py hold them to that). Every other byte must match.
+
+The `paths --mode compositional` and `report` digests (default options) were
+taken when `paths` still read its distances from a networkx all-pairs BFS
+table, before they came from the one distance sweep it runs for its
+centralities. Both already read betweenness and closeness from a sweep then,
+so every byte must match.
 """
 
 import hashlib
@@ -29,12 +36,17 @@ METRICS_LINES_KEPT = 5233
 
 
 @pytest.fixture(scope="module")
-def analysis(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def snaps(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden") / "snaps"
     assert main(["run", "--synthetic", "--iterations", "40", "--seed", "3",
-                 "--out", str(root / "snaps")]) == 0
-    assert main(["analyze", str(root / "snaps"), "--out", str(root / "analysis")]) == 0
-    return root / "analysis"
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def analysis(snaps):
+    assert main(["analyze", str(snaps), "--out", str(snaps.parent / "analysis")]) == 0
+    return snaps.parent / "analysis"
 
 
 def test_analyze_writes_the_pinned_csv_files(analysis):
@@ -50,3 +62,48 @@ def test_analyze_bytes_match_the_networkx_analysis(analysis, name):
         assert (len(lines), len(kept)) == (METRICS_LINES, METRICS_LINES_KEPT)
         data = "".join(kept).encode()
     assert hashlib.sha256(data).hexdigest() == DIGESTS[name]
+
+
+PATHS_DIGESTS = {
+    "compositional_report.md": "d594ba8c33ec8046c0f343124ea5150a4d8bc4ccc4dc41c5046a3b7e299e28cb",
+    "path_0.graphml": "9ac59909d285d413dd75c2efa049f0d38e32234ae4f35450d4d550cf2bafc5e1",
+    "path_1.graphml": "f73e2db8ee66b6d29fd1a5a1d84e706aa2a3c6f22ff35e16c10d5c2eb7259d99",
+    "path_2.graphml": "1dd157336722ae3811b5d7c44f32793c3073a36d7943b0674976b227a59cc8f2",
+    "path_3.graphml": "482fb151e962f956b0eaf8dbe24bf7fcd7595aaceadbc04520dc16373110c90f",
+    "path_4.graphml": "802ebd7d4b3b56ed218a1cb85e80ea676e67c23cd2fd02fb6b9b7c10a7961791",
+    "path_correlations.csv": "a6ec001695a30c3cb1c3e70e8b2fa0504b628a391c321bbbb1332efc2351fa81",
+}
+REPORT_DIGESTS = {
+    "report.md": "d3f5e764aff96f32a0cd7bc04a9dc75a63f6696cf96a402d579faaa7af8490d3",
+    "summary.csv": "8c785b5d012ad503a123b8068b1832e45d92d97e795571dbd4211b3052124cde",
+}
+
+
+@pytest.fixture(scope="module")
+def paths_out(snaps):
+    out = snaps.parent / "paths"
+    assert main(["paths", str(snaps), "--mode", "compositional", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def report_out(snaps):
+    out = snaps.parent / "report"
+    assert main(["report", str(snaps), "--out", str(out)]) == 0
+    return out
+
+
+def test_paths_writes_the_pinned_files(paths_out):
+    assert sorted(p.name for p in paths_out.iterdir()) == sorted(PATHS_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(PATHS_DIGESTS))
+def test_paths_bytes_match_the_pins(paths_out, name):
+    digest = hashlib.sha256((paths_out / name).read_bytes()).hexdigest()
+    assert digest == PATHS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_report_bytes_match_the_pins(report_out, name):
+    digest = hashlib.sha256((report_out / name).read_bytes()).hexdigest()
+    assert digest == REPORT_DIGESTS[name]

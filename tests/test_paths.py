@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgexpand import paths as paths_mod
+from kgexpand import sweep as sweep_mod
 from kgexpand.analytics import spl_and_diameter
+from kgexpand.cli import main
 from kgexpand.core import KnowledgeGraph, largest_component
 from kgexpand.errors import NonConvergent, TrivialPath
 from kgexpand.sessions import EchoSession
@@ -183,6 +185,76 @@ def test_shared_tables_give_the_reference_paths(g, k):
             paths_mod.diameter_path(g, tables)
     else:
         assert paths_mod.diameter_path(g, tables) == expected
+
+
+def _max_k(g):
+    """One more than the number of unordered node pairs of ``g``."""
+    n = g.node_count
+    return n * (n - 1) // 2 + 1
+
+
+# a 4-cycle a-b-c-d with a pendant e on a: its pairs lie at 3, 2 and 1 hops,
+# and every node's eccentricity is 2 or 3, so from k = 6 on the k-th pair is
+# at a distance that is no node's eccentricity
+CYCLE_WITH_PENDANT = kg_from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                                    ("a", "e")])
+DISCONNECTED = kg_from_edges([("a", "b"), ("b", "c"), ("x", "y"), ("q", "q")])
+DISCONNECTED.add_node("lone")
+
+
+@pytest.mark.parametrize("g", [CYCLE_WITH_PENDANT, DISCONNECTED,
+                               kg_from_nx(oracles.random_connected_graph(12, 6, 4))],
+                         ids=["cycle-with-pendant", "disconnected", "random-12"])
+def test_top_k_at_every_k_matches_the_oracle(g):
+    tables = paths_mod.path_tables(g)
+    for k in range(_max_k(g) + 1):
+        assert (paths_mod.top_k_longest_paths(g, tables, k)
+                == oracles.top_k_longest_paths(g, k)), k
+
+
+def test_cycle_with_pendant_spans_three_distance_levels():
+    tables = paths_mod.path_tables(CYCLE_WITH_PENDANT)
+    lengths = [p.length for p in paths_mod.top_k_longest_paths(
+        CYCLE_WITH_PENDANT, tables, _max_k(CYCLE_WITH_PENDANT))]
+    assert lengths == [3, 2, 2, 2, 2, 1, 1, 1, 1, 1]
+    assert set(tables.sweep.eccentricity.tolist()) == {2, 3}
+
+
+@given(small_graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_top_k_across_distance_levels_matches_the_oracle(g, data):
+    k = data.draw(st.integers(0, _max_k(g)), label="k")
+    tables = paths_mod.path_tables(g)
+    assert paths_mod.top_k_longest_paths(g, tables, k) == oracles.top_k_longest_paths(g, k)
+
+
+def _counting(monkeypatch, owner, name):
+    calls, fn = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_paths_command_runs_one_distance_sweep_and_no_networkx_bfs(monkeypatch, tmp_path):
+    # the path sweep also gives the centrality table, so ``centralities``
+    # runs no sweep of its own, and no networkx BFS runs at all
+    assert main(["run", "--synthetic", "--iterations", "15", "--seed", "4",
+                 "--out", str(tmp_path / "snaps")]) == 0
+    sweeps = _counting(monkeypatch, sweep_mod, "distance_sweep")
+    views = _counting(monkeypatch, KnowledgeGraph, "undirected_view")
+
+    def no_bfs(*args, **kwargs):
+        raise AssertionError("networkx ran a BFS")
+
+    monkeypatch.setattr(nx, "single_source_shortest_path_length", no_bfs)
+    assert main(["paths", str(tmp_path / "snaps"), "--mode", "compositional",
+                 "--out", str(tmp_path / "paths")]) == 0
+    assert (len(sweeps), len(views)) == (1, 1)
+    assert (tmp_path / "paths" / "compositional_report.md").exists()
 
 
 # ---------------------------------------------------------------------------
