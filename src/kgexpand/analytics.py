@@ -9,16 +9,22 @@ series functions build their own, as references for
 ``report.analyze_series``' one pass. Assortativity is computed here
 (``pearson``), so the analysis does not import ``scipy.stats``. ``louvain``
 indexes the graph's sorted nodes once per call and runs every restart, merge
-trial and modularity sum on that one integer adjacency; its local-move phase
-stops at the first fixed point, and merge-refine results are memoized per
-call. All seeded operations are deterministic for a fixed seed.
+trial and modularity sum on those integer neighbour lists. Its local-move
+phase stops at the first fixed point and sums link weights into one scratch
+list indexed by community id; on graphs past ``MERGE_REFINE_MAX_NODES`` it
+also skips nodes whose choice cannot have changed. Merge-refine results are
+memoized per call. None of this changes a move, a partition or a modularity
+bit against the plain algorithm in ``tests/oracles.py``. All seeded
+operations are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import networkx as nx
@@ -86,8 +92,7 @@ def spl_and_diameter(sweep: DistanceSweep) -> tuple[float, int]:
 # community structure
 
 
-def _modularity(adj: list[dict[int, float]], m: int,
-                communities: list[set[int]]) -> float:
+def _modularity(adj: list[list[int]], m: int, communities: list[set[int]]) -> float:
     """Standard modularity of a partition of the indexed adjacency ``adj``
     with ``m`` edges, summed over the communities in the given order."""
     if m == 0:
@@ -109,18 +114,45 @@ def _communities(labels) -> list[set[int]]:
     return list(groups.values())
 
 
+def _links(row) -> Iterable[tuple[int, float]]:
+    """``(neighbour, weight)`` pairs of an adjacency row: a level-0 list of
+    neighbours, each of weight 1, or an aggregate level's dict of weights."""
+    return row.items() if isinstance(row, dict) else zip(row, repeat(1.0))
+
+
 def _louvain_one_level(adj: list, degree: list, m2: float, order,
-                       node_comm: list[int]) -> bool:
+                       node_comm: list[int], *, skip_settled: bool = False) -> bool:
     """Local-moving phase over ``node_comm`` (node -> community id, in place).
 
     Only strictly positive gains move, so it terminates. Every weight and
     degree is an integer-valued float, so every sum is exact and a node's
     choice depends on the current state alone: once ``len(order)`` nodes in a
     row have stayed, a further sweep would move nothing, and it returns.
+
+    A node's link weights are summed into one scratch list indexed by
+    community id; the communities it touched are sorted before the candidate
+    scan and only their slots are reset. Rows of ``adj`` are level-0
+    neighbour lists (weight 1) or aggregate-level weight dicts.
+
+    With ``skip_settled``, a node that stayed is settled: it is not evaluated
+    again, and counts as staying, until a node joins its community (whose
+    total degree rose) or leaves a community it touched (whose total degree
+    fell; a neighbour's move is such a leave). Each community lists the
+    settled nodes to wake on either event. Any other change only lowers the
+    gains of moving, so the moves, and the result, are the same as without
+    skipping (the order-preserving form of Traag's queue-based local move,
+    Phys. Rev. E 92, 032801, 2015).
     """
     sigma_tot = [0.0] * (max(node_comm) + 1)     # the next fresh id is its length
     for v, c in enumerate(node_comm):
         sigma_tot[c] += degree[v]
+    weight = [0] * len(sigma_tot)
+    unit = not isinstance(adj[0], dict)
+    if skip_settled:
+        settled = [False] * len(adj)
+        # community -> settled nodes to wake when a node leaves / joins it
+        leave_watch: list[list[int]] = [[] for _ in sigma_tot]
+        join_watch: list[list[int]] = [[] for _ in sigma_tot]
     improved = False
     n = len(order)
     stays = 0
@@ -128,58 +160,89 @@ def _louvain_one_level(adj: list, degree: list, m2: float, order,
         for v in order:
             if stays == n:
                 break
+            if skip_settled and settled[v]:
+                stays += 1
+                continue
             c_old = node_comm[v]
             k_v = degree[v]
-            weight_to: dict = {}
-            for u, w in adj[v].items():
-                c = node_comm[u]
-                weight_to[c] = weight_to.get(c, 0.0) + w
-            stay = weight_to.get(c_old, 0.0) - k_v * (sigma_tot[c_old] - k_v) / m2
+            touched = []
+            if unit:
+                for u in adj[v]:
+                    c = node_comm[u]
+                    if not weight[c]:
+                        touched.append(c)
+                    weight[c] += 1
+            else:
+                for u, w in adj[v].items():
+                    c = node_comm[u]
+                    if not weight[c]:
+                        touched.append(c)
+                    weight[c] += w
+            touched.sort()
+            stay = weight[c_old] - k_v * (sigma_tot[c_old] - k_v) / m2
             best_c, best_gain = c_old, 0.0
             if -stay > 1e-12:
                 # isolating v into a fresh community beats staying put
                 best_c, best_gain = len(sigma_tot), -stay
-            for c in sorted(weight_to):
-                if c == c_old:
-                    continue
-                gain = weight_to[c] - k_v * sigma_tot[c] / m2 - stay
-                if gain > best_gain + 1e-12:
-                    best_c, best_gain = c, gain
+            for c in touched:
+                if c != c_old:
+                    gain = weight[c] - k_v * sigma_tot[c] / m2 - stay
+                    if gain > best_gain + 1e-12:
+                        best_c, best_gain = c, gain
+                weight[c] = 0
             if best_c == c_old:
                 stays += 1
+                if skip_settled:
+                    settled[v] = True
+                    for c in touched:
+                        leave_watch[c].append(v)
+                    join_watch[c_old].append(v)
                 continue
             stays = 0
             improved = True
             sigma_tot[c_old] -= k_v
             if best_c == len(sigma_tot):
                 sigma_tot.append(k_v)
+                weight.append(0)
+                if skip_settled:
+                    leave_watch.append([])
+                    join_watch.append([])
             else:
                 sigma_tot[best_c] += k_v
             node_comm[v] = best_c
+            if skip_settled:
+                for u in leave_watch[c_old]:
+                    settled[u] = False
+                leave_watch[c_old] = []
+                for u in join_watch[best_c]:
+                    settled[u] = False
+                join_watch[best_c] = []
     return improved
 
 
-def _louvain_once(adj: list[dict[int, float]], degree: list[float], m2: float,
+def _louvain_once(adj: list[list[int]], degree: list[float], m2: float,
                   rng: random.Random) -> list[set[int]]:
-    """One full Louvain run (local moves + aggregation) from the indexed
-    adjacency ``adj`` and its degrees, which it leaves as they are."""
+    """One full Louvain run (local moves + aggregation) from the level-0
+    adjacency ``adj`` and its degrees, which it leaves as they are. Levels
+    larger than ``MERGE_REFINE_MAX_NODES`` skip settled nodes."""
     membership = list(range(len(adj)))      # node -> node of the current level
     loops = [0.0] * len(adj)
     while True:
         order = list(range(len(adj)))
         rng.shuffle(order)
         node_comm = list(range(len(adj)))
-        if not _louvain_one_level(adj, degree, m2, order, node_comm):
+        if not _louvain_one_level(adj, degree, m2, order, node_comm,
+                                  skip_settled=len(adj) > MERGE_REFINE_MAX_NODES):
             break
         comm_ids = sorted(set(node_comm))
         relabel = {c: i for i, c in enumerate(comm_ids)}
         membership = [relabel[node_comm[v]] for v in membership]
         new_adj: list[dict[int, float]] = [{} for _ in comm_ids]
         new_loops = [0.0] * len(comm_ids)
-        for v, nbrs in enumerate(adj):
+        for v, row in enumerate(adj):
             cv = relabel[node_comm[v]]
             new_loops[cv] += loops[v]
-            for u, w in nbrs.items():
+            for u, w in _links(row):
                 if u < v:
                     continue
                 cu = relabel[node_comm[u]]
@@ -193,7 +256,7 @@ def _louvain_once(adj: list[dict[int, float]], degree: list[float], m2: float,
     return _communities(enumerate(membership))
 
 
-def _merge_refine(adj: list[dict[int, float]], degree: list[float], m: int,
+def _merge_refine(adj: list[list[int]], degree: list[float], m: int,
                   communities: list[set[int]], memo: dict) -> list[set[int]]:
     """Escape shallow local optima by merging community pairs and re-splitting.
 
@@ -250,18 +313,19 @@ def louvain(g: nx.Graph, seed: int = 0) -> tuple[dict, float]:
     a few deterministic restarts.
 
     Node ``i`` is the ``i``-th of ``sorted(g.nodes)``; every restart, every
-    merge trial and the modularity read one adjacency of these indices, built
-    once per call. Node visiting order is shuffled from the seed. Small graphs
-    additionally get the merge-and-resplit polish after each restart. Returns
-    a node-to-community-id map and the modularity of that partition,
-    recomputed from the partition itself. Community ids are assigned by each
-    community's smallest member so the labeling is reproducible.
+    merge trial and the modularity read one list of each node's neighbour
+    indices, built once per call. Node visiting order is shuffled from the
+    seed. Small graphs additionally get the merge-and-resplit polish after
+    each restart. Returns a node-to-community-id map and the modularity of
+    that partition, recomputed from the partition itself. Community ids are
+    assigned by each community's smallest member so the labeling is
+    reproducible.
     """
     if g.number_of_nodes() == 0:
         raise EmptyGraph("louvain needs at least one node")
     nodes = sorted(g.nodes)
     index = {v: i for i, v in enumerate(nodes)}
-    adj = [{index[u]: 1.0 for u in g.adj[v]} for v in nodes]
+    adj = [[index[u] for u in g.adj[v]] for v in nodes]
     degree = [float(len(nbrs)) for nbrs in adj]
     m = g.number_of_edges()
     if m == 0:

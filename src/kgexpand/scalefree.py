@@ -7,6 +7,11 @@ Kolmogorov-Smirnov distance between empirical and fitted tail CDFs wins. The
 power law is then compared against a discrete exponential on the same tail via
 a normalized (Vuong-style) log-likelihood-ratio test; the network counts as
 scale-free when LR > 0 and p < 0.05. Zero-degree observations are excluded.
+
+The Hurwitz zeta is a pure-Python port of Cephes' ``zeta(x, q)``, the routine
+behind ``scipy.special.zeta``; it keeps Cephes' order of operations, and a
+test checks that it returns the same bits as scipy over the fit's domain, so
+the fit imports no scipy and its results match those computed with scipy.
 """
 
 from __future__ import annotations
@@ -40,41 +45,92 @@ class ScaleFreeVerdict:
     is_scale_free: bool
 
 
-def _hurwitz_zeta():
-    """scipy's Hurwitz zeta, imported on use: loading the CLI must not load scipy."""
-    from scipy.special import zeta
-    return zeta
+# Cephes' Euler-Maclaurin coefficients: (2k)! / B_2k for k = 1..12
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+           -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+           1.1646782814350067249e14, -4.5979787224074726105e15,
+           1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
 
 
-def _tail_loglik(alpha: float, n: int, xmin: int, log_sum: float, zeta=None) -> float:
-    if zeta is None:
-        zeta = _hurwitz_zeta()
-    return -n * math.log(zeta(alpha, xmin)) - alpha * log_sum
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """Hurwitz zeta ``sum((q + k) ** -x for k >= 0)`` for x > 1 and q > 0.
+
+    A port of Cephes' ``zeta(x, q)``, the routine behind
+    ``scipy.special.zeta``, with its operations in the same order, so the
+    results are the same to the last bit (a test compares them): direct
+    summation until the terms vanish or ``q + i`` passes 9, then
+    Euler-Maclaurin with twelve Bernoulli terms; beyond q = 1e8, the
+    asymptotic expansion (DLMF 25.11.43).
+    """
+    if q > 1e8:
+        return (1 / (x - 1) + 1 / (2 * q)) * math.pow(q, 1 - x)
+    s = math.pow(q, -x)
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coef in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
 
 
-def _mle_alpha(n: int, xmin: int, log_sum: float, zeta) -> tuple[float, float]:
+def _tail_loglik(alpha: float, n: int, xmin: int, log_sum: float) -> float:
+    return -n * math.log(_hurwitz_zeta(alpha, xmin)) - alpha * log_sum
+
+
+def _mle_alpha(n: int, xmin: int, log_sum: float) -> tuple[float, float]:
     """Golden-section maximization of the tail log-likelihood over alpha."""
     lo, hi = ALPHA_LO, ALPHA_HI
     a = hi - _GOLDEN * (hi - lo)
     b = lo + _GOLDEN * (hi - lo)
-    fa = _tail_loglik(a, n, xmin, log_sum, zeta)
-    fb = _tail_loglik(b, n, xmin, log_sum, zeta)
+    fa = _tail_loglik(a, n, xmin, log_sum)
+    fb = _tail_loglik(b, n, xmin, log_sum)
     while hi - lo > ALPHA_TOL:
         if fa < fb:
             lo, a, fa = a, b, fb
             b = lo + _GOLDEN * (hi - lo)
-            fb = _tail_loglik(b, n, xmin, log_sum, zeta)
+            fb = _tail_loglik(b, n, xmin, log_sum)
         else:
             hi, b, fb = b, a, fa
             a = hi - _GOLDEN * (hi - lo)
-            fa = _tail_loglik(a, n, xmin, log_sum, zeta)
+            fa = _tail_loglik(a, n, xmin, log_sum)
     alpha = (lo + hi) / 2.0
-    return alpha, _tail_loglik(alpha, n, xmin, log_sum, zeta)
+    return alpha, _tail_loglik(alpha, n, xmin, log_sum)
+
+
+def _fitted_cdf(alpha: float, xmin: int, values):
+    """The fitted power law's CDF at each of the integer array ``values``
+    (all at least ``xmin``)."""
+    import numpy as np
+
+    tail_zeta = np.array([_hurwitz_zeta(alpha, q) for q in (values + 1).tolist()])
+    return 1.0 - tail_zeta / _hurwitz_zeta(alpha, xmin)
 
 
 def fit_power_law(degrees) -> PowerLawFit:
     """Fit a discrete power law to a degree sequence, choosing xmin by KS distance."""
-    import numpy as np  # imported on use, like scipy: loading the CLI must not load it
+    import numpy as np  # imported on use: loading the CLI must not load it
 
     xs = np.asarray([int(d) for d in degrees if d > 0], dtype=np.int64)
     if xs.size < MIN_OBSERVATIONS:
@@ -86,7 +142,6 @@ def fit_power_law(degrees) -> PowerLawFit:
     if uniq.size == 1:
         raise DegenerateSequence("all observations are equal")
 
-    zeta = _hurwitz_zeta()
     best: tuple[float, int, float, float, int] | None = None  # ks, xmin, alpha, ll, n
     log_all = np.log(xs.astype(np.float64))
     for xmin in uniq:
@@ -95,10 +150,10 @@ def fit_power_law(degrees) -> PowerLawFit:
         if n < 2 or tail[0] == tail[-1]:
             continue
         log_sum = float(log_all[xs.size - n:].sum())
-        alpha, loglik = _mle_alpha(n, int(xmin), log_sum, zeta)
+        alpha, loglik = _mle_alpha(n, int(xmin), log_sum)
         tail_uniq, counts = np.unique(tail, return_counts=True)
         emp_cdf = np.cumsum(counts) / n
-        fit_cdf = 1.0 - zeta(alpha, tail_uniq + 1) / zeta(alpha, int(xmin))
+        fit_cdf = _fitted_cdf(alpha, int(xmin), tail_uniq)
         ks = float(np.max(np.abs(emp_cdf - fit_cdf)))
         if best is None or (ks, int(xmin)) < (best[0], best[1]):
             best = (ks, int(xmin), alpha, loglik, n)
@@ -127,7 +182,7 @@ def compare_exponential(fit: PowerLawFit, degrees) -> ScaleFreeVerdict:
         raise InconclusiveTest("entire tail sits at xmin; exponential fit degenerates")
     # geometric-tail MLE: success probability from the mean excess
     p_geom = 1.0 / (1.0 + mean_shift)
-    ll_pl = -fit.alpha * np.log(tail) - math.log(_hurwitz_zeta()(fit.alpha, fit.xmin))
+    ll_pl = -fit.alpha * np.log(tail) - math.log(_hurwitz_zeta(fit.alpha, fit.xmin))
     ll_exp = math.log(p_geom) + shifted * math.log(1.0 - p_geom)
     diffs = ll_pl - ll_exp
     lr = float(diffs.sum())

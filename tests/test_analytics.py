@@ -274,6 +274,47 @@ def test_louvain_memo_reuses_merge_refine_searches(monkeypatch, g, seed, chain):
     assert max(shared.values()) >= chain
 
 
+# Graphs past the merge-refine limit, where the local-move phase skips
+# settled nodes.
+@pytest.mark.parametrize("n", [65, 100, 200])
+@pytest.mark.parametrize("graph_seed", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_louvain_matches_the_reference_on_large_random_graphs(n, graph_seed, seed):
+    g = nx.gnm_random_graph(n, 2 * n, seed=graph_seed)
+    partition, q = analytics.louvain(g, seed)
+    ref_partition, ref_q = oracles.louvain(g, seed)
+    assert partition == ref_partition
+    assert repr(q) == repr(ref_q)
+
+
+@pytest.mark.parametrize("n, m, graph_seed, seed", [
+    # moves differently when only neighbour moves and joins wake a settled
+    # node: a node leaving a community next to it must wake it too
+    (39, 48, 6, 1),
+    (20, 30, 0, 0),
+    (30, 45, 3, 2),
+    (50, 60, 4, 5),
+    (64, 150, 7, 0),
+])
+def test_skipping_settled_nodes_changes_no_move(monkeypatch, n, m, graph_seed, seed):
+    # every local-move phase of one louvain call (restart levels and merge
+    # trials) runs with skipping and without, from the same state
+    one_level = analytics._louvain_one_level
+    phases = []
+
+    def both_ways(adj, degree, m2, order, node_comm, **kwargs):
+        skipping = node_comm.copy()
+        improved = one_level(adj, degree, m2, order, skipping, skip_settled=True)
+        assert one_level(adj, degree, m2, order, node_comm) == improved
+        assert node_comm == skipping
+        phases.append(improved)
+        return improved
+
+    monkeypatch.setattr(analytics, "_louvain_one_level", both_ways)
+    analytics.louvain(nx.gnm_random_graph(n, m, seed=graph_seed), seed)
+    assert any(phases)
+
+
 # ---------------------------------------------------------------------------
 # degree correlation, transitivity, k-core, articulation points
 

@@ -1,5 +1,6 @@
 """Import cost of the CLI: importing it and `run` load neither scipy, numpy nor
-requests, and `analyze` does not load scipy.stats."""
+requests, and `analyze` and `report` load no scipy (the power-law fit carries
+its own Hurwitz zeta, and assortativity its own Pearson correlation)."""
 
 import os
 import subprocess
@@ -40,4 +41,15 @@ def test_analyze_does_not_load_scipy_stats(tmp_path):
         "from kgexpand.cli import main\n"
         "assert main(['run', '--synthetic', '--iterations', '3', '--out', 'snaps']) == 0\n"
         "assert main(['analyze', 'snaps', '--out', 'analysis']) == 0",
+        tmp_path)
+
+
+@pytest.mark.parametrize("stage", ["analyze", "report"])
+def test_analysis_stages_do_not_load_scipy(stage, tmp_path):
+    # 12 iterations grow the final graph past the fit's 10-observation minimum
+    assert not _loads(
+        "scipy",
+        "from kgexpand.cli import main\n"
+        "assert main(['run', '--synthetic', '--iterations', '12', '--out', 'snaps']) == 0\n"
+        f"assert main([{stage!r}, 'snaps', '--out', 'out']) == 0",
         tmp_path)

@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import zeta as scipy_zeta
 
 from kgexpand.errors import DegenerateSequence, InconclusiveTest, InsufficientData
 from kgexpand.scalefree import (
+    ALPHA_HI,
+    ALPHA_LO,
     classify,
     compare_exponential,
     fit_power_law,
+    _fitted_cdf,
+    _hurwitz_zeta,
     _tail_loglik,
 )
 
@@ -118,3 +125,29 @@ def test_insufficient_tail_for_comparison():
 def test_fit_is_deterministic():
     data = oracles.sample_discrete_power_law(2.5, 4, 4000, seed=9)
     assert fit_power_law(data) == fit_power_law(data)
+
+
+# ---------------------------------------------------------------------------
+# the Hurwitz zeta port against scipy.special.zeta, bit for bit
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.0100001, 2.0, 3.5, 5.99999, 6.0])
+def test_hurwitz_zeta_matches_scipy_bit_for_bit(alpha):
+    for q in range(1, 2001):
+        assert _hurwitz_zeta(alpha, q) == scipy_zeta(alpha, q), q
+
+
+@given(st.floats(ALPHA_LO, ALPHA_HI),
+       st.one_of(st.integers(1, 10_000), st.floats(1.0, 1e4)))
+@settings(max_examples=500, deadline=None)
+def test_hurwitz_zeta_matches_scipy_on_drawn_arguments(alpha, q):
+    assert _hurwitz_zeta(alpha, q) == scipy_zeta(alpha, q)
+
+
+@pytest.mark.parametrize("alpha", [1.01, 2.3, 6.0])
+def test_fitted_cdf_matches_the_scipy_array_form(alpha):
+    data = oracles.sample_discrete_power_law(2.5, 3, 3000, seed=2)
+    xmin = 3
+    values = np.unique(np.asarray([x for x in data if x >= xmin], dtype=np.int64))
+    expected = 1.0 - scipy_zeta(alpha, values + 1) / scipy_zeta(alpha, xmin)
+    assert _fitted_cdf(alpha, xmin, values).tobytes() == expected.tobytes()
