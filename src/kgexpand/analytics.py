@@ -663,32 +663,21 @@ class BetweennessSeries:
     iterations: list[int]
     nodes: list[str]
     values: list[list[float]]       # [iteration index][node index], absent -> 0.0
-    top_nodes: list[str]
     mean: list[float]
     max: list[float]
 
 
-def summarize_betweenness(per_iter: dict[int, dict[str, float]],
-                          top_n: int = 10) -> BetweennessSeries:
-    """Align per-iteration betweenness tables over all nodes; absent nodes score 0."""
-    iterations = sorted(per_iter)
-    nodes = sorted({v for bc in per_iter.values() for v in bc})
-    values = [[per_iter[it].get(v, 0.0) for v in nodes] for it in iterations]
-    peak = {v: max(per_iter[it].get(v, 0.0) for it in iterations) for v in nodes}
-    top_nodes = sorted(nodes, key=lambda v: (-peak[v], v))[:top_n]
-    mean = [sum(per_iter[it].values()) / len(per_iter[it]) if per_iter[it] else 0.0
-            for it in iterations]
-    max_ = [max(per_iter[it].values(), default=0.0) for it in iterations]
-    return BetweennessSeries(iterations, nodes, values, top_nodes, mean, max_)
-
-
-def betweenness_timeseries(series: list[Snapshot],
-                           top_n: int = 10) -> BetweennessSeries:
+def betweenness_timeseries(series: list[Snapshot]) -> BetweennessSeries:
     """Normalized betweenness of every node over time; absent nodes score 0."""
     if len(series) == 0:
         raise EmptyGraph("empty snapshot series")
     from .sweep import distance_sweep, snapshot_index
-    return summarize_betweenness({
-        snap.iteration: distance_sweep(snapshot_index(
-            snap.graph.undirected_view(self_loops=False))).betweenness
-        for snap in series}, top_n)
+    per_iter = {snap.iteration: distance_sweep(snapshot_index(
+        snap.graph.undirected_view(self_loops=False))).betweenness for snap in series}
+    iterations = sorted(per_iter)
+    tables = [per_iter[it] for it in iterations]
+    nodes = sorted({v for bc in tables for v in bc})
+    values = [[bc.get(v, 0.0) for v in nodes] for bc in tables]
+    mean = [sum(bc.values()) / len(bc) if bc else 0.0 for bc in tables]
+    max_ = [max(bc.values(), default=0.0) for bc in tables]
+    return BetweennessSeries(iterations, nodes, values, mean, max_)

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import logging
 import sys
@@ -114,7 +113,9 @@ def _cmd_paths(args: argparse.Namespace) -> int:
         write_graphml(sub, out / f"path_{i}.graphml", node_attrs=path.node_metrics)
     if len(top) >= 3:
         corr = paths_mod.path_metric_correlations(g, tables, top)
-        _write_correlations(out / "path_correlations.csv", corr)
+        report_mod._write_csv(out / "path_correlations.csv", ["metric", *corr.metrics],
+                              ([name, *map(report_mod._fmt, row)]
+                               for name, row in zip(corr.metrics, corr.matrix)))
     main_path = paths_mod.diameter_path(g, tables)
     print(f"diameter path ({main_path.length} steps): {main_path.render()}")
     if args.mode != "none":
@@ -132,15 +133,6 @@ def _cmd_paths(args: argparse.Namespace) -> int:
         report_file.write_text(rep.to_markdown())
         print(f"wrote {report_file}")
     return 0
-
-
-def _write_correlations(path: Path, corr) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric"] + list(corr.metrics))
-        for name, row in zip(corr.metrics, corr.matrix):
-            writer.writerow([name] + ["nan" if v is None else f"{v:.12g}"
-                                      for v in row])
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -27,6 +27,7 @@ from .prompts import (
     PAIR_SYNERGY_TEMPLATE,
     RELATION_INSIGHT_TEMPLATE,
     SYNTHESIS_TEMPLATE,
+    render_triple,
 )
 from .sessions import GeneratorSession
 
@@ -36,6 +37,11 @@ if TYPE_CHECKING:
 PATH_METRIC_NAMES = ("degree", "betweenness", "closeness", "eigenvector",
                      "pagerank", "clustering", "density")
 BRIDGE_GROUP_SIZE = 3       # pairwise synergies per bridge-synergy prompt
+# the lengths of graph_context_prompt's lists
+CONTEXT_HUBS = 10           # hubs, and influencers by eigenvector
+CONTEXT_COMMUNITIES = 5
+CONTEXT_REPS = 3            # representatives per community
+CONTEXT_EDGES = 5           # relationships per hub
 PAGERANK_ALPHA = 0.85
 PAGERANK_TOL = 1e-8
 PAGERANK_MAX_ITER = 100
@@ -292,9 +298,8 @@ def _ask(gen: GeneratorSession, prompt: str) -> str:
 
 def _render_relation(g: KnowledgeGraph, a: str, b: str) -> str:
     """Deterministic rendering of the relation between two adjacent concepts."""
-    src, kind, tgt = min(t for t in g.triples()
-                         if (t[0], t[2]) in ((a, b), (b, a)))
-    return f"{g.display(src)} -- {kind} -- {g.display(tgt)}"
+    return render_triple(g, min(t for t in g.triples()
+                                if (t[0], t[2]) in ((a, b), (b, a))))
 
 
 def agentic_path_report(path: ExtractedPath, g: KnowledgeGraph,
@@ -353,19 +358,16 @@ def compositional_pipeline(path: ExtractedPath, g: KnowledgeGraph,
 # graph-informed context prompt
 
 
-def graph_context_prompt(g: KnowledgeGraph, task: str, seed: int = 0,
-                         top_hubs: int = 10, top_communities: int = 5,
-                         reps_per_community: int = 3,
-                         edges_per_hub: int = 5) -> str:
+def graph_context_prompt(g: KnowledgeGraph, task: str, seed: int = 0) -> str:
     """Prepend hub/community/relationship context from the graph to a task prompt."""
     if g.node_count == 0:
         raise EmptyGraph("graph_context_prompt needs a non-empty graph")
     und = g.undirected_view(self_loops=False)
     table = centralities(und)
-    hubs = sorted(und.nodes, key=lambda v: (-table.betweenness[v], v))[:top_hubs]
+    hubs = sorted(und.nodes, key=lambda v: (-table.betweenness[v], v))[:CONTEXT_HUBS]
     eigen = table.eigenvector
     influencers = (hubs if eigen is None else
-                   sorted(und.nodes, key=lambda v: (-eigen[v], v))[:top_hubs])
+                   sorted(und.nodes, key=lambda v: (-eigen[v], v))[:CONTEXT_HUBS])
     partition, _ = louvain(und, seed)
     members: dict[int, list[str]] = {}
     for v, cid in partition.items():
@@ -375,8 +377,8 @@ def graph_context_prompt(g: KnowledgeGraph, task: str, seed: int = 0,
              "Key hubs (betweenness): " + ", ".join(g.display(v) for v in hubs),
              "Influencers (eigenvector): " + ", ".join(g.display(v) for v in influencers),
              "Communities:"]
-    for comm in ranked_comms[:top_communities]:
-        reps = sorted(comm, key=lambda v: (-und.degree(v), v))[:reps_per_community]
+    for comm in ranked_comms[:CONTEXT_COMMUNITIES]:
+        reps = sorted(comm, key=lambda v: (-und.degree(v), v))[:CONTEXT_REPS]
         lines.append(f"- {len(comm)} concepts: "
                      + ", ".join(g.display(v) for v in reps))
     lines.append("Key relationships:")
@@ -385,10 +387,9 @@ def graph_context_prompt(g: KnowledgeGraph, task: str, seed: int = 0,
         incident = [t for t in g.triples() if hub in (t[0], t[2])]
         incident.sort(key=lambda t: (-und.degree(t[2] if t[0] == hub else t[0]),
                                      t[0], t[1], t[2]))
-        for triple in incident[:edges_per_hub]:
+        for triple in incident[:CONTEXT_EDGES]:
             if triple in seen:
                 continue
             seen.add(triple)
-            src, kind, tgt = triple
-            lines.append(f"- {g.display(src)} -- {kind} -- {g.display(tgt)}")
+            lines.append("- " + render_triple(g, triple))
     return "\n".join(lines) + f"\n\n{task}"

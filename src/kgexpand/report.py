@@ -16,16 +16,12 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import analytics, scalefree
 # ``largest_component`` is unused here, but perfbench/tracer.py patches every
 # module that binds it and its tests expect this binding
 from .core import Snapshot, largest_component  # noqa: F401
 from .errors import EmptyGraph, KgExpandError, UndefinedMetric
-
-if TYPE_CHECKING:
-    from .sweep import SnapshotIndex
 
 GLOBAL_METRICS = (
     "nodes", "edges", "avg_degree", "max_degree", "self_loops", "lcc_size",
@@ -65,12 +61,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def degree_sequence(index: SnapshotIndex) -> list[int]:
-    """Degrees on a snapshot's self-loop-free undirected view, from its index,
-    in sorted node order."""
-    return index.degree.tolist()
-
-
 @dataclass
 class AnalyzeSeeds:
     louvain: int = 0
@@ -99,7 +89,8 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
     once and passed to every metric, with one Louvain partition and one
     distance sweep, which keeps the depth rows of the sampled pairs' sources
     and gives both betweenness tables; ``analytics.summarize_*`` aggregate
-    the results.
+    the hub and bridge results. metrics.csv is streamed from the per-iteration
+    values and betweenness tables the loop keeps, so no row table is built.
     """
     from .sweep import distance_sweep, snapshot_index
 
@@ -116,7 +107,7 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
         simple = g.undirected_view(self_loops=False)
         index = snapshot_index(simple)
         # after the loop, ``degrees`` is the final snapshot's degree sequence
-        degrees = degree_sequence(index)
+        degrees = index.degree.tolist()
         try:
             fit, verdict = scalefree.classify(degrees)
             scalefree_rows.append([it, _fmt(fit.alpha), fit.xmin, fit.n_tail,
@@ -145,7 +136,7 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
         except UndefinedMetric:
             assort = float("nan")
         kmax, ksize = analytics.kcore(simple)
-        bet_by_iter[it] = sweep.betweenness
+        bet_by_iter[it] = bet = sweep.betweenness
         degrees_by_iter[it] = index.lcc_degrees()
         values_by_iter[it] = {
             **dataclasses.asdict(basic),
@@ -163,33 +154,14 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
             "bridge_nodes": len(bridge_sets[it]),
             "newly_connected": pair_stats.newly_connected,
             "shortened_paths": pair_stats.shortened,
+            "mean_betweenness": sum(bet.values()) / len(bet),
+            "max_betweenness": max(bet.values()),
         }
     if final is None:
         raise EmptyGraph("empty snapshot series")
-    bet = analytics.summarize_betweenness(bet_by_iter)
     bridges = analytics.summarize_bridges(bridge_sets)
     hubs = analytics.summarize_hubs(degrees_by_iter)
-
-    rows: list[tuple] = []
-    for idx, (it, values) in enumerate(values_by_iter.items()):
-        if values["nodes"]:
-            values.update(mean_betweenness=bet.mean[idx], max_betweenness=bet.max[idx],
-                          mean_degree_lcc=hubs.mean_degree[it])
-        for name in GLOBAL_METRICS:
-            rows.append((it, name, "global", _fmt(values[name])))
-        if values["nodes"]:
-            for col, node in enumerate(bet.nodes):
-                rows.append((it, "betweenness", node, _fmt(bet.values[idx][col])))
-    for hub, trajectory in hubs.trajectories.items():
-        for it, deg in trajectory.items():
-            rows.append((it, "hub_degree", hub, _fmt(deg)))
-    for row_idx, node in enumerate(bridges.presence_nodes):
-        for col_idx, it in enumerate(bridges.presence_iterations):
-            rows.append((it, "bridge_presence", node,
-                         _fmt(int(bridges.presence[row_idx][col_idx]))))
-    # final-snapshot centrality distributions (plot-ready per-node values)
-    final_it = final.iteration
-    histogram: dict[int, int] = {}
+    final_table, histogram = None, {}
     if final.graph.node_count:
         # Every other metric reads the self-loop-free view; these rows keep the
         # view with self-loops. A self-loop adds to the adjacency diagonal and
@@ -197,17 +169,38 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
         # Closeness is the same on either view; the loop's sweep gives it.
         final_table = analytics.centralities(final.graph.undirected_view(),
                                              sweep=sweep)
-        for node in sorted(final_table.closeness):
-            rows.append((final_it, "closeness", node,
-                         _fmt(final_table.closeness[node])))
-        if final_table.eigenvector is not None:
-            for node in sorted(final_table.eigenvector):
-                rows.append((final_it, "eigenvector", node,
-                             _fmt(final_table.eigenvector[node])))
         histogram = analytics.sampled_spl_distribution(sweep, spl_samples,
                                                        seeds.sampling).histogram
 
-    _write_csv(out / "metrics.csv", ["iteration", "metric", "subject", "value"], rows)
+    def metric_rows():
+        nodes = sorted({v for bc in bet_by_iter.values() for v in bc})
+        for it, values in values_by_iter.items():
+            if values["nodes"]:
+                values["mean_degree_lcc"] = hubs.mean_degree[it]
+            for name in GLOBAL_METRICS:
+                yield it, name, "global", _fmt(values[name])
+            if values["nodes"]:
+                bc = bet_by_iter[it]
+                for node in nodes:
+                    yield it, "betweenness", node, _fmt(bc.get(node, 0.0))
+        for hub, trajectory in hubs.trajectories.items():
+            for it, deg in trajectory.items():
+                yield it, "hub_degree", hub, _fmt(deg)
+        for node, present in zip(bridges.presence_nodes, bridges.presence):
+            for it, here in zip(bridges.presence_iterations, present):
+                yield it, "bridge_presence", node, _fmt(int(here))
+        # final-snapshot centrality distributions (plot-ready per-node values)
+        if final_table is not None:
+            for node in sorted(final_table.closeness):
+                yield (final.iteration, "closeness", node,
+                       _fmt(final_table.closeness[node]))
+            if final_table.eigenvector is not None:
+                for node in sorted(final_table.eigenvector):
+                    yield (final.iteration, "eigenvector", node,
+                           _fmt(final_table.eigenvector[node]))
+
+    _write_csv(out / "metrics.csv", ["iteration", "metric", "subject", "value"],
+               metric_rows())
     _write_csv(out / "scalefree.csv",
                ["iteration", "alpha", "xmin", "n_tail", "lr", "p", "verdict"],
                scalefree_rows)
@@ -246,7 +239,7 @@ def summarize_snapshot(snap: Snapshot, louvain_seed: int = 0) -> dict[str, str]:
         distance_sweep(index, betweenness=False))
     _, q = analytics.louvain(simple, louvain_seed)
     try:
-        fit, verdict = scalefree.classify(degree_sequence(index))
+        fit, verdict = scalefree.classify(index.degree.tolist())
         lr, p = f"{verdict.lr:.4f}", f"{verdict.p:.4f}"
         alpha, xmin = f"{fit.alpha:.4f}", f"{float(fit.xmin):.1f}"
         classification = "Yes" if verdict.is_scale_free else "No"

@@ -27,7 +27,7 @@ from kgexpand.paths import (
     diameter_path,
     path_tables,
 )
-from kgexpand.report import SUMMARY_ROWS, degree_sequence
+from kgexpand.report import SUMMARY_ROWS
 from kgexpand.sessions import EchoSession
 from kgexpand.sweep import distance_sweep, snapshot_index
 
@@ -160,8 +160,8 @@ def test_criterion_4_end_to_end_synthetic_run(synthetic_run_dir, tmp_path):
     counts = [(s.graph.node_count, s.graph.edge_count) for s in series]
     assert counts == sorted(counts), "node/edge counts must be non-decreasing"
     oracles.validate_supergraph(series)
-    fit, verdict = scalefree.classify(degree_sequence(
-        snapshot_index(series[-1].graph.undirected_view(self_loops=False))))
+    fit, verdict = scalefree.classify(snapshot_index(
+        series[-1].graph.undirected_view(self_loops=False)).degree.tolist())
     assert verdict.is_scale_free, (
         f"final graph not scale-free: LR={verdict.lr:.2f} p={verdict.p:.4f}")
     rerun = tmp_path / "rerun"

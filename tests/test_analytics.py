@@ -685,14 +685,6 @@ def test_matrix_matches_direct_recomputation():
         assert result.max[idx] == pytest.approx(max(expected.values()), abs=EXACT)
 
 
-def test_top_nodes_ranked_by_peak():
-    series = snapshot_series([
-        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")],
-    ])
-    result = analytics.betweenness_timeseries(series, top_n=1)
-    assert result.top_nodes == ["c"]
-
-
 # ---------------------------------------------------------------------------
 # invariant sweeps
 

@@ -6,12 +6,13 @@ import os
 import shutil
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import networkx as nx
 import pytest
 
-from kgexpand import analytics, cli, graphml_io, sweep
+from kgexpand import analytics, cli, graphml_io, report, sweep
 from kgexpand import paths as paths_mod
 from kgexpand.cli import main
 from kgexpand.core import KnowledgeGraph, Snapshot, largest_component
@@ -263,8 +264,7 @@ def test_report_bundle_counts_every_snapshot(run_dir, tmp_path):
 
 
 def test_analyze_series_builds_each_view_once_and_copies_no_graph(monkeypatch, tmp_path):
-    # per snapshot the self-loop-free view, plus the view of an LCC that does
-    # not span it; once more for the final eigenvector rows
+    # per snapshot the self-loop-free view; once more for the final eigenvector rows
     series = _series()
     views = _counting(monkeypatch, KnowledgeGraph.undirected_view, KnowledgeGraph)
 
@@ -273,7 +273,21 @@ def test_analyze_series_builds_each_view_once_and_copies_no_graph(monkeypatch, t
 
     monkeypatch.setattr(nx.Graph, "copy", no_copy)
     analyze_series(series, tmp_path, samples=10, spl_samples=10)
-    assert len(views) <= 2 * sum(1 for s in series if s.graph.node_count) + 1
+    assert len(views) == len(series) + 1
+
+
+def test_analyze_series_streams_metrics_rows(monkeypatch, tmp_path):
+    written = {}
+    write_csv = report._write_csv
+
+    def recording(path, header, rows):
+        written[Path(path).name] = rows
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(report, "_write_csv", recording)
+    analyze_series(_series(), tmp_path, samples=10, spl_samples=10)
+    # an iterator, not a list: no table of every row is built before the write
+    assert isinstance(written["metrics.csv"], Iterator)
 
 
 def test_analyze_series_runs_one_sweep_per_snapshot(monkeypatch, tmp_path):
