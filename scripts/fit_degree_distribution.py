@@ -18,7 +18,7 @@ def main() -> int:
     parser.add_argument("graphml", help="GraphML file to fit")
     args = parser.parse_args()
     g = read_graphml(args.graphml)
-    degrees = snapshot_index(g.undirected_view(self_loops=False)).degree.tolist()
+    degrees = snapshot_index(g).degree.tolist()
     print(f"{g.node_count} nodes, {g.edge_count} edges, "
           f"max degree {max(degrees, default=0)}")
     try:

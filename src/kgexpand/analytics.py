@@ -1,21 +1,32 @@
 """Per-snapshot and cross-snapshot network metrics.
 
-Per-snapshot metrics read what their caller builds once per snapshot: the
-undirected simple view with self-loops left out, its ``sweep.SnapshotIndex``
-and one ``sweep.DistanceSweep`` of that index. Every distance-based value
-(betweenness, closeness, mean SPL, diameter, sampled pair distances) reads
-the sweep; none strips self-loops, builds a view or runs a BFS itself. The
-series functions build their own, as references for
-``report.analyze_series``' one pass. Assortativity is computed here
-(``pearson``), so the analysis does not import ``scipy.stats``. ``louvain``
-indexes the graph's sorted nodes once per call and runs every restart, merge
-trial and modularity sum on those integer neighbour lists. Its local-move
-phase stops at the first fixed point and sums link weights into one scratch
-list indexed by community id; on graphs past ``MERGE_REFINE_MAX_NODES`` it
-also skips nodes whose choice cannot have changed. Merge-refine results are
-memoized per call. None of this changes a move, a partition or a modularity
-bit against the plain algorithm in ``tests/oracles.py``. All seeded
-operations are deterministic for a fixed seed.
+Every per-snapshot metric reads what its caller builds once per snapshot:
+its ``sweep.SnapshotIndex`` (the self-loop-free undirected adjacency as an
+int32 CSR, straight from the triples) and one ``sweep.DistanceSweep`` of that
+index. Every distance-based value (betweenness, closeness, mean SPL,
+diameter, sampled pair distances) reads the sweep. The other kernels read the
+index, and none imports networkx:
+
+- one triangle pass (degree-ordered, Latapy, Theor. Comput. Sci. 407, 2008)
+  gives local clustering, its mean and transitivity;
+- k-core numbers come from Batagelj and Zaversnik's bucket algorithm, and
+  articulation points from an iterative Hopcroft-Tarjan search;
+- eigenvector centrality is networkx's power iteration, float for float;
+- assortativity (``pearson``) walks the index's edges in the order networkx's
+  view yields them, so its float sums are networkx's.
+
+Each keeps networkx's integer formulas and the order of its float sums, so
+the values are networkx's to the bit (``tests/oracles.py`` and the
+differential tests hold the references). ``louvain`` runs every restart,
+merge trial and modularity sum on the index's neighbour lists. Its
+local-move phase stops at the first fixed point and sums link weights into
+one scratch list indexed by community id; on graphs past
+``MERGE_REFINE_MAX_NODES`` it also skips nodes whose choice cannot have
+changed. Merge-refine results are memoized per call. None of this changes a
+move, a partition or a modularity bit against the plain algorithm in
+``tests/oracles.py``. The series functions build their own indexes, as
+references for ``report.analyze_series``' one pass. All seeded operations
+are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -25,15 +36,12 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import TYPE_CHECKING
 
-import networkx as nx
+import numpy as np
 
 from .core import KnowledgeGraph, Snapshot, largest_component
 from .errors import EmptyGraph, UndefinedMetric
-
-if TYPE_CHECKING:
-    from .sweep import DistanceSweep, SnapshotIndex
+from .sweep import DistanceSweep, SnapshotIndex, distance_sweep, snapshot_index
 
 LOUVAIN_RESTARTS = 5
 LOUVAIN_SMALL_RESTARTS = 16       # order traps are likelier on tiny graphs
@@ -57,11 +65,12 @@ class BasicMetrics:
     avg_clustering: float
 
 
-def basic_metrics(g: KnowledgeGraph, simple: nx.Graph,
-                  index: SnapshotIndex) -> BasicMetrics:
-    """Counts, degrees and self-loops of ``g``, the mean clustering of its
-    self-loop-free view ``simple``, and the size of its largest component
-    from ``index``, the view's index."""
+def basic_metrics(g: KnowledgeGraph, index: SnapshotIndex,
+                  local_clustering: list[float]) -> BasicMetrics:
+    """Counts, degrees and self-loops of ``g``; the size of its largest
+    component, from ``index``, its index; and the mean of ``local_clustering``
+    (``clustering`` of that index), summed in key order as networkx's
+    ``average_clustering`` sums it."""
     if g.node_count == 0:
         raise EmptyGraph("basic_metrics needs at least one node")
     return BasicMetrics(
@@ -71,8 +80,51 @@ def basic_metrics(g: KnowledgeGraph, simple: nx.Graph,
         max_degree=g.max_degree(),
         self_loops=g.self_loop_count,
         lcc_size=len(index.lcc),
-        avg_clustering=nx.average_clustering(simple) if simple.number_of_edges() else 0.0,
+        avg_clustering=sum(local_clustering) / len(local_clustering),
     )
+
+
+def triangles(index: SnapshotIndex) -> np.ndarray:
+    """Triangles through each node (int64, index order), from one pass.
+
+    Each edge is oriented from its lower- to its higher-ranked end, by
+    degree and then index, so every out-list is short, and each triangle is
+    the one pair of out-neighbours of its lowest-ranked corner that is itself
+    an edge (Latapy, Theor. Comput. Sci. 407, 2008). All those pairs are
+    looked up at once in the sorted edge keys.
+    """
+    n = len(index.nodes)
+    count = np.zeros(n, dtype=np.int64)
+    if not len(index.edges):
+        return count
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), index.degree))] = np.arange(n)
+    source = np.repeat(np.arange(n), index.degree)
+    up = rank[source] < rank[index.indices]
+    tail, head = source[up], index.indices[up].astype(np.int64)
+    # for each out-arc, the arcs after it in its tail's out-list; both lists
+    # are grouped by tail, in index order
+    group_end = np.cumsum(np.bincount(tail, minlength=n))[tail]
+    later = group_end - np.arange(len(tail)) - 1
+    first = np.repeat(np.arange(len(tail)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    a, b = head[first], head[second]
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    edge_keys = np.sort(index.edges[:, 0].astype(np.int64) * n + index.edges[:, 1])
+    closed = edge_keys[np.searchsorted(edge_keys, keys).clip(max=len(edge_keys) - 1)] == keys
+    for corner in (tail[first[closed]], a[closed], b[closed]):
+        count += np.bincount(corner, minlength=n)
+    return count
+
+
+def clustering(index: SnapshotIndex, triangle_counts: np.ndarray) -> list[float]:
+    """Local clustering of each node in index order from its ``triangles``
+    count ``T``, by networkx's formula: 2T / (d (d - 1)), and 0 where T = 0."""
+    local = np.zeros(len(index.nodes))
+    closed = triangle_counts > 0
+    degree = index.degree[closed].astype(np.float64)
+    local[closed] = 2.0 * triangle_counts[closed] / (degree * (degree - 1))
+    return local.tolist()
 
 
 def spl_and_diameter(sweep: DistanceSweep) -> tuple[float, int]:
@@ -308,26 +360,24 @@ def _merge_refine(adj: list[list[int]], degree: list[float], m: int,
     return [set(c) for c in comms]
 
 
-def louvain(g: nx.Graph, seed: int = 0) -> tuple[dict, float]:
-    """Seeded greedy modularity optimization on a self-loop-free graph; best of
-    a few deterministic restarts.
+def louvain(index: SnapshotIndex, seed: int = 0) -> tuple[dict, float]:
+    """Seeded greedy modularity optimization on an indexed (self-loop-free)
+    graph; best of a few deterministic restarts.
 
-    Node ``i`` is the ``i``-th of ``sorted(g.nodes)``; every restart, every
-    merge trial and the modularity read one list of each node's neighbour
-    indices, built once per call. Node visiting order is shuffled from the
-    seed. Small graphs additionally get the merge-and-resplit polish after
-    each restart. Returns a node-to-community-id map and the modularity of
-    that partition, recomputed from the partition itself. Community ids are
-    assigned by each community's smallest member so the labeling is
-    reproducible.
+    Every restart, every merge trial and the modularity read the index's
+    neighbour lists. Every sum is of integers and every candidate scan is
+    sorted, so the order within a row changes nothing. Node visiting order
+    is shuffled from the seed. Small graphs additionally get the
+    merge-and-resplit polish after each restart. Returns a node-to-community-id
+    map and the modularity of that partition, recomputed from the partition
+    itself. Community ids are assigned by each community's smallest member so
+    the labeling is reproducible.
     """
-    if g.number_of_nodes() == 0:
+    if not index.nodes:
         raise EmptyGraph("louvain needs at least one node")
-    nodes = sorted(g.nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    adj = [[index[u] for u in g.adj[v]] for v in nodes]
+    nodes, adj = index.nodes, index.adjacency
     degree = [float(len(nbrs)) for nbrs in adj]
-    m = g.number_of_edges()
+    m = len(index.edges)
     if m == 0:
         communities = [{i} for i in range(len(nodes))]
     else:
@@ -350,14 +400,15 @@ def louvain(g: nx.Graph, seed: int = 0) -> tuple[dict, float]:
     return partition, _modularity(adj, m, communities)
 
 
-def bridge_nodes(g: nx.Graph, partition: dict) -> set:
+def bridge_nodes(index: SnapshotIndex, partition: dict) -> set:
     """Nodes whose neighbors span more than one community of the partition."""
-    bridges = set()
-    for v in g:
-        seen = {partition[u] for u in g.neighbors(v) if u != v}
-        if len(seen) > 1:
-            bridges.add(v)
-    return bridges
+    if not index.indices.size:
+        return set()
+    community = np.array([partition[v] for v in index.nodes])
+    linked = np.flatnonzero(index.degree > 0)
+    seen, starts = community[index.indices], index.indptr[linked]
+    spans = np.minimum.reduceat(seen, starts) != np.maximum.reduceat(seen, starts)
+    return {index.nodes[i] for i in linked[spans].tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -377,37 +428,105 @@ def pearson(xs: list[float], ys: list[float]) -> float | None:
     return cov / math.sqrt(vx * vy)
 
 
-def assortativity(g: nx.Graph) -> float:
+def assortativity(index: SnapshotIndex) -> float:
     """Degree assortativity (Newman, Phys. Rev. E 67, 026126, 2003): the Pearson
-    correlation of the degrees at the two ends of every edge, taken both ways."""
-    if g.number_of_edges() < 2:
+    correlation of the degrees at the two ends of every edge, taken both ways.
+
+    The edges are taken in the index's (networkx's view) order, which fixes
+    the order of the float sums."""
+    if len(index.edges) < 2:
         raise UndefinedMetric("assortativity needs at least two edges")
-    degree = dict(g.degree())
-    xs = [degree[v] for e in g.edges() for v in e]
-    ys = [degree[v] for u, w in g.edges() for v in (w, u)]
-    r = pearson(xs, ys)
+    ends = index.degree[index.edges]
+    r = pearson(ends.ravel().tolist(), ends[:, ::-1].ravel().tolist())
     if r is None:
         raise UndefinedMetric("assortativity is undefined on a regular graph")
     return r
 
 
-def transitivity(g: nx.Graph) -> float:
-    """Fraction of closed triplets; 0.0 when the graph has no triples."""
-    return nx.transitivity(g)
+def transitivity(index: SnapshotIndex, triangle_counts: np.ndarray) -> float:
+    """Fraction of closed triplets from the ``triangles`` counts, by networkx's
+    integer sums; 0.0 when the graph has no triangle."""
+    closed = 2 * int(triangle_counts.sum())
+    if closed == 0:
+        return 0.0
+    degree = index.degree.astype(np.int64)
+    return closed / int((degree * (degree - 1)).sum())
 
 
-def kcore(g: nx.Graph) -> tuple[int, int]:
+def core_numbers(index: SnapshotIndex) -> list[int]:
+    """Core number of each node, in index order, by Batagelj and Zaversnik's
+    O(m) bucket algorithm (arXiv cs/0310049, 2003)."""
+    adj = index.adjacency
+    degree = index.degree.tolist()
+    order = np.argsort(index.degree, kind="stable")
+    vert = order.tolist()                   # nodes by current degree
+    pos = [0] * len(vert)                   # node -> its place in vert
+    for i, v in enumerate(vert):
+        pos[v] = i
+    # bucket d starts at the first node of current degree d
+    bucket = np.searchsorted(index.degree[order],
+                             np.arange(max(degree, default=0) + 1)).tolist()
+    for i in range(len(vert)):
+        v = vert[i]
+        for u in adj[v]:
+            du = degree[u]
+            if du > degree[v]:
+                # move u to the front of its bucket, then shrink the bucket
+                pu, pw = pos[u], bucket[du]
+                w = vert[pw]
+                if u != w:
+                    vert[pu], vert[pw] = w, u
+                    pos[u], pos[w] = pw, pu
+                bucket[du] += 1
+                degree[u] = du - 1
+    return degree
+
+
+def kcore(index: SnapshotIndex) -> tuple[int, int]:
     """Maximal k with a non-empty k-core, and that core's node count."""
-    if g.number_of_nodes() == 0:
+    if not index.nodes:
         return 0, 0
-    core = nx.core_number(g)
-    max_k = max(core.values())
-    return max_k, sum(1 for v in core.values() if v == max_k)
+    core = core_numbers(index)
+    max_k = max(core)
+    return max_k, core.count(max_k)
 
 
-def articulation_points(g: nx.Graph) -> set:
-    """Nodes whose removal increases the number of connected components."""
-    return set(nx.articulation_points(g))
+def articulation_points(index: SnapshotIndex) -> set:
+    """Nodes whose removal increases the number of connected components, by
+    an iterative Hopcroft-Tarjan depth-first search (CACM 16(6), 1973)."""
+    adj = index.adjacency
+    disc = [0] * len(adj)                   # discovery time, 0 while unvisited
+    low = [0] * len(adj)
+    points = set()
+    clock = 0
+    for root in range(len(adj)):
+        if disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        children = 0
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent, nbrs = stack[-1]
+            for u in nbrs:
+                if not disc[u]:
+                    clock += 1
+                    disc[u] = low[u] = clock
+                    stack.append((u, v, iter(adj[u])))
+                    break
+                if u != parent and disc[u] < low[v]:
+                    low[v] = disc[u]
+            else:
+                stack.pop()
+                if parent == root:
+                    children += 1
+                elif parent >= 0:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        points.add(parent)
+        if children > 1:
+            points.add(root)
+    return {index.nodes[i] for i in sorted(points)}
 
 
 # ---------------------------------------------------------------------------
@@ -421,26 +540,61 @@ class CentralityTable:
     eigenvector: dict | None             # None when power iteration did not converge
 
 
-def centralities(g: nx.Graph, *, sweep: DistanceSweep | None = None) -> CentralityTable:
+def eigenvector_centrality(index: SnapshotIndex, *, self_loops: bool) -> dict | None:
+    """networkx's ``eigenvector_centrality`` (power iteration on A + I, with
+    ``EIGENVECTOR_TOL`` and ``EIGENVECTOR_MAX_ITER``) on the index, with a
+    self-loop's 1 on the diagonal of A when ``self_loops``; None when it has
+    not converged.
+
+    It follows networkx float for float: each node starts from its last
+    value and adds its neighbours' last values in ascending key order, its
+    own at its sorted place when it has a self-loop; the vector is divided by
+    its ``math.hypot``, and the L1 change is summed in key order by the
+    builtin ``sum``. With the nodes ordered by decreasing row length, the
+    ``k``-th additions of every node are one update of a prefix.
+    """
+    n = len(index.nodes)
+    cols, length, starts = index.indices, index.degree, index.indptr[:-1]
+    if self_loops and index.self_loop.any():
+        loops = np.flatnonzero(index.self_loop)
+        rows = np.concatenate((np.repeat(np.arange(n), index.degree), loops))
+        cols = np.concatenate((cols, loops))
+        cols = cols[np.lexsort((cols, rows))]
+        length = index.degree + index.self_loop
+        starts = np.cumsum(length) - length
+    order = np.argsort(-length, kind="stable")
+    place = np.empty(n, dtype=np.int64)     # node -> its row in ``order``
+    place[order] = np.arange(n)
+    length, starts = length[order], starts[order]
+    widest = int(length[0]) if n else 0
+    counts = np.searchsorted(-length, -np.arange(widest), side="left")
+    additions = [(c, place[cols[starts[:c] + k]]) for k, c in enumerate(counts.tolist())]
+    x = np.full(n, 1 / n)
+    for _ in range(EIGENVECTOR_MAX_ITER):
+        last = x
+        ordered = last[order]
+        y = ordered.copy()
+        for count, nbr in additions:
+            y[:count] += ordered[nbr]
+        x = y[place]
+        x = x / (math.hypot(*x.tolist()) or 1)
+        if sum(np.abs(x - last).tolist()) < n * EIGENVECTOR_TOL:
+            return dict(zip(index.nodes, x.tolist()))
+    return None
+
+
+def centralities(sweep: DistanceSweep, *, self_loops: bool = False) -> CentralityTable:
     """Normalized betweenness, component-scaled closeness, eigenvector scores.
 
-    Betweenness and closeness come from ``sweep``, a sweep of ``g``'s
-    self-loop-free view (made here when not given); a self-loop changes no
-    shortest path. Eigenvector centrality uses power iteration on ``g``
-    itself; when it fails to converge the other two tables are still
-    returned and ``eigenvector`` is None.
+    Betweenness and closeness come from ``sweep``; a self-loop changes no
+    shortest path. Eigenvector centrality runs on the swept index, with its
+    self-loops on the diagonal when ``self_loops``; when it fails to converge
+    the other two tables are still returned and ``eigenvector`` is None.
     """
-    if g.number_of_nodes() == 0:
+    if not sweep.index.nodes:
         raise EmptyGraph("centralities need at least one node")
-    if sweep is None:
-        from .sweep import distance_sweep, snapshot_index
-        sweep = distance_sweep(snapshot_index(g))
-    try:
-        eigenvector = nx.eigenvector_centrality(g, max_iter=EIGENVECTOR_MAX_ITER,
-                                               tol=EIGENVECTOR_TOL)
-    except nx.PowerIterationFailedConvergence:
-        eigenvector = None
-    return CentralityTable(sweep.betweenness, sweep.closeness(), eigenvector)
+    return CentralityTable(sweep.betweenness, sweep.closeness(),
+                           eigenvector_centrality(sweep.index, self_loops=self_loops))
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +754,14 @@ def hub_emergence(series: list[Snapshot], d_emerge: int = 5,
     if len(series) == 0:
         raise EmptyGraph("empty snapshot series")
     # a snapshot can be empty when early extractions failed
-    return summarize_hubs({
-        snap.iteration: dict(
-            largest_component(snap.graph).undirected_view(self_loops=False).degree())
-        if snap.graph.node_count else {}
-        for snap in series}, d_emerge, top_n)
+    degrees_by_iter = {}
+    for snap in series:
+        degrees_by_iter[snap.iteration] = {}
+        if snap.graph.node_count:
+            index = snapshot_index(largest_component(snap.graph))
+            degrees_by_iter[snap.iteration] = dict(zip(index.nodes,
+                                                       index.degree.tolist()))
+    return summarize_hubs(degrees_by_iter, d_emerge, top_n)
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +805,8 @@ def bridge_analysis(series: list[Snapshot], seed: int = 0, *,
         raise EmptyGraph("empty snapshot series")
     bridge_sets: dict[int, set[str]] = {}
     for snap in series:
-        und = snap.graph.undirected_view(self_loops=False)
-        bridge_sets[snap.iteration] = (bridge_nodes(und, louvain(und, seed)[0])
+        index = snapshot_index(snap.graph)
+        bridge_sets[snap.iteration] = (bridge_nodes(index, louvain(index, seed)[0])
                                        if snap.graph.node_count else set())
     return summarize_bridges(bridge_sets, window=window, top_nodes=top_nodes)
 
@@ -671,9 +828,8 @@ def betweenness_timeseries(series: list[Snapshot]) -> BetweennessSeries:
     """Normalized betweenness of every node over time; absent nodes score 0."""
     if len(series) == 0:
         raise EmptyGraph("empty snapshot series")
-    from .sweep import distance_sweep, snapshot_index
-    per_iter = {snap.iteration: distance_sweep(snapshot_index(
-        snap.graph.undirected_view(self_loops=False))).betweenness for snap in series}
+    per_iter = {snap.iteration: distance_sweep(snapshot_index(snap.graph)).betweenness
+                for snap in series}
     iterations = sorted(per_iter)
     tables = [per_iter[it] for it in iterations]
     nodes = sorted({v for bc in tables for v in bc})

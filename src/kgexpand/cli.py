@@ -2,6 +2,11 @@
 
 Config files are YAML key/value trees; explicit flags override file values.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
+
+Each command imports what only it uses when it runs: ``yaml`` for a config
+file, and the analysis modules (``report``, ``paths`` and with them numpy)
+for ``analyze``, ``paths`` and ``report``. Loading the CLI and ``run`` load
+none of them.
 """
 
 from __future__ import annotations
@@ -12,10 +17,6 @@ import logging
 import sys
 from pathlib import Path
 
-import yaml
-
-from . import paths as paths_mod
-from . import report as report_mod
 from .errors import KgExpandError
 from .graphml_io import SnapshotStore, read_graphml, write_graphml
 from .loop import RunConfig, run
@@ -24,6 +25,8 @@ from .loop import RunConfig, run
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
+    import yaml
+
     data = yaml.safe_load(Path(path).read_text())
     if data is None:
         return {}
@@ -68,6 +71,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from . import report as report_mod
+
     if args.stride < 1:
         raise KgExpandError(f"--stride must be at least 1, got {args.stride}")
     store = SnapshotStore(args.snapshots)
@@ -101,6 +106,9 @@ def _load_graph_argument(path_arg: str):
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
+    from . import paths as paths_mod
+    from . import report as report_mod
+
     if args.k < 0:
         raise KgExpandError(f"--k must be at least 0, got {args.k}")
     g = _load_graph_argument(args.graph)
@@ -136,6 +144,8 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from . import report as report_mod
+
     store = SnapshotStore(args.snapshots)
     bundle = report_mod.build_report(
         store.final(), len(store.iteration_paths()), args.out,

@@ -11,10 +11,12 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .errors import EmptyGraph, InvalidLabel
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 _WS_RUN = re.compile(r"\s+")
 # characters outside XML 1.0's Char production: a snapshot holding one is unreadable
@@ -139,7 +141,14 @@ class KnowledgeGraph:
     # -- views ----------------------------------------------------------
 
     def undirected_view(self, *, self_loops: bool = True) -> nx.Graph:
-        """Undirected simple view: direction dropped, parallel edges collapsed."""
+        """Undirected simple view: direction dropped, parallel edges collapsed.
+
+        No stage calls it: the analysis reads ``sweep.snapshot_index``. It
+        gives a networkx graph for work outside the pipeline, the tests'
+        oracles among it, so it imports networkx on call.
+        """
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(sorted(self._nodes))
         for s, _, t in self.triples():
@@ -176,11 +185,21 @@ def largest_component(g: KnowledgeGraph) -> KnowledgeGraph:
     """
     if g.node_count == 0:
         raise EmptyGraph("cannot take the largest component of an empty graph")
-    # union-find over the triples: no graph view is built
-    union_find = nx.utils.UnionFind(g._nodes)
+    # union-find over the triples, with path halving: no graph view is built
+    parent = {v: v for v in g._nodes}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
     for s, _, t in g._edges:
-        union_find.union(s, t)
-    components = list(union_find.to_sets())
+        parent[root(s)] = root(t)
+    groups: dict[str, set[str]] = {}
+    for v in g._nodes:
+        groups.setdefault(root(v), set()).add(v)
+    components = list(groups.values())
     max_size = max(len(c) for c in components)
     best = min((c for c in components if len(c) == max_size), key=min)
     sub = KnowledgeGraph()

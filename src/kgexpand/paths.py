@@ -2,20 +2,29 @@
 
 Paths live on the undirected view of the largest component. All ranking and
 tie-breaking is lexicographic so repeated extraction is identical. The path
-functions share one ``PathTables`` of the final graph: its self-loop-free
-undirected view, one sweep of it keeping every node's hop row, and the
-centrality table read from that same sweep.
+functions share one ``PathTables`` of the final graph: one sweep of its
+``sweep.SnapshotIndex`` keeping every node's hop row, as int16 below 32768
+nodes (``sweep.hop_dtype``), and the centrality table read from that same
+sweep. Degrees, local clustering and path densities read the index too, so
+no networkx graph is built.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-import networkx as nx
+import numpy as np
 
-from .analytics import CentralityTable, centralities, louvain, pearson
+from .analytics import (
+    CentralityTable,
+    centralities,
+    clustering,
+    louvain,
+    pearson,
+    triangles,
+)
 # unused here; perfbench/tracer.py patches each module binding ``largest_component``
 from .core import KnowledgeGraph, largest_component  # noqa: F401
 from .errors import EmptyGraph, GeneratorError, NonConvergent, TrivialPath
@@ -30,9 +39,7 @@ from .prompts import (
     render_triple,
 )
 from .sessions import GeneratorSession
-
-if TYPE_CHECKING:
-    from .sweep import DistanceSweep, SnapshotIndex
+from .sweep import DistanceSweep, SnapshotIndex, distance_sweep, snapshot_index
 
 PATH_METRIC_NAMES = ("degree", "betweenness", "closeness", "eigenvector",
                      "pagerank", "clustering", "density")
@@ -66,9 +73,9 @@ class ExtractedPath:
 
 
 def _lexicographic_shortest_path(index: SnapshotIndex, source: int,
-                                 to_target) -> list[str]:
-    """Keys of the smallest shortest path from node index ``source`` to the
-    target whose hop row is ``to_target``.
+                                 to_target) -> list[int]:
+    """Node indices of the smallest shortest path from node index ``source``
+    to the target whose hop row is ``to_target``.
 
     Greedy works here: at step k any node with d(target) = d - k has a
     neighbor one step closer, so the first eligible neighbour of a CSR row
@@ -78,37 +85,35 @@ def _lexicographic_shortest_path(index: SnapshotIndex, source: int,
     for step in range(int(to_target[source]) - 1, -1, -1):
         nbrs = index.indices[index.indptr[path[-1]]:index.indptr[path[-1] + 1]]
         path.append(int(nbrs[(to_target[nbrs] == step).argmax()]))
-    return [index.nodes[i] for i in path]
+    return path
 
 
 @dataclass
 class PathTables:
     """What every path function reads of the final graph, built once."""
 
-    view: nx.Graph                      # self-loop-free undirected view
-    sweep: DistanceSweep                # of the view, every hop row kept
-    centrality: CentralityTable         # ``centralities(view, sweep=sweep)``
+    sweep: DistanceSweep                # of ``g``'s index, every hop row kept
+    centrality: CentralityTable         # ``centralities(sweep)``
 
 
 def path_tables(g: KnowledgeGraph) -> PathTables:
-    """``g``'s self-loop-free view, its all-rows sweep and its centralities."""
+    """The all-rows sweep of ``g``'s index and its centralities."""
     if g.node_count == 0:
         raise EmptyGraph("paths need a non-empty graph")
-    from .sweep import distance_sweep, snapshot_index
-    view = g.undirected_view(self_loops=False)
-    sweep = distance_sweep(snapshot_index(view), keep=range(g.node_count))
-    return PathTables(view, sweep, centralities(view, sweep=sweep))
+    sweep = distance_sweep(snapshot_index(g), keep=range(g.node_count))
+    return PathTables(sweep, centralities(sweep))
 
 
 def _extracted_path(g: KnowledgeGraph, tables: PathTables,
                     source: int, target: int) -> ExtractedPath:
-    sweep, view = tables.sweep, tables.view
-    nodes = _lexicographic_shortest_path(sweep.index, source, sweep.rows[target])
+    sweep = tables.sweep
+    path = _lexicographic_shortest_path(sweep.index, source, sweep.rows[target])
+    nodes = [sweep.index.nodes[i] for i in path]
     return ExtractedPath(
         nodes=nodes,
         displays=[g.display(v) for v in nodes],
         node_metrics={
-            "degree": {v: float(view.degree(v)) for v in nodes},
+            "degree": dict(zip(nodes, sweep.index.degree[path].astype(float).tolist())),
             "betweenness": {v: tables.centrality.betweenness[v] for v in nodes},
             "closeness": {v: tables.centrality.closeness[v] for v in nodes},
         },
@@ -174,16 +179,17 @@ def induced_path_graph(g: KnowledgeGraph, path: ExtractedPath) -> KnowledgeGraph
     return sub
 
 
-def path_metrics(path: ExtractedPath, und: nx.Graph,
+def path_metrics(path: ExtractedPath, index: SnapshotIndex,
                  node_tables: dict[str, dict[str, float]]) -> dict[str, float]:
     """Means of the node tables over the path, and the density of the subgraph
-    the path induces in the graph's self-loop-free view ``und``, by metric name."""
+    the path induces in the graph's ``index``, by metric name."""
     nodes = path.nodes
     means = {name: sum(node_tables[name][v] for v in nodes) / len(nodes)
              for name in node_tables}
+    members = {bisect_left(index.nodes, v) for v in nodes}
+    links = sum(u in members for v in members for u in index.adjacency[v]) // 2
     possible = len(nodes) * (len(nodes) - 1) / 2
-    means["density"] = (und.subgraph(nodes).number_of_edges() / possible
-                        if possible else 0.0)
+    means["density"] = links / possible if possible else 0.0
     return means
 
 
@@ -196,8 +202,6 @@ def pagerank(g: KnowledgeGraph) -> dict[str, float]:
     change falls below ``N * PAGERANK_TOL``; after ``PAGERANK_MAX_ITER``
     iterations it raises NonConvergent. Only the order of float sums differs.
     """
-    import numpy as np  # imported on use: loading the CLI must not load it
-
     nodes = sorted(g.node_keys)
     n = len(nodes)
     if n == 0:
@@ -222,16 +226,16 @@ def pagerank(g: KnowledgeGraph) -> dict[str, float]:
 
 
 def _node_tables(g: KnowledgeGraph, tables: PathTables) -> dict[str, dict[str, float]]:
-    und, table = tables.view, tables.centrality
+    index, table = tables.sweep.index, tables.centrality
     if table.eigenvector is None:
         raise NonConvergent("eigenvector centrality did not converge")
     return {
-        "degree": {v: float(d) for v, d in und.degree()},
+        "degree": dict(zip(index.nodes, index.degree.astype(float).tolist())),
         "betweenness": table.betweenness,
         "closeness": table.closeness,
         "eigenvector": table.eigenvector,
         "pagerank": pagerank(g),
-        "clustering": nx.clustering(und),
+        "clustering": dict(zip(index.nodes, clustering(index, triangles(index)))),
     }
 
 
@@ -241,7 +245,7 @@ def path_metric_correlations(g: KnowledgeGraph, tables: PathTables,
     if len(paths) < 3:
         raise ValueError("need at least three paths to correlate")
     node_tables = _node_tables(g, tables)
-    per_path = [path_metrics(p, tables.view, node_tables) for p in paths]
+    per_path = [path_metrics(p, tables.sweep.index, node_tables) for p in paths]
     columns = {name: [means[name] for means in per_path] for name in PATH_METRIC_NAMES}
     matrix = [[1.0 if a == b else pearson(columns[a], columns[b])
                for b in PATH_METRIC_NAMES] for a in PATH_METRIC_NAMES]
@@ -362,13 +366,14 @@ def graph_context_prompt(g: KnowledgeGraph, task: str, seed: int = 0) -> str:
     """Prepend hub/community/relationship context from the graph to a task prompt."""
     if g.node_count == 0:
         raise EmptyGraph("graph_context_prompt needs a non-empty graph")
-    und = g.undirected_view(self_loops=False)
-    table = centralities(und)
-    hubs = sorted(und.nodes, key=lambda v: (-table.betweenness[v], v))[:CONTEXT_HUBS]
+    index = snapshot_index(g)
+    degree = dict(zip(index.nodes, index.degree.tolist()))
+    table = centralities(distance_sweep(index))
+    hubs = sorted(index.nodes, key=lambda v: (-table.betweenness[v], v))[:CONTEXT_HUBS]
     eigen = table.eigenvector
     influencers = (hubs if eigen is None else
-                   sorted(und.nodes, key=lambda v: (-eigen[v], v))[:CONTEXT_HUBS])
-    partition, _ = louvain(und, seed)
+                   sorted(index.nodes, key=lambda v: (-eigen[v], v))[:CONTEXT_HUBS])
+    partition, _ = louvain(index, seed)
     members: dict[int, list[str]] = {}
     for v, cid in partition.items():
         members.setdefault(cid, []).append(v)
@@ -378,14 +383,14 @@ def graph_context_prompt(g: KnowledgeGraph, task: str, seed: int = 0) -> str:
              "Influencers (eigenvector): " + ", ".join(g.display(v) for v in influencers),
              "Communities:"]
     for comm in ranked_comms[:CONTEXT_COMMUNITIES]:
-        reps = sorted(comm, key=lambda v: (-und.degree(v), v))[:CONTEXT_REPS]
+        reps = sorted(comm, key=lambda v: (-degree[v], v))[:CONTEXT_REPS]
         lines.append(f"- {len(comm)} concepts: "
                      + ", ".join(g.display(v) for v in reps))
     lines.append("Key relationships:")
     seen: set[tuple[str, str, str]] = set()
     for hub in hubs:
         incident = [t for t in g.triples() if hub in (t[0], t[2])]
-        incident.sort(key=lambda t: (-und.degree(t[2] if t[0] == hub else t[0]),
+        incident.sort(key=lambda t: (-degree[t[2] if t[0] == hub else t[0]],
                                      t[0], t[1], t[2]))
         for triple in incident[:CONTEXT_EDGES]:
             if triple in seen:

@@ -22,6 +22,7 @@ from . import analytics, scalefree
 # module that binds it and its tests expect this binding
 from .core import Snapshot, largest_component  # noqa: F401
 from .errors import EmptyGraph, KgExpandError, UndefinedMetric
+from .sweep import distance_sweep, snapshot_index
 
 GLOBAL_METRICS = (
     "nodes", "edges", "avg_degree", "max_degree", "self_loops", "lcc_size",
@@ -85,15 +86,13 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
 
     ``snapshots`` (in iteration order, already thinned by ``stride``, which is
     only recorded) is read once, and the last one is the final snapshot. Each
-    gets one pass: its self-loop-free view and that view's index are built
-    once and passed to every metric, with one Louvain partition and one
+    gets one pass: its index is built once from its triples and passed to
+    every metric, with one triangle pass, one Louvain partition and one
     distance sweep, which keeps the depth rows of the sampled pairs' sources
     and gives both betweenness tables; ``analytics.summarize_*`` aggregate
     the hub and bridge results. metrics.csv is streamed from the per-iteration
     values and betweenness tables the loop keeps, so no row table is built.
     """
-    from .sweep import distance_sweep, snapshot_index
-
     seeds = seeds or AnalyzeSeeds()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -104,8 +103,7 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
     final = None
     for snap in snapshots:
         final, it, g = snap, snap.iteration, snap.graph
-        simple = g.undirected_view(self_loops=False)
-        index = snapshot_index(simple)
+        index = snapshot_index(g)
         # after the loop, ``degrees`` is the final snapshot's degree sequence
         degrees = index.degree.tolist()
         try:
@@ -127,15 +125,16 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
             values_by_iter[it] = {n: 0 if n in zero else math.nan for n in GLOBAL_METRICS}
             bet_by_iter[it], bridge_sets[it], degrees_by_iter[it] = {}, set(), {}
             continue
-        basic = analytics.basic_metrics(g, simple, index)
+        triangles = analytics.triangles(index)
+        basic = analytics.basic_metrics(g, index, analytics.clustering(index, triangles))
         avg_spl, diameter = analytics.spl_and_diameter(sweep)
-        partition, q = analytics.louvain(simple, seeds.louvain)
-        bridge_sets[it] = analytics.bridge_nodes(simple, partition)
+        partition, q = analytics.louvain(index, seeds.louvain)
+        bridge_sets[it] = analytics.bridge_nodes(index, partition)
         try:
-            assort = analytics.assortativity(simple)
+            assort = analytics.assortativity(index)
         except UndefinedMetric:
             assort = float("nan")
-        kmax, ksize = analytics.kcore(simple)
+        kmax, ksize = analytics.kcore(index)
         bet_by_iter[it] = bet = sweep.betweenness
         degrees_by_iter[it] = index.lcc_degrees()
         values_by_iter[it] = {
@@ -145,12 +144,12 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
             "avg_spl_lcc": avg_spl,
             "diameter_lcc": diameter,
             "assortativity": assort,
-            "transitivity": analytics.transitivity(simple),
+            "transitivity": analytics.transitivity(index, triangles),
             "kcore_max": kmax,
             "kcore_size": ksize,
             "avg_betweenness_lcc": (sum(sweep.lcc_betweenness.values())
                                     / len(sweep.lcc_betweenness)),
-            "articulation_points": len(analytics.articulation_points(simple)),
+            "articulation_points": len(analytics.articulation_points(index)),
             "bridge_nodes": len(bridge_sets[it]),
             "newly_connected": pair_stats.newly_connected,
             "shortened_paths": pair_stats.shortened,
@@ -163,12 +162,11 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
     hubs = analytics.summarize_hubs(degrees_by_iter)
     final_table, histogram = None, {}
     if final.graph.node_count:
-        # Every other metric reads the self-loop-free view; these rows keep the
-        # view with self-loops. A self-loop adds to the adjacency diagonal and
-        # so changes eigenvector scores, and this view keeps them as they were.
-        # Closeness is the same on either view; the loop's sweep gives it.
-        final_table = analytics.centralities(final.graph.undirected_view(),
-                                             sweep=sweep)
+        # Every other metric ignores self-loops; the eigenvector rows keep
+        # them. A self-loop adds to the adjacency diagonal and so changes
+        # eigenvector scores, and these rows have always counted it.
+        # Closeness is the same either way; the loop's sweep gives it.
+        final_table = analytics.centralities(sweep, self_loops=True)
         histogram = analytics.sampled_spl_distribution(sweep, spl_samples,
                                                        seeds.sampling).histogram
 
@@ -229,15 +227,13 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
 
 def summarize_snapshot(snap: Snapshot, louvain_seed: int = 0) -> dict[str, str]:
     """Values for the 13 summary rows, computed on one snapshot."""
-    from .sweep import distance_sweep, snapshot_index
-
     g = snap.graph
-    simple = g.undirected_view(self_loops=False)
-    index = snapshot_index(simple)
-    basic = analytics.basic_metrics(g, simple, index)
+    index = snapshot_index(g)
+    basic = analytics.basic_metrics(
+        g, index, analytics.clustering(index, analytics.triangles(index)))
     avg_spl, diameter = analytics.spl_and_diameter(
         distance_sweep(index, betweenness=False))
-    _, q = analytics.louvain(simple, louvain_seed)
+    _, q = analytics.louvain(index, louvain_seed)
     try:
         fit, verdict = scalefree.classify(index.degree.tolist())
         lr, p = f"{verdict.lr:.4f}", f"{verdict.p:.4f}"

@@ -1,8 +1,11 @@
 """One snapshot as integer arrays, and one batched Brandes sweep over it.
 
-``snapshot_index`` numbers a view's sorted nodes once and keeps its
-self-loop-free adjacency as an int32 CSR, with its degrees and component
-labels. ``distance_sweep`` runs Brandes' algorithm (J. Math. Sociol. 25:163,
+``snapshot_index`` builds a ``KnowledgeGraph``'s self-loop-free undirected
+adjacency straight from its triples: the sorted node keys, an int32 CSR with
+the degrees and component labels, a self-loop flag per node, and each edge
+once in the order networkx's view of the graph would yield it. Every
+per-snapshot metric reads this index; no stage builds a networkx graph.
+``distance_sweep`` runs Brandes' algorithm (J. Math. Sociol. 25:163,
 2001) in its algebraic, level-synchronous form (Kepner and Gilbert, *Graph
 Algorithms in the Language of Linear Algebra*, SIAM 2011): a batch of sources
 advances one BFS level per step, each step one sum of the frontier over
@@ -15,16 +18,21 @@ diameter, closeness), and the depth rows of chosen sources.
 Path counts are sums of integers, so they are exact; betweenness differs
 from networkx's only by the order of its float sums (within 1e-12 relative).
 Distances are integers, and closeness uses networkx's formula on them, so
-both are exact. This module imports numpy when it loads, so it is itself
-imported on use: loading the CLI must not load numpy.
+both are exact. This module imports numpy when it loads; the CLI imports the
+analysis modules only in the commands that use them, so loading the CLI or
+``run`` does not load numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    from .core import KnowledgeGraph
 
 # A batch of sources works on about eight arrays of one float64 per node and
 # source (depths, path counts, dependencies and their temporaries); the batch
@@ -43,6 +51,17 @@ class SnapshotIndex:
     degree: np.ndarray          # int32, from indptr
     component: np.ndarray       # int32: the smallest node index of i's component
     lcc: np.ndarray             # indices of the largest component, ascending
+    self_loop: np.ndarray       # bool: the graph has a triple from i to itself
+    # int32 (m, 2): each edge once as (lower, higher) index, in the order
+    # ``undirected_view(self_loops=False).edges()`` yields them: by lower
+    # index, then by the first triple that joins the pair
+    edges: np.ndarray
+
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """The CSR rows as lists of ints, for the kernels that walk them in Python."""
+        ptr, ind = self.indptr.tolist(), self.indices.tolist()
+        return [ind[ptr[i]:ptr[i + 1]] for i in range(len(self.nodes))]
 
     def lcc_degrees(self) -> dict:
         """Node key -> degree over the largest component, in key order."""
@@ -50,21 +69,33 @@ class SnapshotIndex:
         return {self.nodes[i]: degree[i] for i in self.lcc.tolist()}
 
 
-def snapshot_index(view: nx.Graph) -> SnapshotIndex:
-    """Index ``view``'s sorted nodes and its adjacency, self-loops left out.
+def snapshot_index(g: KnowledgeGraph) -> SnapshotIndex:
+    """Index ``g``'s sorted node keys and its undirected adjacency, relation
+    kinds and direction dropped and self-loops left out.
 
     The largest component is the one holding the smallest key among those
     of the largest size, as in ``core.largest_component``.
     """
-    nodes = sorted(view)
+    nodes = sorted(g.node_keys)
     n = len(nodes)
     pos = {v: i for i, v in enumerate(nodes)}
-    rows = [sorted(pos[u] for u in view.adj[v] if u != v) for v in nodes]
-    degree = np.fromiter(map(len, rows), dtype=np.int32, count=n)
+    triples = g.triples()
+    ends = np.fromiter((pos[v] for s, _, t in triples for v in (s, t)),
+                       dtype=np.int64, count=2 * len(triples)).reshape(-1, 2)
+    loop = ends[:, 0] == ends[:, 1]
+    self_loop = np.zeros(n, dtype=bool)
+    self_loop[ends[loop, 0]] = True
+    ends = np.sort(ends[~loop], axis=1)
+    pair_keys, first = np.unique(ends[:, 0] * n + ends[:, 1], return_index=True)
+    first.sort()                        # each pair at its first triple, in order
+    edges = ends[first[np.argsort(ends[first, 0], kind="stable")]].astype(np.int32)
+    lower, higher = np.divmod(pair_keys, max(n, 1))
+    arcs = np.sort(np.concatenate((pair_keys, higher * n + lower)))
+    rows, cols = np.divmod(arcs, max(n, 1))   # both ways, by row then column
+    degree = np.bincount(rows, minlength=n).astype(np.int32)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(degree, out=indptr[1:])
-    indices = np.fromiter((u for row in rows for u in row), dtype=np.int32,
-                          count=int(indptr[-1]))
+    indices = cols.astype(np.int32)
     component = np.arange(n, dtype=np.int32)
     if indices.size:
         # min-label propagation with pointer jumping: labels only fall, and a
@@ -82,7 +113,8 @@ def snapshot_index(view: nx.Graph) -> SnapshotIndex:
     sizes = np.bincount(component, minlength=n)
     lcc = (np.flatnonzero(component == int(np.argmax(sizes))) if n
            else np.zeros(0, dtype=np.int64))
-    return SnapshotIndex(nodes, indptr, indices, degree, component, lcc)
+    return SnapshotIndex(nodes, indptr, indices, degree, component, lcc,
+                         self_loop, edges)
 
 
 @dataclass
@@ -95,7 +127,8 @@ class DistanceSweep:
     eccentricity: np.ndarray    # most hops from i to a node it reaches
     betweenness: dict | None    # normalized, on the whole graph; None if not swept
     lcc_betweenness: dict | None    # normalized, on the largest component alone
-    rows: dict                  # kept source -> hops to every node, -1 unreachable
+    rows: dict                  # kept source -> hops to every node, -1 unreachable,
+                                # as ``hop_dtype(len(index.nodes))``
 
     def closeness(self) -> dict:
         """Closeness scaled by component size, by networkx's exact formula."""
@@ -117,10 +150,17 @@ class DistanceSweep:
         out = {s: self.rows[s] for s in sources if s in self.rows}
         if missing.size:
             rows = _Rows(self.index)
+            dtype = hop_dtype(len(self.index.nodes))
             for batch in _batches(self.index, missing):
                 depth, _, _ = rows.forward(rows.row_of[batch])
-                out.update(zip(batch.tolist(), depth[rows.row_of].T))
+                out.update(zip(batch.tolist(), depth[rows.row_of].T.astype(dtype)))
         return out
+
+
+def hop_dtype(n: int) -> type:
+    """int16 when it holds every hop count of an ``n``-node graph (at most
+    ``n - 1``) and -1, else int32: the dtype of the kept hop rows."""
+    return np.int16 if n < 1 << 15 else np.int32
 
 
 def _batches(index: SnapshotIndex, sources: np.ndarray):
@@ -213,6 +253,7 @@ def distance_sweep(index: SnapshotIndex, keep=(), *,
     eccentricity = np.zeros(n, dtype=np.int64)
     raw = np.zeros(n)                   # by row, like everything in the batch loop
     kept = {}
+    dtype = hop_dtype(n)
     for sources in _batches(index, np.arange(n)):
         depth, sigma, deepest = rows.forward(rows.row_of[sources])
         dist_sum[sources] = np.maximum(depth, 0).sum(axis=0, dtype=np.int64)
@@ -220,7 +261,7 @@ def distance_sweep(index: SnapshotIndex, keep=(), *,
         eccentricity[sources] = depth.max(axis=0)
         for col, s in enumerate(sources.tolist()):
             if s in keep:
-                kept[s] = depth[rows.row_of, col]
+                kept[s] = depth[rows.row_of, col].astype(dtype)
         if betweenness:
             delta = rows.dependencies(depth, sigma, deepest)
             raw += delta.sum(axis=1)

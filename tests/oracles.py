@@ -5,7 +5,8 @@ distances, explicit path enumeration, subset enumeration, exhaustive set
 partitions, dense eigendecomposition) so the production implementations are
 checked against genuinely different algorithms. Where a fast path replaced a
 simple one (the GraphML writer, the longest-path extractors, Louvain), the
-simple one is kept here as its reference.
+simple one is kept here as its reference. ``index_of`` puts a networkx test
+graph on the production ``sweep.SnapshotIndex``, with its node keys kept.
 """
 
 from __future__ import annotations
@@ -19,17 +20,35 @@ import networkx as nx
 import numpy as np
 from scipy.special import zeta
 
+from kgexpand import analytics
 from kgexpand.analytics import (
     LOUVAIN_RESTARTS,
     LOUVAIN_SMALL_RESTARTS,
     MERGE_REFINE_MAX_NODES,
     centralities,
+    pearson,
 )
-from kgexpand.core import largest_component
-from kgexpand.errors import EmptyGraph, TrivialPath
+from kgexpand.core import KnowledgeGraph, largest_component
+from kgexpand.errors import EmptyGraph, TrivialPath, UndefinedMetric
 from kgexpand.paths import ExtractedPath
+from kgexpand.sweep import SnapshotIndex, distance_sweep, snapshot_index
 
 INF = float("inf")
+
+
+def knowledge_graph(view: nx.Graph) -> KnowledgeGraph:
+    """``view`` as a KnowledgeGraph with the same node keys (of one sortable
+    type) and one triple per edge, self-loops included."""
+    kg = KnowledgeGraph()
+    kg._nodes = {v: str(v) for v in view}
+    kg._edges = {(u, "RELATES-TO", v) for u, v in view.edges()}
+    return kg
+
+
+def index_of(view: nx.Graph) -> SnapshotIndex:
+    """The production index of ``view``: its self-loop-free adjacency, with
+    its self-loops flagged."""
+    return snapshot_index(knowledge_graph(view))
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +134,21 @@ def assortativity(g: nx.Graph) -> float:
     vy = sum((y - my) ** 2 for y in ys)
     cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     return cov / math.sqrt(vx * vy)
+
+
+def assortativity_view(g: nx.Graph) -> float:
+    """The reference for ``analytics.assortativity``: the same Pearson
+    correlation over the edges of a self-loop-free networkx view, in the
+    view's order."""
+    if g.number_of_edges() < 2:
+        raise UndefinedMetric("assortativity needs at least two edges")
+    degree = dict(g.degree())
+    xs = [degree[v] for e in g.edges() for v in e]
+    ys = [degree[v] for u, w in g.edges() for v in (w, u)]
+    r = pearson(xs, ys)
+    if r is None:
+        raise UndefinedMetric("assortativity is undefined on a regular graph")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +404,37 @@ def modularity_of(g: nx.Graph, communities: list[set]) -> float:
         degree_sum = sum(d for _, d in g.degree(comm))
         q += internal / m - (degree_sum / (2.0 * m)) ** 2
     return q
+
+
+def louvain_on_view(g: nx.Graph, seed: int = 0) -> tuple[dict, float]:
+    """``analytics.louvain`` with its level-0 neighbour lists built from
+    ``g.adj`` (networkx's adjacency order) instead of the index's CSR rows:
+    the reference that row order changes no partition and no bit of q."""
+    nodes = sorted(g.nodes)
+    position = {v: i for i, v in enumerate(nodes)}
+    adj = [[position[u] for u in g.adj[v]] for v in nodes]
+    degree = [float(len(nbrs)) for nbrs in adj]
+    m = g.number_of_edges()
+    if m == 0:
+        communities = [{i} for i in range(len(nodes))]
+    else:
+        refine = len(nodes) <= MERGE_REFINE_MAX_NODES
+        restarts = LOUVAIN_SMALL_RESTARTS if refine else LOUVAIN_RESTARTS
+        best: list[set[int]] = []
+        best_q = float("-inf")
+        memo: dict = {}
+        for j in range(restarts):
+            cand = analytics._louvain_once(adj, degree, 2.0 * m,
+                                           random.Random(seed * restarts + j))
+            if refine:
+                cand = analytics._merge_refine(adj, degree, m, cand, memo)
+            q = analytics._modularity(adj, m, cand)
+            if q > best_q + 1e-12:
+                best, best_q = cand, q
+        communities = sorted(best, key=min)
+    partition = {nodes[v]: cid for cid, comm in enumerate(communities)
+                 for v in sorted(comm)}
+    return partition, analytics._modularity(adj, m, communities)
 
 
 def _louvain_one_level(adj: dict, degree: dict, m2: float, order: list,
@@ -669,7 +734,7 @@ def _lexicographic_shortest_path(g: nx.Graph, source, target, dist_from_target) 
 
 
 def _attach_metrics(und: nx.Graph, nodes: list) -> dict:
-    table = centralities(und)
+    table = centralities(distance_sweep(index_of(und)))
     return {
         "degree": {v: float(und.degree(v)) for v in nodes},
         "betweenness": {v: table.betweenness[v] for v in nodes},

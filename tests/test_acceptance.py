@@ -75,29 +75,30 @@ def test_criterion_1_oracle_equivalence(corpus):
     started = time.monotonic()
     for g in corpus:
         und = g
-        kg = _kg_from_nx(g)
-        simple = kg.undirected_view(self_loops=False)
-        b = analytics.basic_metrics(kg, simple, snapshot_index(simple))
+        kg = oracles.knowledge_graph(und)
+        index = snapshot_index(kg)
+        triangles = analytics.triangles(index)
+        b = analytics.basic_metrics(kg, index, analytics.clustering(index, triangles))
         assert b.avg_clustering == pytest.approx(
             oracles.average_clustering(und), abs=EXACT)
-        assert analytics.transitivity(und) == pytest.approx(
+        assert analytics.transitivity(index, triangles) == pytest.approx(
             oracles.transitivity(und), abs=EXACT)
         try:
-            ours = analytics.assortativity(und)
+            ours = analytics.assortativity(index)
         except UndefinedMetric:
             degrees = dict(und.degree())
             endpoint = {degrees[u] for e in und.edges() for u in e}
             assert und.number_of_edges() < 2 or len(endpoint) == 1
         else:
             assert ours == pytest.approx(oracles.assortativity(und), abs=EXACT)
-        avg_spl, diameter = analytics.spl_and_diameter(
-            distance_sweep(snapshot_index(und)))
+        sweep = distance_sweep(index)
+        avg_spl, diameter = analytics.spl_and_diameter(sweep)
         o_spl, o_diam = oracles.spl_diameter(und)
         assert avg_spl == pytest.approx(o_spl, abs=EXACT)
         assert diameter == o_diam
-        assert analytics.kcore(und) == oracles.kcore(und)
-        assert analytics.articulation_points(und) == oracles.articulation_points(und)
-        table = analytics.centralities(und)
+        assert analytics.kcore(index) == oracles.kcore(und)
+        assert analytics.articulation_points(index) == oracles.articulation_points(und)
+        table = analytics.centralities(sweep)
         o_bet = oracles.betweenness(und)
         o_clo = oracles.closeness(und)
         o_eig = oracles.eigenvector(und)
@@ -105,8 +106,8 @@ def test_criterion_1_oracle_equivalence(corpus):
             assert table.betweenness[v] == pytest.approx(o_bet[v], abs=EXACT)
             assert table.closeness[v] == pytest.approx(o_clo[v], abs=EXACT)
             assert table.eigenvector[v] == pytest.approx(o_eig[v], abs=EIG)
-        partition, _ = analytics.louvain(und, seed=1)
-        assert (analytics.bridge_nodes(und, partition)
+        partition, _ = analytics.louvain(index, seed=1)
+        assert (analytics.bridge_nodes(index, partition)
                 == oracles.bridge_nodes(und, partition))
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"oracle suite took {elapsed:.1f}s"
@@ -117,7 +118,7 @@ def test_criterion_1_oracle_equivalence(corpus):
 def test_criterion_2_louvain_validity(corpus):
     checked_optimum = 0
     for g in corpus:
-        partition, q = analytics.louvain(g, seed=1)
+        partition, q = analytics.louvain(oracles.index_of(g), seed=1)
         comms: dict = {}
         for v, c in partition.items():
             comms.setdefault(c, set()).add(v)
@@ -160,8 +161,7 @@ def test_criterion_4_end_to_end_synthetic_run(synthetic_run_dir, tmp_path):
     counts = [(s.graph.node_count, s.graph.edge_count) for s in series]
     assert counts == sorted(counts), "node/edge counts must be non-decreasing"
     oracles.validate_supergraph(series)
-    fit, verdict = scalefree.classify(snapshot_index(
-        series[-1].graph.undirected_view(self_loops=False)).degree.tolist())
+    fit, verdict = scalefree.classify(snapshot_index(series[-1].graph).degree.tolist())
     assert verdict.is_scale_free, (
         f"final graph not scale-free: LR={verdict.lr:.2f} p={verdict.p:.4f}")
     rerun = tmp_path / "rerun"
@@ -196,7 +196,7 @@ def test_criterion_5_newly_connected_pairs_exact():
     observed = []
     for snap in series:
         und = snap.graph.undirected_view()
-        index = snapshot_index(und)
+        index = snapshot_index(snap.graph)
         pairs = analytics.draw_pairs(ledger, snap.iteration, len(index.nodes), samples=None)
         stats = analytics.newly_connected_pairs(
             ledger, snap.iteration, distance_sweep(index, keep={u for u, _ in pairs}), pairs)
@@ -269,8 +269,7 @@ def test_criterion_7_path_suite():
         n = 8 + seed % 5
         g = _kg_from_nx(oracles.random_connected_graph(n, seed % 7, 4000 + seed))
         path = diameter_path(g, path_tables(g))
-        lcc = g.undirected_view(self_loops=False)
-        _, diameter = analytics.spl_and_diameter(distance_sweep(snapshot_index(lcc)))
+        _, diameter = analytics.spl_and_diameter(distance_sweep(snapshot_index(g)))
         assert path.length == diameter
     for nodes in range(3, 12):
         g = KnowledgeGraph()

@@ -11,6 +11,7 @@ from kgexpand.errors import EmptyGraph, UndefinedMetric
 from kgexpand.sweep import distance_sweep, snapshot_index
 
 from . import oracles
+from .oracles import index_of
 
 EXACT = 1e-9
 EIG = 1e-6
@@ -38,18 +39,26 @@ def snapshot_series(edge_lists):
 
 def sweep_of(g):
     """One distance sweep of a networkx graph, as the analysis makes per snapshot."""
-    return distance_sweep(snapshot_index(g))
+    return distance_sweep(index_of(g))
+
+
+def triangles_of(g):
+    """A networkx graph's index and its triangle counts."""
+    index = index_of(g)
+    return index, analytics.triangles(index)
 
 
 def basic_metrics(kg):
-    """``analytics.basic_metrics`` on the view and index the analysis builds for a snapshot."""
-    simple = kg.undirected_view(self_loops=False)
-    return analytics.basic_metrics(kg, simple, snapshot_index(simple))
+    """``analytics.basic_metrics`` on the index and clustering the analysis
+    builds for a snapshot."""
+    index = snapshot_index(kg)
+    local = analytics.clustering(index, analytics.triangles(index))
+    return analytics.basic_metrics(kg, index, local)
 
 
 def newly_connected_pairs(ledger, snap, samples):
     """Draw the pairs, sweep keeping their sources' rows, then count, as the analysis does."""
-    index = snapshot_index(snap.graph.undirected_view(self_loops=False))
+    index = snapshot_index(snap.graph)
     pairs = analytics.draw_pairs(ledger, snap.iteration, len(index.nodes), samples)
     sweep = distance_sweep(index, keep={u for u, _ in pairs})
     return analytics.newly_connected_pairs(ledger, snap.iteration, sweep, pairs)
@@ -140,7 +149,7 @@ def test_spl_matches_floyd_warshall(seed):
 
 def test_single_clique_is_one_community_with_zero_q():
     g = nx.complete_graph([f"v{i}" for i in range(5)])
-    partition, q = analytics.louvain(g, seed=1)
+    partition, q = analytics.louvain(index_of(g), seed=1)
     assert len(set(partition.values())) == 1
     assert q == pytest.approx(0.0, abs=EXACT)
 
@@ -151,7 +160,7 @@ def test_two_cliques_joined_by_edge():
         clique = [f"{base}{i}" for i in range(4)]
         g.add_edges_from((u, v) for i, u in enumerate(clique) for v in clique[i + 1:])
     g.add_edge("a0", "b0")
-    partition, q = analytics.louvain(g, seed=1)
+    partition, q = analytics.louvain(index_of(g), seed=1)
     assert len(set(partition.values())) == 2
     assert {partition[f"a{i}"] for i in range(4)} != {partition[f"b{i}"] for i in range(4)}
     assert q == pytest.approx(oracles.best_modularity(g), abs=0.02)
@@ -160,7 +169,7 @@ def test_two_cliques_joined_by_edge():
 def test_returned_q_equals_partition_modularity():
     for seed in range(5):
         g = oracles.random_connected_graph(9, 4, seed)
-        partition, q = analytics.louvain(g, seed=seed)
+        partition, q = analytics.louvain(index_of(g), seed=seed)
         comms = {}
         for v, cid in partition.items():
             comms.setdefault(cid, set()).add(v)
@@ -169,20 +178,20 @@ def test_returned_q_equals_partition_modularity():
 
 def test_louvain_is_deterministic():
     g = oracles.random_connected_graph(12, 8, 4)
-    assert analytics.louvain(g, seed=9) == analytics.louvain(g, seed=9)
+    assert analytics.louvain(index_of(g), seed=9) == analytics.louvain(index_of(g), seed=9)
 
 
 def test_louvain_edgeless_graph():
     g = nx.Graph()
     g.add_nodes_from("abc")
-    partition, q = analytics.louvain(g, seed=0)
+    partition, q = analytics.louvain(index_of(g), seed=0)
     assert len(set(partition.values())) == 3
     assert q == 0.0
 
 
 def test_louvain_empty_graph_rejected():
     with pytest.raises(EmptyGraph):
-        analytics.louvain(nx.Graph(), seed=0)
+        analytics.louvain(index_of(nx.Graph()), seed=0)
 
 
 @st.composite
@@ -227,10 +236,17 @@ _PAST_REFINE_LIMIT = oracles.random_connected_graph(
 @example(_PAST_REFINE_LIMIT, 3)
 @settings(max_examples=200, deadline=None)
 def test_louvain_matches_the_networkx_reference(g, seed):
-    partition, q = analytics.louvain(g, seed)
+    partition, q = analytics.louvain(index_of(g), seed)
     ref_partition, ref_q = oracles.louvain(g, seed)
     assert partition == ref_partition
     assert repr(q) == repr(ref_q)
+    # the index's ascending rows change nothing against networkx's row order
+    assert (partition, repr(q)) == _repr_q(oracles.louvain_on_view(g, seed))
+
+
+def _repr_q(result):
+    partition, q = result
+    return partition, repr(q)
 
 
 # Restarts whose merge-refine reaches states an earlier restart searched from.
@@ -262,7 +278,7 @@ def test_louvain_memo_reuses_merge_refine_searches(monkeypatch, g, seed, chain):
 
     monkeypatch.setattr(analytics, "_merge_refine", keep_memo)
     ours, reference = counting(analytics), counting(oracles)
-    partition, q = analytics.louvain(g, seed)
+    partition, q = analytics.louvain(index_of(g), seed)
     ref_partition, ref_q = oracles.louvain(g, seed)
     assert partition == ref_partition
     assert repr(q) == repr(ref_q)
@@ -281,10 +297,11 @@ def test_louvain_memo_reuses_merge_refine_searches(monkeypatch, g, seed, chain):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_louvain_matches_the_reference_on_large_random_graphs(n, graph_seed, seed):
     g = nx.gnm_random_graph(n, 2 * n, seed=graph_seed)
-    partition, q = analytics.louvain(g, seed)
+    partition, q = analytics.louvain(index_of(g), seed)
     ref_partition, ref_q = oracles.louvain(g, seed)
     assert partition == ref_partition
     assert repr(q) == repr(ref_q)
+    assert (partition, repr(q)) == _repr_q(oracles.louvain_on_view(g, seed))
 
 
 @pytest.mark.parametrize("n, m, graph_seed, seed", [
@@ -311,7 +328,7 @@ def test_skipping_settled_nodes_changes_no_move(monkeypatch, n, m, graph_seed, s
         return improved
 
     monkeypatch.setattr(analytics, "_louvain_one_level", both_ways)
-    analytics.louvain(nx.gnm_random_graph(n, m, seed=graph_seed), seed)
+    analytics.louvain(index_of(nx.gnm_random_graph(n, m, seed=graph_seed)), seed)
     assert any(phases)
 
 
@@ -321,48 +338,48 @@ def test_skipping_settled_nodes_changes_no_move(monkeypatch, n, m, graph_seed, s
 
 def test_star_is_perfectly_disassortative():
     star = nx.star_graph([f"v{i}" for i in range(6)])
-    assert analytics.assortativity(star) == pytest.approx(-1.0, abs=EXACT)
+    assert analytics.assortativity(index_of(star)) == pytest.approx(-1.0, abs=EXACT)
 
 
 def test_regular_graph_assortativity_undefined():
     with pytest.raises(UndefinedMetric):
-        analytics.assortativity(nx.complete_graph(4))
+        analytics.assortativity(index_of(nx.complete_graph(4)))
 
 
 def test_assortativity_needs_two_edges():
     with pytest.raises(UndefinedMetric):
-        analytics.assortativity(nx.Graph([("a", "b")]))
+        analytics.assortativity(index_of(nx.Graph([("a", "b")])))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_assortativity_matches_pearson_oracle(seed):
     g = oracles.random_connected_graph(10, 6, seed)
     try:
-        ours = analytics.assortativity(g)
+        ours = analytics.assortativity(index_of(g))
     except UndefinedMetric:
         return
     assert ours == pytest.approx(oracles.assortativity(g), abs=EXACT)
 
 
 def test_transitivity_extremes():
-    assert analytics.transitivity(nx.complete_graph(3)) == pytest.approx(1.0)
-    assert analytics.transitivity(nx.path_graph(3)) == pytest.approx(0.0)
+    assert analytics.transitivity(*triangles_of(nx.complete_graph(3))) == pytest.approx(1.0)
+    assert analytics.transitivity(*triangles_of(nx.path_graph(3))) == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_transitivity_matches_triangle_count(seed):
     g = oracles.random_connected_graph(10, 8, seed)
-    assert analytics.transitivity(g) == pytest.approx(
+    assert analytics.transitivity(*triangles_of(g)) == pytest.approx(
         oracles.transitivity(g), abs=EXACT)
 
 
 def test_kcore_of_complete_graph():
-    assert analytics.kcore(nx.complete_graph(4)) == (3, 4)
+    assert analytics.kcore(index_of(nx.complete_graph(4))) == (3, 4)
 
 
 def test_kcore_of_tree():
     tree = nx.random_labeled_tree(9, seed=2)
-    assert analytics.kcore(tree) == (1, 9)
+    assert analytics.kcore(index_of(tree)) == (1, 9)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -370,25 +387,25 @@ def test_kcore_matches_subset_enumeration(seed):
     g = oracles.random_connected_graph(9, 7, seed, self_loop_prob=0.4)
     simple = nx.Graph(g)
     simple.remove_edges_from(list(nx.selfloop_edges(simple)))
-    assert analytics.kcore(simple) == oracles.kcore(g)
+    assert analytics.kcore(index_of(simple)) == oracles.kcore(g)
 
 
 def test_kcore_bounds():
     g = oracles.random_connected_graph(11, 9, 31)
-    max_k, size = analytics.kcore(g)
+    max_k, size = analytics.kcore(index_of(g))
     assert max_k <= max(d for _, d in g.degree())
     assert size >= max_k + 1
 
 
 def test_articulation_points_on_path_and_cycle():
-    assert analytics.articulation_points(nx.path_graph(["a", "b", "c"])) == {"b"}
-    assert analytics.articulation_points(nx.cycle_graph(5)) == set()
+    assert analytics.articulation_points(index_of(nx.path_graph(["a", "b", "c"]))) == {"b"}
+    assert analytics.articulation_points(index_of(nx.cycle_graph(5))) == set()
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_articulation_points_match_removal_oracle(seed):
     g = oracles.random_connected_graph(10, 4, seed, self_loop_prob=0.4)
-    assert analytics.articulation_points(g) == oracles.articulation_points(g)
+    assert analytics.articulation_points(index_of(g)) == oracles.articulation_points(g)
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +413,14 @@ def test_articulation_points_match_removal_oracle(seed):
 
 
 def test_middle_of_path_has_unit_betweenness():
-    table = analytics.centralities(nx.path_graph(["a", "b", "c"]))
+    table = analytics.centralities(sweep_of(nx.path_graph(["a", "b", "c"])))
     assert table.betweenness["b"] == pytest.approx(1.0, abs=EXACT)
     assert table.betweenness["a"] == pytest.approx(0.0, abs=EXACT)
 
 
 def test_star_center_dominates_eigenvector():
     star = nx.star_graph([f"v{i}" for i in range(5)])
-    table = analytics.centralities(star)
+    table = analytics.centralities(sweep_of(star))
     center = table.eigenvector["v0"]
     leaves = [table.eigenvector[f"v{i}"] for i in range(1, 5)]
     assert all(center > leaf for leaf in leaves)
@@ -412,7 +429,7 @@ def test_star_center_dominates_eigenvector():
 
 def test_eigenvector_has_unit_norm():
     g = oracles.random_connected_graph(9, 5, 17)
-    table = analytics.centralities(g)
+    table = analytics.centralities(sweep_of(g))
     norm = math.sqrt(sum(v * v for v in table.eigenvector.values()))
     assert norm == pytest.approx(1.0, abs=1e-6)
 
@@ -420,7 +437,7 @@ def test_eigenvector_has_unit_norm():
 @pytest.mark.parametrize("seed", range(8))
 def test_centralities_match_enumeration_oracles(seed):
     g = oracles.random_connected_graph(8, 5, seed)
-    table = analytics.centralities(g)
+    table = analytics.centralities(sweep_of(g))
     o_bet = oracles.betweenness(g)
     o_clo = oracles.closeness(g)
     o_eig = oracles.eigenvector(g)
@@ -433,7 +450,7 @@ def test_centralities_match_enumeration_oracles(seed):
 def test_closeness_scales_by_component_on_disconnected_graph():
     g = nx.Graph([("a", "b"), ("b", "c")])
     g.add_edge("x", "y")
-    table = analytics.centralities(g)
+    table = analytics.centralities(sweep_of(g))
     oracle = oracles.closeness(g)
     for v in g:
         assert table.closeness[v] == pytest.approx(oracle[v], abs=EXACT)
@@ -482,7 +499,7 @@ def test_path_graph_histogram_matches_protocol_replay():
 def test_sampling_restricted_to_lcc():
     kg = kg_from_edges([("a", "b"), ("b", "c"), ("x", "y")])
     dist = analytics.sampled_spl_distribution(
-        sweep_of(kg.undirected_view(self_loops=False)), 200, seed=5)
+        distance_sweep(snapshot_index(kg)), 200, seed=5)
     assert set(dist.histogram) <= {1, 2}
     assert sum(dist.histogram.values()) == 200
 
@@ -615,16 +632,16 @@ def test_preferential_attachment_series_trajectories(tmp_path):
 def test_shared_node_of_two_triangles_is_a_bridge():
     g = nx.Graph([("a1", "a2"), ("a2", "v"), ("v", "a1"),
                   ("b1", "b2"), ("b2", "v"), ("v", "b1")])
-    partition, _ = analytics.louvain(g, seed=2)
-    bridges = analytics.bridge_nodes(g, partition)
+    partition, _ = analytics.louvain(index_of(g), seed=2)
+    bridges = analytics.bridge_nodes(index_of(g), partition)
     assert "v" in bridges
     assert bridges == oracles.bridge_nodes(g, partition)
 
 
 def test_single_clique_has_no_bridges():
     g = nx.complete_graph(5)
-    partition, _ = analytics.louvain(g, seed=0)
-    assert analytics.bridge_nodes(g, partition) == set()
+    partition, _ = analytics.louvain(index_of(g), seed=0)
+    assert analytics.bridge_nodes(index_of(g), partition) == set()
 
 
 def test_bridge_analysis_persistence_and_presence():
@@ -692,8 +709,8 @@ def test_matrix_matches_direct_recomputation():
 @pytest.mark.parametrize("seed", range(6))
 def test_normalized_ranges(seed):
     g = oracles.random_connected_graph(11, 7, seed)
-    table = analytics.centralities(g)
+    table = analytics.centralities(sweep_of(g))
     assert all(0.0 <= v <= 1.0 + EXACT for v in table.betweenness.values())
     assert all(0.0 <= v <= 1.0 + EXACT for v in table.closeness.values())
-    _, q = analytics.louvain(g, seed=seed)
+    _, q = analytics.louvain(index_of(g), seed=seed)
     assert -0.5 <= q <= 1.0

@@ -1,6 +1,8 @@
-"""Import cost of the CLI: importing it and `run` load neither scipy, numpy nor
-requests, and `analyze` and `report` load no scipy (the power-law fit carries
-its own Hurwitz zeta, and assortativity its own Pearson correlation)."""
+"""Import cost of the CLI: importing it and `run` load neither scipy, numpy,
+requests, networkx nor yaml; `analyze` and `report` load no scipy (the
+power-law fit carries its own Hurwitz zeta, and assortativity its own Pearson
+correlation); and no analysis stage loads networkx (every kernel reads the
+snapshot index)."""
 
 import os
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-HEAVY_MODULES = ["scipy", "numpy", "requests"]
+HEAVY_MODULES = ["scipy", "numpy", "requests", "networkx", "yaml"]
 
 
 def _loads(module: str, code: str, cwd) -> bool:
@@ -52,4 +54,15 @@ def test_analysis_stages_do_not_load_scipy(stage, tmp_path):
         "from kgexpand.cli import main\n"
         "assert main(['run', '--synthetic', '--iterations', '12', '--out', 'snaps']) == 0\n"
         f"assert main([{stage!r}, 'snaps', '--out', 'out']) == 0",
+        tmp_path)
+
+
+@pytest.mark.parametrize("stage", [["analyze"], ["paths", "--mode", "compositional"],
+                                   ["report"]], ids=["analyze", "paths", "report"])
+def test_analysis_stages_do_not_load_networkx(stage, tmp_path):
+    assert not _loads(
+        "networkx",
+        "from kgexpand.cli import main\n"
+        "assert main(['run', '--synthetic', '--iterations', '12', '--out', 'snaps']) == 0\n"
+        f"assert main([{stage[0]!r}, 'snaps', *{stage[1:]!r}, '--out', 'out']) == 0",
         tmp_path)

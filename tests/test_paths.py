@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgexpand import paths as paths_mod
-from kgexpand import sweep as sweep_mod
 from kgexpand.analytics import spl_and_diameter
 from kgexpand.cli import main
 from kgexpand.core import KnowledgeGraph, largest_component
@@ -90,8 +89,7 @@ def test_repeated_extraction_is_identical():
 def test_diameter_path_length_equals_diameter(seed):
     g = kg_from_nx(oracles.random_connected_graph(11, 5, seed))
     path = diameter_path(g)
-    lcc = largest_component(g).undirected_view()
-    _, diameter = spl_and_diameter(distance_sweep(snapshot_index(lcc)))
+    _, diameter = spl_and_diameter(distance_sweep(snapshot_index(largest_component(g))))
     assert path.length == diameter
     # consecutive nodes adjacent, no repeats
     und = g.undirected_view()
@@ -244,7 +242,7 @@ def test_paths_command_runs_one_distance_sweep_and_no_networkx_bfs(monkeypatch, 
     # runs no sweep of its own, and no networkx BFS runs at all
     assert main(["run", "--synthetic", "--iterations", "15", "--seed", "4",
                  "--out", str(tmp_path / "snaps")]) == 0
-    sweeps = _counting(monkeypatch, sweep_mod, "distance_sweep")
+    sweeps = _counting(monkeypatch, paths_mod, "distance_sweep")
     views = _counting(monkeypatch, KnowledgeGraph, "undirected_view")
 
     def no_bfs(*args, **kwargs):
@@ -253,7 +251,7 @@ def test_paths_command_runs_one_distance_sweep_and_no_networkx_bfs(monkeypatch, 
     monkeypatch.setattr(nx, "single_source_shortest_path_length", no_bfs)
     assert main(["paths", str(tmp_path / "snaps"), "--mode", "compositional",
                  "--out", str(tmp_path / "paths")]) == 0
-    assert (len(sweeps), len(views)) == (1, 1)
+    assert (len(sweeps), len(views)) == (1, 0)
     assert (tmp_path / "paths" / "compositional_report.md").exists()
 
 

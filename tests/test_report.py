@@ -20,6 +20,7 @@ from kgexpand.errors import EmptyGraph, KgExpandError
 from kgexpand.graphml_io import SnapshotStore
 from kgexpand.loop import RunConfig, run
 from kgexpand.report import AnalyzeSeeds, _fmt, analyze_series
+from kgexpand.sweep import snapshot_index
 
 LOUVAIN_SEED = 3
 
@@ -125,8 +126,7 @@ def test_hub_rows_match_hub_emergence(analyzed):
 def test_partition_metrics_match_louvain(analyzed):
     series, rows, _ = analyzed
     for snap in list(series)[1:]:
-        partition, q = analytics.louvain(snap.graph.undirected_view(self_loops=False),
-                                         LOUVAIN_SEED)
+        partition, q = analytics.louvain(snapshot_index(snap.graph), LOUVAIN_SEED)
         glob = {r["metric"]: r["value"] for r in rows
                 if r["iteration"] == str(snap.iteration) and r["subject"] == "global"}
         assert glob["modularity"] == _fmt(q)
@@ -188,10 +188,10 @@ def test_paths_and_report_read_one_snapshot(monkeypatch, run_dir, tmp_path, comm
         str(run_dir / "graph_iteration_11.graphml")]
 
 
-def test_paths_builds_one_view(monkeypatch, run_dir, tmp_path):
+def test_paths_builds_no_view(monkeypatch, run_dir, tmp_path):
     views = _counting(monkeypatch, KnowledgeGraph.undirected_view, KnowledgeGraph)
     assert main(["paths", str(run_dir), "--out", str(tmp_path / "p")]) == 0
-    assert len(views) == 1
+    assert len(views) == 0
 
 
 def test_paths_rejects_a_negative_k(run_dir, tmp_path, capsys):
@@ -263,17 +263,12 @@ def test_report_bundle_counts_every_snapshot(run_dir, tmp_path):
     assert bundle["final_iteration"] == 11
 
 
-def test_analyze_series_builds_each_view_once_and_copies_no_graph(monkeypatch, tmp_path):
-    # per snapshot the self-loop-free view; once more for the final eigenvector rows
-    series = _series()
+def test_analyze_series_builds_no_view(monkeypatch, tmp_path):
+    # every metric, the final eigenvector rows with self-loops included, reads
+    # the snapshot index
     views = _counting(monkeypatch, KnowledgeGraph.undirected_view, KnowledgeGraph)
-
-    def no_copy(self, *args, **kwargs):
-        raise AssertionError("a networkx graph was copied")
-
-    monkeypatch.setattr(nx.Graph, "copy", no_copy)
-    analyze_series(series, tmp_path, samples=10, spl_samples=10)
-    assert len(views) == len(series) + 1
+    analyze_series(_series(), tmp_path, samples=10, spl_samples=10)
+    assert len(views) == 0
 
 
 def test_analyze_series_streams_metrics_rows(monkeypatch, tmp_path):
@@ -293,7 +288,7 @@ def test_analyze_series_streams_metrics_rows(monkeypatch, tmp_path):
 def test_analyze_series_runs_one_sweep_per_snapshot(monkeypatch, tmp_path):
     # one sweep per snapshot gives both betweenness tables, the distances and
     # the final closeness rows; networkx computes none of them
-    sweeps = _counting(monkeypatch, sweep.distance_sweep, sweep)
+    sweeps = _counting(monkeypatch, sweep.distance_sweep, sweep, report)
     networkx_calls = [_counting(monkeypatch, fn, nx) for fn in (
         nx.betweenness_centrality, nx.closeness_centrality,
         nx.single_source_shortest_path_length)]

@@ -3,14 +3,16 @@
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgexpand import analytics, sweep
-from kgexpand.sweep import distance_sweep, snapshot_index
+from kgexpand.sweep import distance_sweep
 
 from . import oracles
+from .oracles import index_of
 
 REL = 1e-12
 
@@ -48,7 +50,7 @@ def _assert_close(got: dict, expected: dict):
 
 
 def _check_against_networkx(g):
-    index = snapshot_index(g)
+    index = index_of(g)
     n = len(index.nodes)
     swept = distance_sweep(index, keep=range(n))
     simple = _simple(g)
@@ -101,15 +103,38 @@ def test_batches_of_a_few_sources_give_the_same_sweep(monkeypatch, seed):
     g = nx.disjoint_union(oracles.random_connected_graph(20, 12, seed),
                           oracles.random_connected_graph(9, 4, seed + 10))
     g = nx.relabel_nodes(g, {v: f"n{v}" for v in g})
-    whole = distance_sweep(snapshot_index(g))
+    whole = distance_sweep(index_of(g))
     monkeypatch.setattr(sweep, "BATCH_COLUMNS", 3)
     _check_against_networkx(g)
-    batched = distance_sweep(snapshot_index(g))
+    batched = distance_sweep(index_of(g))
     assert batched.dist_sum.tolist() == whole.dist_sum.tolist()
     _assert_close(batched.betweenness, whole.betweenness)
 
 
 def test_largest_component_ties_go_to_the_smallest_key():
-    index = snapshot_index(_two_equal_components())
+    index = index_of(_two_equal_components())
     assert [index.nodes[i] for i in index.lcc] == ["b", "c", "d"]
     assert index.component.tolist() == [0, 0, 0, 3, 3, 3]
+
+
+def test_hop_rows_are_int16_and_equal_an_int32_sweep(monkeypatch):
+    g = oracles.random_connected_graph(40, 30, 5)
+    g.add_edge("x1", "x2")              # unreachable pairs hold -1
+    index = index_of(g)
+    n = len(index.nodes)
+    narrow = distance_sweep(index, keep=range(0, n, 2))
+    narrow_depths = narrow.depths(range(n))
+    monkeypatch.setattr(sweep, "hop_dtype", lambda n: np.int32)
+    wide = distance_sweep(index, keep=range(0, n, 2))
+    wide_depths = wide.depths(range(n))
+    assert narrow.rows.keys() == wide.rows.keys()
+    for i in range(n):
+        assert narrow_depths[i].dtype == np.int16 and wide_depths[i].dtype == np.int32
+        assert np.array_equal(narrow_depths[i], wide_depths[i])
+    assert min(row.min() for row in narrow_depths.values()) == -1
+
+
+def test_hop_dtype_holds_every_hop_count():
+    # n nodes are at most n - 1 hops apart
+    assert sweep.hop_dtype((1 << 15) - 1) is np.int16
+    assert sweep.hop_dtype(1 << 15) is np.int32
