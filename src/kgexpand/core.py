@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -113,6 +114,11 @@ class KnowledgeGraph:
     def triples(self) -> list[tuple[str, str, str]]:
         """Edge triples in deterministic sorted order."""
         return sorted(self._edges)
+
+    @property
+    def triple_set(self) -> AbstractSet[tuple[str, str, str]]:
+        """Edge triples, unordered: the graph's own set, to read and not to change."""
+        return self._edges
 
     def has_edge(self, source_key: str, kind: str, target_key: str) -> bool:
         return (source_key, kind, target_key) in self._edges

@@ -75,25 +75,33 @@ class LocalGraph:
         return self.graph.node_count == 0
 
 
+# what the brace scan stops at; every other character leaves its state alone
+_BRACE_SCAN_STOPS = re.compile(r"""[{}'"\\]""")
+
+
 def _find_brace_block(text: str) -> tuple[int, int]:
     """Locate the first balanced top-level {...} block, quote-aware; a block
-    nested deeper than ``MAX_BRACE_DEPTH`` is malformed."""
+    nested deeper than ``MAX_BRACE_DEPTH`` is malformed.
+
+    Inside quotes a backslash escapes the next character; outside them it is
+    plain text.
+    """
     start = text.find("{")
     if start < 0:
         raise NoGraphFound("no opening brace in reply")
     depth = 0
     quote: str | None = None
-    i = start
-    while i < len(text):
+    escaped_to = start  # a stop before this offset was escaped by a backslash
+    for m in _BRACE_SCAN_STOPS.finditer(text, start):
+        i = m.start()
+        if i < escaped_to:
+            continue
         ch = text[i]
         if quote is not None:
             if ch == "\\":
-                i += 2
-                continue
-            if ch == quote:
+                escaped_to = i + 2
+            elif ch == quote:
                 quote = None
-        elif ch in "'\"":
-            quote = ch
         elif ch == "{":
             depth += 1
             if depth > MAX_BRACE_DEPTH:
@@ -103,7 +111,8 @@ def _find_brace_block(text: str) -> tuple[int, int]:
             depth -= 1
             if depth == 0:
                 return start, i + 1
-        i += 1
+        elif ch != "\\":
+            quote = ch
     raise MalformedLiteral("unbalanced braces in reply")
 
 

@@ -4,10 +4,16 @@ Nodes are keyed by identity key and carry the display spelling in a ``label``
 attribute; edges carry their relation tag in a ``relation`` attribute. Output
 is deterministic (sorted nodes and edges), so writing the same graph twice is
 byte-stable.
+
+There is one serializer. A ``SnapshotStore`` passes its ``RenderCache`` to
+every ``write_graphml`` call, so a snapshot renders only the nodes and triples
+its graph gained since the last one; a call without a cache renders the whole
+graph with the same element code. Both write the same bytes.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 import re
 import xml.etree.ElementTree as ET
@@ -59,50 +65,117 @@ def _escape_attr(text: str) -> str:
     return text
 
 
+class _SortedText:
+    """Rendered text of items, kept in ascending item order."""
+
+    def __init__(self) -> None:
+        self.items: list = []
+        self.texts: list[str] = []  # texts[i] renders items[i]
+
+    def insert(self, new, render) -> None:
+        for item in sorted(new):
+            i = bisect.bisect_left(self.items, item)
+            self.items.insert(i, item)
+            self.texts.insert(i, render(item))
+
+
+class RenderCache:
+    """The rendered elements of the last graph written through it.
+
+    It keeps each node's ``<node>`` element for its key and display, and the
+    text of each triple's ``<edge>`` element after the ``e{i}`` id, both in
+    sorted order, and the numbered id prefixes. A graph that holds the last
+    one (every node with the same display, and every triple) costs only its
+    new elements; otherwise the nodes or the edges are rendered from nothing.
+    The bytes are those of an uncached write either way.
+    """
+
+    def __init__(self) -> None:
+        self._displays: dict[str, str] = {}
+        self._triples: set[tuple[str, str, str]] = set()
+        self._nodes = _SortedText()
+        self._edges = _SortedText()
+        # '    <edge id="e{i}' and then the text of the i-th triple, for each i
+        self._edge_parts: list[str] = []
+
+    def render(self, g: KnowledgeGraph,
+               node_attrs: dict[str, dict[str, float]]) -> str:
+        parts = [_XML_DECLARATION, f'<graphml xmlns="{GRAPHML_NS}">\n',
+                 '  <key for="node" attr.name="label" attr.type="string" id="d0" />\n',
+                 '  <key for="edge" attr.name="relation" attr.type="string" id="d1" />\n']
+        extras = []
+        for i, name in enumerate(sorted(node_attrs)):
+            extras.append((f"d{i + 2}", node_attrs[name]))
+            parts.append(f'  <key for="node" attr.name="{_escape_attr(name)}" '
+                         f'attr.type="{_attr_type(node_attrs[name].values())}" '
+                         f'id="d{i + 2}" />\n')
+        displays = g.display_map()
+        if self._displays.items() <= displays.items():
+            new_keys = displays.keys() - self._displays.keys()
+        else:  # a node is gone, or shows another display
+            self._nodes, new_keys = _SortedText(), displays.keys()
+        self._nodes.insert(new_keys, lambda key: _node_element(key, displays[key], extras))
+        self._displays = displays
+        triples = g.triple_set
+        new_triples = triples - self._triples
+        if len(triples) - len(new_triples) != len(self._triples):  # a triple is gone
+            self._edges, self._triples, new_triples = _SortedText(), set(), triples
+        self._edges.insert(new_triples, _edge_text)
+        self._triples |= new_triples
+        texts, edge_parts = self._edges.texts, self._edge_parts
+        del edge_parts[2 * len(texts):]
+        for i in range(len(edge_parts) // 2, len(texts)):
+            edge_parts += (f'    <edge id="e{i}', "")
+        edge_parts[1::2] = texts
+        if not self._nodes.texts:
+            parts.append('  <graph edgedefault="directed" />\n')
+        else:
+            parts.append('  <graph edgedefault="directed">\n')
+            parts += self._nodes.texts
+            parts += edge_parts
+            parts.append("  </graph>\n")
+        parts.append("</graphml>")
+        return "".join(parts)
+
+
+def _node_element(key: str, display: str, extras) -> str:
+    text = (f'    <node id="{_escape_attr(key)}">\n'
+            f'      <data key="d0">{_escape_text(display)}</data>\n')
+    for key_id, values in extras:
+        if key in values:
+            value = values[key]
+            text += (f'      <data key="{key_id}">'
+                     f'{value if isinstance(value, int) else float(value)!r}</data>\n')
+    return text + "    </node>\n"
+
+
+def _edge_text(triple: tuple[str, str, str]) -> str:
+    src, kind, tgt = triple
+    return (f'" source="{_escape_attr(src)}" target="{_escape_attr(tgt)}">\n'
+            f'      <data key="d1">{_escape_text(kind)}</data>\n'
+            "    </edge>\n")
+
+
 def write_graphml(g: KnowledgeGraph, path: str | Path,
-                  node_attrs: dict[str, dict[str, float]] | None = None) -> None:
+                  node_attrs: dict[str, dict[str, float]] | None = None, *,
+                  cache: RenderCache | None = None) -> None:
     """Write a graph as directed GraphML; optional extra numeric node attributes.
 
     The document is built as strings and written in one call. Its bytes are
     those of an ElementTree tree indented with ``ET.indent(space="  ")`` and
     written with an XML declaration: ``<key>`` attributes in the order
     ``for``, ``attr.name``, ``attr.type``, ``id``; empty elements as ``<x />``;
-    no newline after ``</graphml>``; non-ASCII written raw.
+    no newline after ``</graphml>``; non-ASCII written raw. A ``cache``
+    passed on every call of a series re-renders only what each graph adds;
+    it holds no extra attributes, so it cannot be combined with them.
     """
-    node_attrs = node_attrs or {}
-    parts = [_XML_DECLARATION, f'<graphml xmlns="{GRAPHML_NS}">\n',
-             '  <key for="node" attr.name="label" attr.type="string" id="d0" />\n',
-             '  <key for="edge" attr.name="relation" attr.type="string" id="d1" />\n']
-    extra_ids: dict[str, str] = {}
-    for i, name in enumerate(sorted(node_attrs)):
-        key_id = extra_ids[name] = f"d{i + 2}"
-        parts.append(f'  <key for="node" attr.name="{_escape_attr(name)}" '
-                     f'attr.type="{_attr_type(node_attrs[name].values())}" '
-                     f'id="{key_id}" />\n')
-    displays = g.display_map()
-    if not displays:
-        parts.append('  <graph edgedefault="directed" />\n')
-    else:
-        parts.append('  <graph edgedefault="directed">\n')
-        ids: dict[str, str] = {}
-        for key in sorted(displays):
-            node_id = ids[key] = _escape_attr(key)
-            parts.append(f'    <node id="{node_id}">\n'
-                         f'      <data key="d0">{_escape_text(displays[key])}</data>\n')
-            for name, key_id in extra_ids.items():
-                if key in node_attrs[name]:
-                    value = node_attrs[name][key]
-                    text = repr(value if isinstance(value, int) else float(value))
-                    parts.append(f'      <data key="{key_id}">{text}</data>\n')
-            parts.append("    </node>\n")
-        for i, (src, kind, tgt) in enumerate(g.triples()):
-            parts.append(f'    <edge id="e{i}" source="{ids[src]}" target="{ids[tgt]}">\n'
-                         f'      <data key="d1">{_escape_text(kind)}</data>\n'
-                         "    </edge>\n")
-        parts.append("  </graph>\n")
-    parts.append("</graphml>")
+    if cache is None:
+        cache = RenderCache()
+    elif node_attrs:
+        raise ValueError("a render cache holds node elements without extra attributes")
+    text = cache.render(g, node_attrs or {})
     with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
-        fh.write("".join(parts))
+        fh.write(text)
 
 
 def _local(tag: str) -> str:
@@ -164,11 +237,12 @@ class SnapshotStore:
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
+        self._cache = RenderCache()
 
     def write(self, snapshot: Snapshot) -> Path:
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / snapshot_filename(snapshot.iteration)
-        write_graphml(snapshot.graph, path)
+        write_graphml(snapshot.graph, path, cache=self._cache)
         return path
 
     def iteration_paths(self) -> list[tuple[int, Path]]:

@@ -14,11 +14,12 @@ import csv
 import json
 import logging
 import time
+import traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .core import KnowledgeGraph, MergeDelta, Snapshot, merge_local
-from .errors import ConfigError, GeneratorError
+from .errors import ConfigError
 from .extraction import (
     IsolationStatus,
     extract_with_retry,
@@ -117,8 +118,11 @@ def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
     """Execute exactly ``cfg.iterations`` expansion iterations.
 
     Deterministic for the synthetic generator with a fixed seed. Each iteration
-    writes the live graph as its snapshot; on an unrecoverable generator
-    failure the partial series stays on disk and the error propagates.
+    writes the live graph as its snapshot. When any exception stops the loop
+    (a generator failure, a full disk, an interrupt), the partial series stays
+    on disk, ``run_records.csv`` and ``manifest.json`` are written for the
+    completed iterations with the exception in ``aborted``, and the exception
+    propagates.
     """
     cfg.validate()
     if gen is None:
@@ -155,10 +159,16 @@ def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
                 log.info("iteration %d skipped after %d retries: %s",
                          i, outcome.retries_used, outcome.last_error)
             question = next_question
-    except GeneratorError as exc:
-        _write_records(store.directory / RECORDS_FILENAME, records)
-        _write_manifest(store.directory / MANIFEST_FILENAME, cfg, records,
-                        started, aborted=str(exc))
+    except BaseException as exc:
+        # the completed iterations' records, whatever stopped the loop; a
+        # failure to write them is logged and does not replace ``exc``
+        aborted = "".join(traceback.format_exception_only(exc)).strip()
+        try:
+            _write_records(store.directory / RECORDS_FILENAME, records)
+            _write_manifest(store.directory / MANIFEST_FILENAME, cfg, records,
+                            started, aborted=aborted)
+        except Exception:
+            log.exception("could not write the records of the aborted run")
         raise
     _write_records(store.directory / RECORDS_FILENAME, records)
     _write_manifest(store.directory / MANIFEST_FILENAME, cfg, records, started)

@@ -4,9 +4,10 @@ Everything here recomputes metrics from first principles (Floyd-Warshall
 distances, explicit path enumeration, subset enumeration, exhaustive set
 partitions, dense eigendecomposition) so the production implementations are
 checked against genuinely different algorithms. Where a fast path replaced a
-simple one (the GraphML writer, the longest-path extractors, Louvain), the
-simple one is kept here as its reference. ``index_of`` puts a networkx test
-graph on the production ``sweep.SnapshotIndex``, with its node keys kept.
+simple one (the GraphML writer, the reply brace scan, the longest-path
+extractors, Louvain), the simple one is kept here as its reference.
+``index_of`` puts a networkx test graph on the production
+``sweep.SnapshotIndex``, with its node keys kept.
 """
 
 from __future__ import annotations
@@ -29,7 +30,14 @@ from kgexpand.analytics import (
     pearson,
 )
 from kgexpand.core import KnowledgeGraph, largest_component
-from kgexpand.errors import EmptyGraph, TrivialPath, UndefinedMetric
+from kgexpand.errors import (
+    EmptyGraph,
+    MalformedLiteral,
+    NoGraphFound,
+    TrivialPath,
+    UndefinedMetric,
+)
+from kgexpand.extraction import MAX_BRACE_DEPTH
 from kgexpand.paths import ExtractedPath
 from kgexpand.sweep import SnapshotIndex, distance_sweep, snapshot_index
 
@@ -716,6 +724,37 @@ def write_graphml_etree(g, path, node_attrs=None) -> None:
     tree = ET.ElementTree(root)
     ET.indent(tree, space="  ")
     tree.write(path, encoding="utf-8", xml_declaration=True)
+
+
+def find_brace_block(text: str) -> tuple[int, int]:
+    """The reference for ``extraction._find_brace_block``: one character at a time."""
+    start = text.find("{")
+    if start < 0:
+        raise NoGraphFound("no opening brace in reply")
+    depth = 0
+    quote: str | None = None
+    i = start
+    while i < len(text):
+        ch = text[i]
+        if quote is not None:
+            if ch == "\\":
+                i += 2
+                continue
+            if ch == quote:
+                quote = None
+        elif ch in "'\"":
+            quote = ch
+        elif ch == "{":
+            depth += 1
+            if depth > MAX_BRACE_DEPTH:
+                raise MalformedLiteral(
+                    f"braces nest deeper than {MAX_BRACE_DEPTH} in reply")
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return start, i + 1
+        i += 1
+    raise MalformedLiteral("unbalanced braces in reply")
 
 
 # ---------------------------------------------------------------------------

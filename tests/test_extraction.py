@@ -12,6 +12,7 @@ from kgexpand.extraction import (
     MAX_BRACE_DEPTH,
     MAX_REPLY_CHARS,
     IsolationStatus,
+    _find_brace_block,
     extract_with_retry,
     isolate_reasoning,
     locate_graph_section,
@@ -19,6 +20,7 @@ from kgexpand.extraction import (
     serialize_graph_literal,
 )
 
+from .oracles import find_brace_block
 from .strategies import knowledge_graphs
 
 
@@ -172,6 +174,21 @@ def test_braces_nested_past_the_depth_cap_are_rejected():
         parse_graph_literal(nested(MAX_BRACE_DEPTH + 1))
     # a quoted brace does not count
     assert parse_graph_literal("{'" + "{" * 50 + "': {}}").graph.node_count == 1
+
+
+def _scan(find, text):
+    try:
+        return find(text)
+    except (NoGraphFound, MalformedLiteral) as exc:
+        return type(exc)
+
+
+@given(st.text(alphabet="{}'\"\\ax", max_size=40)
+       | st.integers(MAX_BRACE_DEPTH - 1, MAX_BRACE_DEPTH + 2).map(
+           lambda d: "a{" * d + "'}\\''" + "}" * d))
+@settings(max_examples=500)
+def test_brace_scan_matches_the_character_scan(text):
+    assert _scan(_find_brace_block, text) == _scan(find_brace_block, text)
 
 
 @given(knowledge_graphs())

@@ -1,17 +1,19 @@
-"""The GraphML string writer: its bytes against ElementTree's, and labels XML can hold."""
+"""The GraphML string writer: its bytes against ElementTree's, through a render
+cache or not, and labels XML can hold."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgexpand.core import KnowledgeGraph, normalize_label, normalize_relation
+from kgexpand import graphml_io
+from kgexpand.core import KnowledgeGraph, Snapshot, normalize_label, normalize_relation
 from kgexpand.errors import InvalidLabel
 from kgexpand.extraction import THINK_CLOSE, THINK_OPEN, parse_graph_literal
-from kgexpand.graphml_io import SnapshotStore, read_graphml, write_graphml
+from kgexpand.graphml_io import RenderCache, SnapshotStore, read_graphml, write_graphml
 from kgexpand.loop import RunConfig, run
 
 from .oracles import write_graphml_etree
-from .strategies import knowledge_graphs, xml_labels
+from .strategies import knowledge_graphs, relation_kinds, xml_labels
 
 GOLDEN = """\
 <?xml version='1.0' encoding='utf-8'?>
@@ -121,6 +123,108 @@ def test_writer_is_byte_identical_to_elementtree(tmp_path_factory, case):
     write_graphml_etree(g, out / "reference.graphml", node_attrs=attrs)
     assert (out / "fast.graphml").read_bytes() == (out / "reference.graphml").read_bytes()
     assert set(read_graphml(out / "fast.graphml").triples()) == set(g.triples())
+
+
+# ---------------------------------------------------------------------------
+# the render cache: one store, a sequence of graphs
+
+
+def _rebuilt(g: KnowledgeGraph, triples, keys, respelled=None) -> KnowledgeGraph:
+    """A new graph with ``g``'s displays, holding ``triples`` and the nodes
+    ``keys``; the key ``respelled`` shows its display with the case swapped."""
+    out = KnowledgeGraph()
+    if respelled is not None:
+        out.add_node(g.display(respelled).swapcase())
+    for src, kind, tgt in triples:
+        out.add_edge(g.display(src), kind, g.display(tgt))
+    for key in keys:
+        out.add_node(g.display(key))
+    return out
+
+
+@st.composite
+def graph_sequences(draw):
+    """Graphs that grow, shrink, respell a key, empty out or start afresh."""
+    g = KnowledgeGraph()
+    graphs = []
+    for step in draw(st.lists(st.sampled_from(
+            ["grow", "grow", "shrink", "respell", "empty", "fresh"]), max_size=8)):
+        if step == "grow":
+            g = g.copy()
+            for src, kind, tgt in draw(st.lists(
+                    st.tuples(xml_labels, relation_kinds, xml_labels), max_size=4)):
+                g.add_edge(src, kind, tgt)
+            for label in draw(st.lists(xml_labels, max_size=2)):
+                g.add_node(label)
+        elif step == "shrink" and g.node_count:
+            triples = g.triples()
+            kept = draw(st.lists(st.sampled_from(triples), unique=True)) if triples else []
+            g = _rebuilt(g, kept, draw(st.lists(st.sampled_from(sorted(g.node_keys)),
+                                                unique=True)))
+        elif step == "respell" and g.node_count:
+            key = draw(st.sampled_from(sorted(g.node_keys)))
+            g = _rebuilt(g, g.triples(), sorted(g.node_keys), respelled=key)
+        elif step == "empty":
+            g = KnowledgeGraph()
+        elif step == "fresh":
+            g = draw(knowledge_graphs(label_strategy=xml_labels))
+        graphs.append(g)
+    return graphs
+
+
+def _assert_store_writes_what_elementtree_writes(out, graphs):
+    store = SnapshotStore(out / "snapshots")
+    for i, g in enumerate(graphs):
+        path = store.write(Snapshot(i, g))
+        write_graphml_etree(g, out / "reference.graphml")
+        assert path.read_bytes() == (out / "reference.graphml").read_bytes(), i
+
+
+@given(graph_sequences())
+@settings(max_examples=100, deadline=None)
+def test_a_store_writes_each_graph_of_a_sequence_as_elementtree_does(
+        tmp_path_factory, graphs):
+    _assert_store_writes_what_elementtree_writes(tmp_path_factory.mktemp("seq"), graphs)
+
+
+def test_a_store_follows_growth_shrinking_respelling_and_the_empty_graph(tmp_path):
+    small = KnowledgeGraph()
+    small.add_edge("R&D", "HAS", "Café")
+    grown = small.copy()
+    grown.add_edge("Café", "IS-A", "<Thing>")
+    grown.add_edge("R&D", "HAS", "Über")
+    grown.add_node("Lone")
+    shrunk = _rebuilt(grown, [("r&d", "HAS", "über")], ["lone"])
+    respelled = _rebuilt(grown, grown.triples(), ["lone"], respelled="café")
+    assert respelled.display("café") == "cAFÉ"
+    _assert_store_writes_what_elementtree_writes(
+        tmp_path, [KnowledgeGraph(), small, grown, shrunk, grown, respelled,
+                   KnowledgeGraph(), grown])
+
+
+def test_every_snapshot_of_a_run_equals_the_uncached_writer(tmp_path, monkeypatch):
+    real_write = graphml_io.write_graphml
+    caches, differing = [], []
+
+    def write_and_compare(g, path, node_attrs=None, *, cache=None):
+        real_write(g, path, node_attrs, cache=cache)
+        real_write(g, tmp_path / "uncached.graphml", node_attrs)
+        caches.append(cache)
+        if path.read_bytes() != (tmp_path / "uncached.graphml").read_bytes():
+            differing.append(path.name)
+
+    monkeypatch.setattr(graphml_io, "write_graphml", write_and_compare)
+    run(RunConfig(iterations=60, seed=11, snapshot_dir=str(tmp_path / "snapshots")))
+    assert len(caches) == 60
+    assert isinstance(caches[0], RenderCache)
+    assert all(cache is caches[0] for cache in caches)
+    assert differing == []
+
+
+def test_a_cache_does_not_take_extra_node_attributes(tmp_path):
+    g, attrs = _golden_graph()
+    with pytest.raises(ValueError):
+        write_graphml(g, tmp_path / "x.graphml", node_attrs=attrs, cache=RenderCache())
 
 
 # ---------------------------------------------------------------------------

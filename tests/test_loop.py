@@ -1,3 +1,5 @@
+import csv
+import errno
 import http.server
 import json
 import threading
@@ -8,6 +10,7 @@ from kgexpand.core import KnowledgeGraph, Snapshot
 from kgexpand.errors import ConfigError, GeneratorError
 from kgexpand.extraction import THINK_CLOSE, THINK_OPEN
 from kgexpand.graphml_io import SnapshotStore
+from kgexpand import loop
 from kgexpand.loop import RECORDS_FILENAME, RunConfig, run
 from kgexpand.prompts import build_followup_prompt, build_initial_prompt
 from kgexpand.sessions import HTTPGeneratorSession, SyntheticGenerator
@@ -209,6 +212,53 @@ def test_transport_failure_preserves_partial_series(tmp_path):
     assert (tmp_path / RECORDS_FILENAME).exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["aborted"]
+
+
+def _fail_at_iteration(monkeypatch, exc, iteration=3):
+    real_write = SnapshotStore.write
+
+    def write(self, snapshot):
+        if snapshot.iteration == iteration:
+            raise exc
+        return real_write(self, snapshot)
+
+    monkeypatch.setattr(SnapshotStore, "write", write)
+
+
+@pytest.mark.parametrize("exc, aborted", [
+    (OSError(errno.ENOSPC, "No space left on device"),
+     "OSError: [Errno 28] No space left on device"),
+    (KeyboardInterrupt(), "KeyboardInterrupt"),
+], ids=["ENOSPC", "interrupt"])
+def test_any_exception_leaves_the_completed_iterations_records(tmp_path, monkeypatch,
+                                                               exc, aborted):
+    clean = tmp_path / "clean"
+    run(RunConfig(iterations=6, seed=5, snapshot_dir=str(clean)))
+    _fail_at_iteration(monkeypatch, exc)
+    cut = tmp_path / "cut"
+    with pytest.raises(type(exc)) as raised:
+        run(RunConfig(iterations=6, seed=5, snapshot_dir=str(cut)))
+    assert raised.value is exc
+    with open(cut / RECORDS_FILENAME, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(clean / RECORDS_FILENAME, newline="") as fh:
+        assert rows == list(csv.reader(fh))[:4]  # the header and iterations 0-2
+    manifest = json.loads((cut / "manifest.json").read_text())
+    assert manifest["iterations_completed"] == 3
+    assert manifest["aborted"] == aborted
+    assert json.loads((clean / "manifest.json").read_text())["aborted"] == ""
+
+
+def test_a_failure_to_write_the_records_does_not_hide_the_first_error(
+        tmp_path, monkeypatch, caplog):
+    def full_disk(path, records):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    _fail_at_iteration(monkeypatch, KeyboardInterrupt())
+    monkeypatch.setattr(loop, "_write_records", full_disk)
+    with pytest.raises(KeyboardInterrupt):
+        run(RunConfig(iterations=6, seed=5, snapshot_dir=str(tmp_path)))
+    assert "could not write the records" in caplog.text
 
 
 def test_run_writes_the_live_graph_without_copying_it(tmp_path, monkeypatch):
