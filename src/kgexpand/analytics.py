@@ -17,25 +17,24 @@ index, and none imports networkx:
 
 Each keeps networkx's integer formulas and the order of its float sums, so
 the values are networkx's to the bit (``tests/oracles.py`` and the
-differential tests hold the references). ``louvain`` runs every restart,
-merge trial and modularity sum on the index's neighbour lists. Its
-local-move phase stops at the first fixed point and sums link weights into
-one scratch list indexed by community id; on graphs past
-``MERGE_REFINE_MAX_NODES`` it also skips nodes whose choice cannot have
-changed. Merge-refine results are memoized per call. None of this changes a
-move, a partition or a modularity bit against the plain algorithm in
-``tests/oracles.py``. The series functions build their own indexes, as
-references for ``report.analyze_series``' one pass. All seeded operations
-are deterministic for a fixed seed.
+differential tests hold the references). ``louvain`` runs every level,
+merge trial and modularity sum on neighbour lists: the index's, and at each
+aggregate level the members' rows relabelled. Its local-move phase stops at
+the first fixed point and counts links into one scratch list indexed by
+community id; on graphs past ``MERGE_REFINE_MAX_NODES`` it also skips nodes
+whose choice cannot have changed. Merge-refine results are memoized per
+call, keyed by the partition. None of this changes a move, a partition or
+a modularity bit against the plain algorithm in ``tests/oracles.py``. The
+series functions build their own indexes, as references for
+``report.analyze_series``' one pass. All seeded operations are
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -166,25 +165,19 @@ def _communities(labels) -> list[set[int]]:
     return list(groups.values())
 
 
-def _links(row) -> Iterable[tuple[int, float]]:
-    """``(neighbour, weight)`` pairs of an adjacency row: a level-0 list of
-    neighbours, each of weight 1, or an aggregate level's dict of weights."""
-    return row.items() if isinstance(row, dict) else zip(row, repeat(1.0))
-
-
-def _louvain_one_level(adj: list, degree: list, m2: float, order,
+def _louvain_one_level(adj: list[list[int]], degree: list[float], m2: float, order,
                        node_comm: list[int], *, skip_settled: bool = False) -> bool:
     """Local-moving phase over ``node_comm`` (node -> community id, in place).
 
-    Only strictly positive gains move, so it terminates. Every weight and
-    degree is an integer-valued float, so every sum is exact and a node's
-    choice depends on the current state alone: once ``len(order)`` nodes in a
-    row have stayed, a further sweep would move nothing, and it returns.
+    Only strictly positive gains move, so it terminates. Each row of ``adj``
+    lists a node's neighbours once per edge and every degree is
+    integer-valued, so every sum is exact and a node's choice depends on the
+    current state alone: once ``len(order)`` nodes in a row have stayed, a
+    further sweep would move nothing, and it returns.
 
-    A node's link weights are summed into one scratch list indexed by
-    community id; the communities it touched are sorted before the candidate
-    scan and only their slots are reset. Rows of ``adj`` are level-0
-    neighbour lists (weight 1) or aggregate-level weight dicts.
+    A node's links are counted into one scratch list indexed by community
+    id; the communities it touched are sorted before the candidate scan and
+    only their slots are reset.
 
     With ``skip_settled``, a node that stayed is settled: it is not evaluated
     again, and counts as staying, until a node joins its community (whose
@@ -199,7 +192,6 @@ def _louvain_one_level(adj: list, degree: list, m2: float, order,
     for v, c in enumerate(node_comm):
         sigma_tot[c] += degree[v]
     weight = [0] * len(sigma_tot)
-    unit = not isinstance(adj[0], dict)
     if skip_settled:
         settled = [False] * len(adj)
         # community -> settled nodes to wake when a node leaves / joins it
@@ -218,18 +210,11 @@ def _louvain_one_level(adj: list, degree: list, m2: float, order,
             c_old = node_comm[v]
             k_v = degree[v]
             touched = []
-            if unit:
-                for u in adj[v]:
-                    c = node_comm[u]
-                    if not weight[c]:
-                        touched.append(c)
-                    weight[c] += 1
-            else:
-                for u, w in adj[v].items():
-                    c = node_comm[u]
-                    if not weight[c]:
-                        touched.append(c)
-                    weight[c] += w
+            for u in adj[v]:
+                c = node_comm[u]
+                if not weight[c]:
+                    touched.append(c)
+                weight[c] += 1
             touched.sort()
             stay = weight[c_old] - k_v * (sigma_tot[c_old] - k_v) / m2
             best_c, best_gain = c_old, 0.0
@@ -275,10 +260,11 @@ def _louvain_one_level(adj: list, degree: list, m2: float, order,
 def _louvain_once(adj: list[list[int]], degree: list[float], m2: float,
                   rng: random.Random) -> list[set[int]]:
     """One full Louvain run (local moves + aggregation) from the level-0
-    adjacency ``adj`` and its degrees, which it leaves as they are. Levels
-    larger than ``MERGE_REFINE_MAX_NODES`` skip settled nodes."""
+    adjacency ``adj`` and its degrees, which it leaves as they are. An
+    aggregate level's row is its members' rows relabelled, less its own
+    label, and its degree is its members' sum. Levels larger than
+    ``MERGE_REFINE_MAX_NODES`` skip settled nodes."""
     membership = list(range(len(adj)))      # node -> node of the current level
-    loops = [0.0] * len(adj)
     while True:
         order = list(range(len(adj)))
         rng.shuffle(order)
@@ -286,25 +272,16 @@ def _louvain_once(adj: list[list[int]], degree: list[float], m2: float,
         if not _louvain_one_level(adj, degree, m2, order, node_comm,
                                   skip_settled=len(adj) > MERGE_REFINE_MAX_NODES):
             break
-        comm_ids = sorted(set(node_comm))
-        relabel = {c: i for i, c in enumerate(comm_ids)}
-        membership = [relabel[node_comm[v]] for v in membership]
-        new_adj: list[dict[int, float]] = [{} for _ in comm_ids]
-        new_loops = [0.0] * len(comm_ids)
+        relabel = {c: i for i, c in enumerate(sorted(set(node_comm)))}
+        label = [relabel[c] for c in node_comm]
+        membership = [label[v] for v in membership]
+        new_adj: list[list[int]] = [[] for _ in relabel]
+        new_degree = [0.0] * len(relabel)
         for v, row in enumerate(adj):
-            cv = relabel[node_comm[v]]
-            new_loops[cv] += loops[v]
-            for u, w in _links(row):
-                if u < v:
-                    continue
-                cu = relabel[node_comm[u]]
-                if cu == cv:
-                    new_loops[cv] += w
-                else:
-                    new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
-                    new_adj[cu][cv] = new_adj[cu].get(cv, 0.0) + w
-        adj, loops = new_adj, new_loops
-        degree = [sum(nbrs.values()) + 2.0 * loop for nbrs, loop in zip(adj, loops)]
+            cv = label[v]
+            new_degree[cv] += degree[v]
+            new_adj[cv] += [label[u] for u in row if label[u] != cv]
+        adj, degree = new_adj, new_degree
     return _communities(enumerate(membership))
 
 
@@ -318,16 +295,18 @@ def _merge_refine(adj: list[list[int]], degree: list[float], m: int,
     the local-move phase performs exactly that escape; a merge is kept only
     when the refit partition scores strictly higher.
 
-    The search from a state ``(communities, best_q)`` is deterministic, and
-    restarts often reach the same states, so ``memo`` maps every state
-    visited in one ``louvain`` call to the search's result.
+    The search from a partition is deterministic, and restarts often reach
+    the same partitions, so ``memo`` maps every partition visited in one
+    ``louvain`` call to the search's result. Modularities differ by
+    multiples of 1/(4 m^2) >= 6e-8 here (m <= 2016), so the ~1e-14 error of
+    a float sum cannot change a 1e-9 comparison, and the key holds no q.
     """
     comms = sorted((sorted(c) for c in communities), key=min)
     best_q = _modularity(adj, m, [set(c) for c in comms])
     visited = []
     improved = True
     while improved:
-        state = (tuple(map(tuple, comms)), best_q)
+        state = tuple(map(tuple, comms))
         if state in memo:
             comms = memo[state]
             break

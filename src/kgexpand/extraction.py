@@ -19,7 +19,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
-from .core import DEFAULT_RELATION, KnowledgeGraph, normalize_relation
+from .core import DEFAULT_RELATION, KnowledgeGraph
 from .errors import InvalidLabel, MalformedLiteral, NoGraphFound
 
 THINK_OPEN = "<|thinking|>"
@@ -178,9 +178,7 @@ def parse_graph_literal(text: str, iteration: int = -1) -> LocalGraph:
                 kind = DEFAULT_RELATION
                 local.warnings += 1
             try:
-                local.graph.add_edge(
-                    local.graph.display(src_key), normalize_relation(kind), tgt_label
-                )
+                local.graph.add_edge(local.graph.display(src_key), kind, tgt_label)
             except InvalidLabel:
                 local.warnings += 1
     return local

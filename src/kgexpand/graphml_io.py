@@ -20,7 +20,7 @@ import xml.etree.ElementTree as ET
 from collections.abc import Iterator
 from pathlib import Path
 
-from .core import KnowledgeGraph, Snapshot
+from .core import DEFAULT_RELATION, KnowledgeGraph, Snapshot
 from .errors import EmptyGraph, GraphMLError
 
 log = logging.getLogger(__name__)
@@ -222,13 +222,13 @@ def read_graphml(path: str | Path) -> KnowledgeGraph:
                 if _local(data.tag) == "data" and data.get("key") == relation_key:
                     relation = data.text
             if not relation:
-                relation = "RELATES-TO"
+                relation = DEFAULT_RELATION
                 defaulted += 1
             g.add_edge(displays.get(src_id, src_id), relation,
                        displays.get(tgt_id, tgt_id))
     if defaulted:
-        log.warning("%s: %d edge(s) had no relation attribute; defaulted to RELATES-TO",
-                    path, defaulted)
+        log.warning("%s: %d edge(s) had no relation attribute; defaulted to %s",
+                    path, defaulted, DEFAULT_RELATION)
     return g
 
 

@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgexpand import analytics
+from kgexpand.cli import main
 from kgexpand.core import KnowledgeGraph, Snapshot
 from kgexpand.errors import EmptyGraph, UndefinedMetric
+from kgexpand.graphml_io import read_graphml
 from kgexpand.sweep import distance_sweep, snapshot_index
 
 from . import oracles
@@ -302,6 +304,26 @@ def test_louvain_matches_the_reference_on_large_random_graphs(n, graph_seed, see
     assert partition == ref_partition
     assert repr(q) == repr(ref_q)
     assert (partition, repr(q)) == _repr_q(oracles.louvain_on_view(g, seed))
+
+
+@pytest.fixture(scope="module")
+def grown_graph(tmp_path_factory):
+    """The final snapshot (about 750 nodes) of a 300-iteration synthetic run.
+    Its hubs make aggregate levels whose rows repeat many neighbours, which
+    random graphs of the same size do not."""
+    out = tmp_path_factory.mktemp("hubs") / "snaps"
+    assert main(["run", "--synthetic", "--iterations", "300", "--seed", "7",
+                 "--out", str(out)]) == 0
+    return read_graphml(out / "graph_iteration_299.graphml")
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_louvain_matches_the_reference_on_a_grown_graph(grown_graph, seed):
+    partition, q = analytics.louvain(snapshot_index(grown_graph), seed)
+    view = grown_graph.undirected_view(self_loops=False)
+    ref_partition, ref_q = oracles.louvain(view, seed)
+    assert partition == ref_partition
+    assert repr(q) == repr(ref_q)
 
 
 @pytest.mark.parametrize("n, m, graph_seed, seed", [

@@ -1,6 +1,6 @@
-"""`analyze`, `paths` and `report` output bytes, pinned on one run.
+"""`analyze`, `paths` and `report` output bytes, pinned on two runs.
 
-The run is `kgexpand run --synthetic --iterations 40 --seed 3`.
+The first run is `kgexpand run --synthetic --iterations 40 --seed 3`.
 
 The `analyze` digests (default options) were taken when betweenness,
 closeness and every distance still came from networkx. Betweenness-derived
@@ -12,6 +12,12 @@ taken when `paths` still read its distances from a networkx all-pairs BFS
 table, before they came from the one distance sweep it runs for its
 centralities. Both already read betweenness and closeness from a sweep then,
 so every byte must match.
+
+The second run is `kgexpand run --synthetic --iterations 300 --seed 7`, whose
+snapshots grow to about 750 nodes, far past the first run's 100 or so, so
+Louvain builds many aggregate levels on it. Every file that
+`analyze --stride 50` writes was pinned while Louvain still kept its
+aggregate levels as weight dicts. Every byte must match.
 """
 
 import hashlib
@@ -107,3 +113,34 @@ def test_paths_bytes_match_the_pins(paths_out, name):
 def test_report_bytes_match_the_pins(report_out, name):
     digest = hashlib.sha256((report_out / name).read_bytes()).hexdigest()
     assert digest == REPORT_DIGESTS[name]
+
+
+STRIDE_50_DIGESTS = {
+    "analysis_manifest.json": "bf3528f185a8302ca5d75bab7a9e2ae6be22f7648c0cf23d246d3a7c94c54e54",
+    "bridge_persistence.csv": "f6c6cfc117b85178c748bf979096393e31c568331de516baf467ae58ac6f608e",
+    "degree_histogram.csv": "7fd43f413ad21e214b6478b3662b5336a1aa24b1410aa8fbc85cf630b54bbfcb",
+    "hub_emergence.csv": "ebeaed0bb807a085b7ab45cfdb2e26e7d74e5d71e6a4aab20f19af3d172cd5bb",
+    "metrics.csv": "08431e62bbf634b07074ad056b9f6697fa51f1259d0ad07c775268f12f1a98bc",
+    "scalefree.csv": "c8704039c5a92d9b109bf789403b45786a99bf0ee2cab133fb9bb5d267678eae",
+    "spl_histogram.csv": "6576e713e8701587c9f8098637009bde299768abfc6e62cddbe3479633dcc691",
+}
+
+
+@pytest.fixture(scope="module")
+def stride_50_analysis(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden_t300")
+    assert main(["run", "--synthetic", "--iterations", "300", "--seed", "7",
+                 "--out", str(root / "snaps")]) == 0
+    assert main(["analyze", str(root / "snaps"), "--stride", "50",
+                 "--out", str(root / "analysis")]) == 0
+    return root / "analysis"
+
+
+def test_stride_50_analyze_writes_the_pinned_files(stride_50_analysis):
+    assert sorted(p.name for p in stride_50_analysis.iterdir()) == sorted(STRIDE_50_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(STRIDE_50_DIGESTS))
+def test_stride_50_analyze_bytes_match_the_pins(stride_50_analysis, name):
+    digest = hashlib.sha256((stride_50_analysis / name).read_bytes()).hexdigest()
+    assert digest == STRIDE_50_DIGESTS[name]
