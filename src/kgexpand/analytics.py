@@ -22,9 +22,14 @@ merge trial and modularity sum on neighbour lists: the index's, and at each
 aggregate level the members' rows relabelled. Its local-move phase stops at
 the first fixed point and counts links into one scratch list indexed by
 community id; on graphs past ``MERGE_REFINE_MAX_NODES`` it also skips nodes
-whose choice cannot have changed. Merge-refine results are memoized per
-call, keyed by the partition. None of this changes a move, a partition or
-a modularity bit against the plain algorithm in ``tests/oracles.py``. The
+whose choice cannot have changed. The local-move phase also returns the
+exact integer gain of its moves, (2m)^2 / 2 times the modularity change, so
+merge-refine scores each trial in integers, from that gain and one pass per
+searched state, and computes no modularity; on its graphs of at most 64
+nodes (m <= 2016) a positive gain is at least 1/(2 m^2) in modularity, far
+above float error. Merge-refine results are memoized per call, keyed by the
+partition. None of this changes a move, a partition or a modularity bit
+against the plain algorithm in ``tests/oracles.py``. The
 series functions build their own indexes, as references for
 ``report.analyze_series``' one pass. All seeded operations are
 deterministic for a fixed seed.
@@ -166,7 +171,7 @@ def _communities(labels) -> list[set[int]]:
 
 
 def _louvain_one_level(adj: list[list[int]], degree: list[float], m2: float, order,
-                       node_comm: list[int], *, skip_settled: bool = False) -> bool:
+                       node_comm: list[int], *, skip_settled: bool = False) -> float:
     """Local-moving phase over ``node_comm`` (node -> community id, in place).
 
     Only strictly positive gains move, so it terminates. Each row of ``adj``
@@ -174,6 +179,16 @@ def _louvain_one_level(adj: list[list[int]], degree: list[float], m2: float, ord
     integer-valued, so every sum is exact and a node's choice depends on the
     current state alone: once ``len(order)`` nodes in a row have stayed, a
     further sweep would move nothing, and it returns.
+
+    Returns the summed gain of its moves, ``(2m)^2 / 2`` times the change in
+    modularity: a move of a node of degree k adds
+    ``2m (w_new - w_old) - k (tot_new - tot_old + k)``, where w counts its
+    links into a community and tot is a community's degree sum, the old one
+    counting the node and the new one not. Every term is an integer far
+    below 2^53, so the float sum is exact. A move's float gain is its term
+    over 2m, rounded by less than the 1e-12 threshold while every degree is
+    below 4096, so each move adds at least 1 and the sum is positive
+    exactly when a node moved.
 
     A node's links are counted into one scratch list indexed by community
     id; the communities it touched are sorted before the candidate scan and
@@ -197,7 +212,7 @@ def _louvain_one_level(adj: list[list[int]], degree: list[float], m2: float, ord
         # community -> settled nodes to wake when a node leaves / joins it
         leave_watch: list[list[int]] = [[] for _ in sigma_tot]
         join_watch: list[list[int]] = [[] for _ in sigma_tot]
-    improved = False
+    total = 0.0
     n = len(order)
     stays = 0
     while stays < n:
@@ -216,8 +231,9 @@ def _louvain_one_level(adj: list[list[int]], degree: list[float], m2: float, ord
                     touched.append(c)
                 weight[c] += 1
             touched.sort()
-            stay = weight[c_old] - k_v * (sigma_tot[c_old] - k_v) / m2
-            best_c, best_gain = c_old, 0.0
+            w_old = weight[c_old]
+            stay = w_old - k_v * (sigma_tot[c_old] - k_v) / m2
+            best_c, best_gain, best_w = c_old, 0.0, 0
             if -stay > 1e-12:
                 # isolating v into a fresh community beats staying put
                 best_c, best_gain = len(sigma_tot), -stay
@@ -225,7 +241,7 @@ def _louvain_one_level(adj: list[list[int]], degree: list[float], m2: float, ord
                 if c != c_old:
                     gain = weight[c] - k_v * sigma_tot[c] / m2 - stay
                     if gain > best_gain + 1e-12:
-                        best_c, best_gain = c, gain
+                        best_c, best_gain, best_w = c, gain, weight[c]
                 weight[c] = 0
             if best_c == c_old:
                 stays += 1
@@ -236,16 +252,15 @@ def _louvain_one_level(adj: list[list[int]], degree: list[float], m2: float, ord
                     join_watch[c_old].append(v)
                 continue
             stays = 0
-            improved = True
-            sigma_tot[c_old] -= k_v
             if best_c == len(sigma_tot):
-                sigma_tot.append(k_v)
+                sigma_tot.append(0.0)
                 weight.append(0)
                 if skip_settled:
                     leave_watch.append([])
                     join_watch.append([])
-            else:
-                sigma_tot[best_c] += k_v
+            total += m2 * (best_w - w_old) - k_v * (sigma_tot[best_c] - sigma_tot[c_old] + k_v)
+            sigma_tot[c_old] -= k_v
+            sigma_tot[best_c] += k_v
             node_comm[v] = best_c
             if skip_settled:
                 for u in leave_watch[c_old]:
@@ -254,7 +269,7 @@ def _louvain_one_level(adj: list[list[int]], degree: list[float], m2: float, ord
                 for u in join_watch[best_c]:
                     settled[u] = False
                 join_watch[best_c] = []
-    return improved
+    return total
 
 
 def _louvain_once(adj: list[list[int]], degree: list[float], m2: float,
@@ -262,8 +277,9 @@ def _louvain_once(adj: list[list[int]], degree: list[float], m2: float,
     """One full Louvain run (local moves + aggregation) from the level-0
     adjacency ``adj`` and its degrees, which it leaves as they are. An
     aggregate level's row is its members' rows relabelled, less its own
-    label, and its degree is its members' sum. Levels larger than
-    ``MERGE_REFINE_MAX_NODES`` skip settled nodes."""
+    label, and its degree is its members' sum. It stops at the first level
+    whose local moves gain nothing, that is, move no node. Levels larger
+    than ``MERGE_REFINE_MAX_NODES`` skip settled nodes."""
     membership = list(range(len(adj)))      # node -> node of the current level
     while True:
         order = list(range(len(adj)))
@@ -295,14 +311,21 @@ def _merge_refine(adj: list[list[int]], degree: list[float], m: int,
     the local-move phase performs exactly that escape; a merge is kept only
     when the refit partition scores strictly higher.
 
+    Each trial is scored in integers: one pass over ``adj`` per searched
+    state gives each community's degree sum ``tot`` and the links ``e_ij``
+    between each pair, merging i and j changes ``(2m)^2 / 2`` times the
+    modularity by ``2m e_ij - tot_i tot_j``, and the local moves add what
+    ``_louvain_one_level`` returns. A trial is kept exactly when that sum is
+    positive. A graph of at most 64 nodes has m <= 2016 edges, so a positive
+    sum is a modularity gain of at least 1/(2 m^2) >= 1.2e-7, and the
+    decisions are those of comparing float modularities, ~1e-14 off, with a
+    1e-9 margin.
+
     The search from a partition is deterministic, and restarts often reach
     the same partitions, so ``memo`` maps every partition visited in one
-    ``louvain`` call to the search's result. Modularities differ by
-    multiples of 1/(4 m^2) >= 6e-8 here (m <= 2016), so the ~1e-14 error of
-    a float sum cannot change a 1e-9 comparison, and the key holds no q.
+    ``louvain`` call to the search's result.
     """
     comms = sorted((sorted(c) for c in communities), key=min)
-    best_q = _modularity(adj, m, [set(c) for c in comms])
     visited = []
     improved = True
     while improved:
@@ -312,24 +335,27 @@ def _merge_refine(adj: list[list[int]], degree: list[float], m: int,
             break
         visited.append(state)
         improved = False
+        size = len(comms)
         labels = [0] * len(adj)
         for cid, comm in enumerate(comms):
             for v in comm:
                 labels[v] = cid
-        # community by community: the order of the trial's groups, and so of
-        # its modularity sum
-        visit = [v for comm in comms for v in comm]
-        for i in range(len(comms)):
-            for j in range(i + 1, len(comms)):
+        tot = [0] * size
+        links = [0] * (size * size)     # links[i * size + j]: edges between i and j
+        for v, row in enumerate(adj):
+            base = labels[v] * size
+            tot[labels[v]] += len(row)
+            for u in row:
+                links[base + labels[u]] += 1
+        for i in range(size):
+            for j in range(i + 1, size):
                 node_comm = labels.copy()
                 for v in comms[j]:
                     node_comm[v] = i
-                _louvain_one_level(adj, degree, 2.0 * m, range(len(adj)), node_comm)
-                groups = _communities((v, node_comm[v]) for v in visit)
-                q = _modularity(adj, m, groups)
-                if q > best_q + 1e-9:
+                gain = _louvain_one_level(adj, degree, 2.0 * m, range(len(adj)), node_comm)
+                if 2 * m * links[i * size + j] - tot[i] * tot[j] + gain > 0:
+                    groups = _communities(enumerate(node_comm))
                     comms = sorted((sorted(c) for c in groups), key=min)
-                    best_q = q
                     improved = True
                     break
             if improved:

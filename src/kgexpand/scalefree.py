@@ -138,7 +138,8 @@ def fit_power_law(degrees) -> PowerLawFit:
             f"need at least {MIN_OBSERVATIONS} nonzero observations, got {xs.size}"
         )
     xs.sort()
-    uniq = np.unique(xs)
+    # the distinct values of the sorted sample; np.unique would load numpy.ma
+    uniq = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
     if uniq.size == 1:
         raise DegenerateSequence("all observations are equal")
 

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -290,6 +292,116 @@ def test_louvain_memo_reuses_merge_refine_searches(monkeypatch, g, seed, chain):
     for result in memos[0].values():
         shared[id(result)] = shared.get(id(result), 0) + 1
     assert max(shared.values()) >= chain
+
+
+def _exact_modularity(adj, degree, labels) -> Fraction:
+    """Modularity of ``labels`` where a node's degree past its row counts
+    links inside it, as at an aggregate level."""
+    two_m = int(sum(degree))
+    internal, tot = Counter(), Counter()
+    for v, row in enumerate(adj):
+        tot[labels[v]] += int(degree[v])
+        internal[labels[v]] += int(degree[v]) - len(row)
+        internal[labels[v]] += sum(1 for u in row if labels[u] == labels[v])
+    return sum(Fraction(internal[c], two_m) - Fraction(tot[c], two_m) ** 2 for c in tot)
+
+
+@st.composite
+def start_states(draw):
+    """A simple graph with edges, the links inside each node (as at an
+    aggregate level, where nodes can gain by leaving for a fresh community),
+    a visiting order and a start labelling."""
+    g = draw(simple_graphs().filter(lambda g: g.number_of_edges() > 0))
+    n = g.number_of_nodes()
+    loops = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    return g, loops, labels, order
+
+
+# the last node's loop makes the second triangle leave for a fresh community
+_FRESH = (_two_triangles(), [0, 0, 0, 0, 0, 1], [0] * 6, list(range(6)))
+
+
+@given(start_states(), st.booleans())
+@example(_FRESH, False)
+@example(_FRESH, True)
+@settings(max_examples=300, deadline=None)
+def test_one_level_returns_its_exact_modularity_gain(state, skip_settled):
+    g, loops, labels, order = state
+    adj = index_of(g).adjacency
+    degree = [float(len(row) + 2 * loop) for row, loop in zip(adj, loops)]
+    node_comm = labels.copy()
+    gain = analytics._louvain_one_level(adj, degree, sum(degree), order, node_comm,
+                                        skip_settled=skip_settled)
+    change = (_exact_modularity(adj, degree, node_comm)
+              - _exact_modularity(adj, degree, labels))
+    assert Fraction(gain) == Fraction(int(sum(degree)) ** 2, 2) * change
+    assert (gain > 0) == (node_comm != labels)
+
+
+def test_one_level_moves_into_fresh_communities():
+    g, loops, labels, order = _FRESH
+    adj = index_of(g).adjacency
+    degree = [float(len(row) + 2 * loop) for row, loop in zip(adj, loops)]
+    node_comm = labels.copy()
+    assert analytics._louvain_one_level(adj, degree, sum(degree), order, node_comm) > 0
+    assert max(node_comm) > max(labels)
+
+
+# At the merge-refine limit with as many edges as a few seconds allow, where a
+# positive gain, at least 1/(2 m^2) in modularity, is smallest.
+@pytest.mark.parametrize("g", [
+    nx.gnm_random_graph(analytics.MERGE_REFINE_MAX_NODES, 1500, seed=0),
+    nx.gnm_random_graph(analytics.MERGE_REFINE_MAX_NODES, 2000, seed=1),
+    nx.planted_partition_graph(4, analytics.MERGE_REFINE_MAX_NODES // 4, 1.0, 0.7, seed=2),
+], ids=["gnm-1500", "gnm-2000", "planted"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_louvain_matches_the_reference_on_dense_graphs_at_the_refine_limit(g, seed):
+    assert g.number_of_edges() >= 1500
+    partition, q = analytics.louvain(index_of(g), seed)
+    ref_partition, ref_q = oracles.louvain(g, seed)
+    assert partition == ref_partition
+    assert repr(q) == repr(ref_q)
+
+
+@pytest.mark.parametrize("g, seed", [(_MEMO_HIT, 1), (_TWO_MERGES, 0),
+                                     (_AT_REFINE_LIMIT, 3)])
+def test_merge_refine_builds_groups_only_for_accepted_merges(monkeypatch, g, seed):
+    calls = Counter()
+    searching = []
+
+    def counting(name):
+        fn = getattr(analytics, name)
+
+        def wrapper(*args, **kwargs):
+            if searching:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(analytics, name, wrapper)
+
+    merge_refine = analytics._merge_refine
+    accepted = []
+
+    def search(adj, degree, m, communities, memo):
+        known = set(memo)
+        searching.append(1)
+        result = merge_refine(adj, degree, m, communities, memo)
+        searching.pop()
+        # every state searched is a new key, and each but a last one with no
+        # better trial was left by an accepted merge
+        final = tuple(sorted(tuple(sorted(c)) for c in result))
+        accepted.append(len(set(memo) - known) - (final not in known))
+        return result
+
+    counting("_modularity")
+    counting("_communities")
+    monkeypatch.setattr(analytics, "_merge_refine", search)
+    analytics.louvain(index_of(g), seed)
+    assert sum(accepted) > 0
+    assert calls["_modularity"] == 0
+    assert calls["_communities"] == sum(accepted)
 
 
 # Graphs past the merge-refine limit, where the local-move phase skips

@@ -1,7 +1,8 @@
 """Import cost of the CLI: importing it and `run` load neither scipy, numpy,
 requests, networkx nor yaml; `analyze` and `report` load no scipy (the
 power-law fit carries its own Hurwitz zeta, and assortativity its own Pearson
-correlation); and no analysis stage loads networkx (every kernel reads the
+correlation) and no numpy.ma (the fit takes its distinct values without
+np.unique); and no analysis stage loads networkx (every kernel reads the
 snapshot index)."""
 
 import os
@@ -46,15 +47,22 @@ def test_analyze_does_not_load_scipy_stats(tmp_path):
         tmp_path)
 
 
+def _runs_stage(stage: str) -> str:
+    # 12 iterations grow the final graph past the fit's 10-observation minimum
+    return ("from kgexpand.cli import main\n"
+            "assert main(['run', '--synthetic', '--iterations', '12', '--out', 'snaps']) == 0\n"
+            f"assert main([{stage!r}, 'snaps', '--out', 'out']) == 0")
+
+
 @pytest.mark.parametrize("stage", ["analyze", "report"])
 def test_analysis_stages_do_not_load_scipy(stage, tmp_path):
-    # 12 iterations grow the final graph past the fit's 10-observation minimum
-    assert not _loads(
-        "scipy",
-        "from kgexpand.cli import main\n"
-        "assert main(['run', '--synthetic', '--iterations', '12', '--out', 'snaps']) == 0\n"
-        f"assert main([{stage!r}, 'snaps', '--out', 'out']) == 0",
-        tmp_path)
+    assert not _loads("scipy", _runs_stage(stage), tmp_path)
+
+
+@pytest.mark.parametrize("stage", ["analyze", "report"])
+def test_analysis_stages_do_not_load_numpy_ma(stage, tmp_path):
+    # np.unique loads numpy.ma for its masked-array check
+    assert not _loads("numpy.ma", _runs_stage(stage), tmp_path)
 
 
 @pytest.mark.parametrize("stage", [["analyze"], ["paths", "--mode", "compositional"],
