@@ -22,12 +22,12 @@ merge trial and modularity sum on neighbour lists: the index's, and at each
 aggregate level the members' rows relabelled. Its local-move phase stops at
 the first fixed point and counts links into one scratch list indexed by
 community id; on graphs past ``MERGE_REFINE_MAX_NODES`` it also skips nodes
-whose choice cannot have changed. The local-move phase also returns the
-exact integer gain of its moves, (2m)^2 / 2 times the modularity change, so
-merge-refine scores each trial in integers, from that gain and one pass per
-searched state, and computes no modularity; on its graphs of at most 64
-nodes (m <= 2016) a positive gain is at least 1/(2 m^2) in modularity, far
-above float error. Merge-refine results are memoized per call, keyed by the
+whose choice cannot have changed. Every decision compares exact integers,
+(2m)^2 / 2 times a modularity change: each move (ties go to the smallest
+community id, so no candidate list is sorted), each merge trial (from the
+phase's returned gain and one pass per searched state) and the choice of
+restart (the sum of its gains), so ``_modularity`` runs once, for the
+returned value. Merge-refine results are memoized per call, keyed by the
 partition. None of this changes a move, a partition or a modularity bit
 against the plain algorithm in ``tests/oracles.py``. The
 series functions build their own indexes, as references for
@@ -170,49 +170,50 @@ def _communities(labels) -> list[set[int]]:
     return list(groups.values())
 
 
-def _louvain_one_level(adj: list[list[int]], degree: list[float], m2: float, order,
-                       node_comm: list[int], *, skip_settled: bool = False) -> float:
+def _louvain_one_level(adj: list[list[int]], degree: list[int], m2: int, order,
+                       node_comm: list[int], *, skip_settled: bool = False) -> int:
     """Local-moving phase over ``node_comm`` (node -> community id, in place).
 
-    Only strictly positive gains move, so it terminates. Each row of ``adj``
-    lists a node's neighbours once per edge and every degree is
-    integer-valued, so every sum is exact and a node's choice depends on the
-    current state alone: once ``len(order)`` nodes in a row have stayed, a
-    further sweep would move nothing, and it returns.
+    Each row of ``adj`` lists a node's neighbours once per edge, every degree
+    is an integer and ``m2`` is twice the edge count, so each choice is made
+    in exact integers (Blondel et al., J. Stat. Mech. P10008, 2008). For a
+    node of degree k with w_c links into community c, whose degree sum is
+    tot_c, ``base = k (tot_old - k) - m2 w_old`` is the value of leaving for
+    a fresh community (the old sum counting the node), staying is worth 0,
+    and joining c is worth ``m2 w_c - k tot_c + base``, which is ``(2m)^2 / 2``
+    times the change in modularity. The node takes the best value if it is
+    positive: a community it touches wins only by a strict ``>``, a fresh
+    community wins ties against it, and ties among the touched go to the
+    smallest id. Joining the old community is worth -k^2, so it never wins.
+    Only positive values move, so it terminates; a node's choice depends on
+    the current state alone, so once ``len(order)`` nodes in a row have
+    stayed, a further sweep would move nothing, and it returns.
 
-    Returns the summed gain of its moves, ``(2m)^2 / 2`` times the change in
-    modularity: a move of a node of degree k adds
-    ``2m (w_new - w_old) - k (tot_new - tot_old + k)``, where w counts its
-    links into a community and tot is a community's degree sum, the old one
-    counting the node and the new one not. Every term is an integer far
-    below 2^53, so the float sum is exact. A move's float gain is its term
-    over 2m, rounded by less than the 1e-12 threshold while every degree is
-    below 4096, so each move adds at least 1 and the sum is positive
-    exactly when a node moved.
+    Returns the summed value of its moves, ``(2m)^2 / 2`` times the change
+    in modularity, exact on any graph: positive exactly when a node moved.
 
     A node's links are counted into one scratch list indexed by community
-    id; the communities it touched are sorted before the candidate scan and
-    only their slots are reset.
+    id, and only the slots it touched are scanned and reset.
 
     With ``skip_settled``, a node that stayed is settled: it is not evaluated
     again, and counts as staying, until a node joins its community (whose
     total degree rose) or leaves a community it touched (whose total degree
     fell; a neighbour's move is such a leave). Each community lists the
     settled nodes to wake on either event. Any other change only lowers the
-    gains of moving, so the moves, and the result, are the same as without
+    values of moving, so the moves, and the result, are the same as without
     skipping (the order-preserving form of Traag's queue-based local move,
     Phys. Rev. E 92, 032801, 2015).
     """
-    sigma_tot = [0.0] * (max(node_comm) + 1)     # the next fresh id is its length
+    tot = [0] * (max(node_comm) + 1)     # the next fresh id is its length
     for v, c in enumerate(node_comm):
-        sigma_tot[c] += degree[v]
-    weight = [0] * len(sigma_tot)
+        tot[c] += degree[v]
+    weight = [0] * len(tot)
     if skip_settled:
         settled = [False] * len(adj)
         # community -> settled nodes to wake when a node leaves / joins it
-        leave_watch: list[list[int]] = [[] for _ in sigma_tot]
-        join_watch: list[list[int]] = [[] for _ in sigma_tot]
-    total = 0.0
+        leave_watch: list[list[int]] = [[] for _ in tot]
+        join_watch: list[list[int]] = [[] for _ in tot]
+    total = 0
     n = len(order)
     stays = 0
     while stays < n:
@@ -223,86 +224,93 @@ def _louvain_one_level(adj: list[list[int]], degree: list[float], m2: float, ord
                 stays += 1
                 continue
             c_old = node_comm[v]
-            k_v = degree[v]
+            k = degree[v]
             touched = []
             for u in adj[v]:
                 c = node_comm[u]
-                if not weight[c]:
+                w = weight[c]
+                if not w:
                     touched.append(c)
-                weight[c] += 1
-            touched.sort()
-            w_old = weight[c_old]
-            stay = w_old - k_v * (sigma_tot[c_old] - k_v) / m2
-            best_c, best_gain, best_w = c_old, 0.0, 0
-            if -stay > 1e-12:
-                # isolating v into a fresh community beats staying put
-                best_c, best_gain = len(sigma_tot), -stay
+                weight[c] = w + 1
+            base = k * (tot[c_old] - k) - m2 * weight[c_old]
+            # best is the value of the best choice less base: a fresh
+            # community's is 0 and staying's is -base; win is the touched
+            # community that holds it, or -1
+            best = 0 if base > 0 else -base
+            win = -1
             for c in touched:
-                if c != c_old:
-                    gain = weight[c] - k_v * sigma_tot[c] / m2 - stay
-                    if gain > best_gain + 1e-12:
-                        best_c, best_gain, best_w = c, gain, weight[c]
+                value = m2 * weight[c] - k * tot[c]
                 weight[c] = 0
-            if best_c == c_old:
-                stays += 1
-                if skip_settled:
-                    settled[v] = True
-                    for c in touched:
-                        leave_watch[c].append(v)
-                    join_watch[c_old].append(v)
-                continue
-            stays = 0
-            if best_c == len(sigma_tot):
-                sigma_tot.append(0.0)
+                if value > best or value == best and c < win:
+                    best, win = value, c
+            if win < 0:
+                if base <= 0:
+                    stays += 1
+                    if skip_settled:
+                        settled[v] = True
+                        for c in touched:
+                            leave_watch[c].append(v)
+                        join_watch[c_old].append(v)
+                    continue
+                win = len(tot)
+                tot.append(0)
                 weight.append(0)
                 if skip_settled:
                     leave_watch.append([])
                     join_watch.append([])
-            total += m2 * (best_w - w_old) - k_v * (sigma_tot[best_c] - sigma_tot[c_old] + k_v)
-            sigma_tot[c_old] -= k_v
-            sigma_tot[best_c] += k_v
-            node_comm[v] = best_c
+            stays = 0
+            total += best + base
+            tot[c_old] -= k
+            tot[win] += k
+            node_comm[v] = win
             if skip_settled:
                 for u in leave_watch[c_old]:
                     settled[u] = False
                 leave_watch[c_old] = []
-                for u in join_watch[best_c]:
+                for u in join_watch[win]:
                     settled[u] = False
-                join_watch[best_c] = []
+                join_watch[win] = []
     return total
 
 
-def _louvain_once(adj: list[list[int]], degree: list[float], m2: float,
-                  rng: random.Random) -> list[set[int]]:
+def _louvain_once(adj: list[list[int]], degree: list[int], m2: int,
+                  rng: random.Random) -> tuple[list[set[int]], int]:
     """One full Louvain run (local moves + aggregation) from the level-0
     adjacency ``adj`` and its degrees, which it leaves as they are. An
     aggregate level's row is its members' rows relabelled, less its own
     label, and its degree is its members' sum. It stops at the first level
     whose local moves gain nothing, that is, move no node. Levels larger
-    than ``MERGE_REFINE_MAX_NODES`` skip settled nodes."""
+    than ``MERGE_REFINE_MAX_NODES`` skip settled nodes.
+
+    Returns the communities and the sum of the levels' gains: ``(2m)^2 / 2``
+    times the modularity of the communities less that of the singletons,
+    since modularity at a level is that of the partition it induces below."""
     membership = list(range(len(adj)))      # node -> node of the current level
+    score = 0
     while True:
         order = list(range(len(adj)))
         rng.shuffle(order)
         node_comm = list(range(len(adj)))
-        if not _louvain_one_level(adj, degree, m2, order, node_comm,
-                                  skip_settled=len(adj) > MERGE_REFINE_MAX_NODES):
+        gain = _louvain_one_level(adj, degree, m2, order, node_comm,
+                                  skip_settled=len(adj) > MERGE_REFINE_MAX_NODES)
+        if not gain:
             break
+        score += gain
         relabel = {c: i for i, c in enumerate(sorted(set(node_comm)))}
         label = [relabel[c] for c in node_comm]
         membership = [label[v] for v in membership]
         new_adj: list[list[int]] = [[] for _ in relabel]
-        new_degree = [0.0] * len(relabel)
+        new_degree = [0] * len(relabel)
         for v, row in enumerate(adj):
             cv = label[v]
             new_degree[cv] += degree[v]
             new_adj[cv] += [label[u] for u in row if label[u] != cv]
         adj, degree = new_adj, new_degree
-    return _communities(enumerate(membership))
+    return _communities(enumerate(membership)), score
 
 
-def _merge_refine(adj: list[list[int]], degree: list[float], m: int,
-                  communities: list[set[int]], memo: dict) -> list[set[int]]:
+def _merge_refine(adj: list[list[int]], degree: list[int], m: int,
+                  communities: list[set[int]], memo: dict) -> tuple[list[set[int]], int]:
     """Escape shallow local optima by merging community pairs and re-splitting.
 
     Greedy single-node moves cannot leave states whose improvement needs a
@@ -316,24 +324,25 @@ def _merge_refine(adj: list[list[int]], degree: list[float], m: int,
     between each pair, merging i and j changes ``(2m)^2 / 2`` times the
     modularity by ``2m e_ij - tot_i tot_j``, and the local moves add what
     ``_louvain_one_level`` returns. A trial is kept exactly when that sum is
-    positive. A graph of at most 64 nodes has m <= 2016 edges, so a positive
-    sum is a modularity gain of at least 1/(2 m^2) >= 1.2e-7, and the
-    decisions are those of comparing float modularities, ~1e-14 off, with a
-    1e-9 margin.
+    positive, that is, when the modularity rises.
 
-    The search from a partition is deterministic, and restarts often reach
-    the same partitions, so ``memo`` maps every partition visited in one
-    ``louvain`` call to the search's result.
+    Returns the communities and the summed score of the kept trials,
+    ``(2m)^2 / 2`` times the modularity gained. The search from a partition
+    is deterministic, and restarts often reach the same partitions, so
+    ``memo`` maps every partition visited in one ``louvain`` call to the
+    search's result and the score gained from that partition on.
     """
     comms = sorted((sorted(c) for c in communities), key=min)
-    visited = []
+    visited = []            # (state, the summed score of the trials before it)
+    score = 0
     improved = True
     while improved:
         state = tuple(map(tuple, comms))
         if state in memo:
-            comms = memo[state]
+            comms, rest = memo[state]
+            score += rest
             break
-        visited.append(state)
+        visited.append((state, score))
         improved = False
         size = len(comms)
         labels = [0] * len(adj)
@@ -352,17 +361,19 @@ def _merge_refine(adj: list[list[int]], degree: list[float], m: int,
                 node_comm = labels.copy()
                 for v in comms[j]:
                     node_comm[v] = i
-                gain = _louvain_one_level(adj, degree, 2.0 * m, range(len(adj)), node_comm)
-                if 2 * m * links[i * size + j] - tot[i] * tot[j] + gain > 0:
+                gain = (2 * m * links[i * size + j] - tot[i] * tot[j]
+                        + _louvain_one_level(adj, degree, 2 * m, range(len(adj)), node_comm))
+                if gain > 0:
                     groups = _communities(enumerate(node_comm))
                     comms = sorted((sorted(c) for c in groups), key=min)
+                    score += gain
                     improved = True
                     break
             if improved:
                 break
-    for state in visited:
-        memo[state] = comms
-    return [set(c) for c in comms]
+    for state, before in visited:
+        memo[state] = (comms, score - before)
+    return [set(c) for c in comms], score
 
 
 def louvain(index: SnapshotIndex, seed: int = 0) -> tuple[dict, float]:
@@ -370,18 +381,22 @@ def louvain(index: SnapshotIndex, seed: int = 0) -> tuple[dict, float]:
     graph; best of a few deterministic restarts.
 
     Every restart, every merge trial and the modularity read the index's
-    neighbour lists. Every sum is of integers and every candidate scan is
-    sorted, so the order within a row changes nothing. Node visiting order
-    is shuffled from the seed. Small graphs additionally get the
-    merge-and-resplit polish after each restart. Returns a node-to-community-id
-    map and the modularity of that partition, recomputed from the partition
-    itself. Community ids are assigned by each community's smallest member so
-    the labeling is reproducible.
+    neighbour lists. Every decision compares exact integers, and ties go by
+    community id, so the order within a row changes nothing. Node visiting
+    order is shuffled from the seed. Small graphs additionally get the
+    merge-and-resplit polish after each restart. A restart is kept when its
+    score, ``(2m)^2 / 2`` times its modularity less that of the singletons,
+    is strictly higher than every earlier one's: modularities of a graph
+    that differ do so by at least 1/(4 m^2), so this keeps the restart the
+    float modularities pick. Returns a node-to-community-id map and the
+    modularity of that partition, computed from the partition itself.
+    Community ids are assigned by each community's smallest member so the
+    labeling is reproducible.
     """
     if not index.nodes:
         raise EmptyGraph("louvain needs at least one node")
     nodes, adj = index.nodes, index.adjacency
-    degree = [float(len(nbrs)) for nbrs in adj]
+    degree = [len(nbrs) for nbrs in adj]
     m = len(index.edges)
     if m == 0:
         communities = [{i} for i in range(len(nodes))]
@@ -389,16 +404,16 @@ def louvain(index: SnapshotIndex, seed: int = 0) -> tuple[dict, float]:
         refine = len(nodes) <= MERGE_REFINE_MAX_NODES
         restarts = LOUVAIN_SMALL_RESTARTS if refine else LOUVAIN_RESTARTS
         best: list[set[int]] = []
-        best_q = float("-inf")
+        best_score = -1
         memo: dict = {}
         for j in range(restarts):
-            cand = _louvain_once(adj, degree, 2.0 * m,
-                                 random.Random(seed * restarts + j))
+            cand, score = _louvain_once(adj, degree, 2 * m,
+                                        random.Random(seed * restarts + j))
             if refine:
-                cand = _merge_refine(adj, degree, m, cand, memo)
-            q = _modularity(adj, m, cand)
-            if q > best_q + 1e-12:
-                best, best_q = cand, q
+                cand, gain = _merge_refine(adj, degree, m, cand, memo)
+                score += gain
+            if score > best_score:
+                best, best_score = cand, score
         communities = sorted(best, key=min)
     partition = {nodes[v]: cid for cid, comm in enumerate(communities)
                  for v in sorted(comm)}
@@ -630,7 +645,7 @@ def sampled_spl_distribution(sweep: DistanceSweep, samples: int = 2000,
     rows = sweep.depths({u for u, _ in pairs})
     hist: dict[int, int] = {}
     for u, v in pairs:
-        d = int(rows[u][v])
+        d = rows[u].item(v)
         hist[d] = hist.get(d, 0) + 1
     return SplSample(dict(sorted(hist.items())), samples)
 
@@ -640,6 +655,7 @@ def sampled_spl_distribution(sweep: DistanceSweep, samples: int = 2000,
 
 
 UNREACHABLE = None
+_NO_RECORD = object()
 
 
 @dataclass
@@ -660,14 +676,25 @@ class PairStats:
 
 def _sample_pairs(nodes: list[int], samples: int | None,
                   rng: random.Random) -> list[tuple[int, int]]:
+    """Every pair of the distinct ``nodes``, or ``samples`` pairs drawn as
+    ``rng.choice(nodes)`` twice, the second redrawn while it repeats the
+    first. ``choice``'s draw is inlined: ``getrandbits(k)``, k the bit length
+    of ``len(nodes)``, until one is below ``len(nodes)``; the stream and the
+    pairs are ``choice``'s (``tests/oracles.py`` keeps that version)."""
     if samples is None:
         return [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+    n = len(nodes)
+    k = n.bit_length()
+    bits = rng.getrandbits
     pairs = []
     for _ in range(samples):
-        u = rng.choice(nodes)
-        v = rng.choice(nodes)
-        while v == u:
-            v = rng.choice(nodes)
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        j = bits(k)
+        while j >= n or j == i:
+            j = bits(k)
+        u, v = nodes[i], nodes[j]
         pairs.append((u, v) if u <= v else (v, u))
     return pairs
 
@@ -697,21 +724,21 @@ def newly_connected_pairs(ledger: PairDistanceLedger, iteration: int,
         raise ValueError(
             f"ledger already saw iteration {ledger.last_iteration}; got {iteration}"
         )
-    nodes = sweep.index.nodes
+    nodes, records = sweep.index.nodes, ledger.records
     rows = sweep.depths({u for u, _ in pairs})
     newly = shortened = with_prior = 0
     for i, j in pairs:
-        d = int(rows[i][j])
+        d = rows[i].item(j)
         dist = d if d >= 0 else UNREACHABLE
-        u, v = nodes[i], nodes[j]
-        if (u, v) in ledger.records:
+        key = (nodes[i], nodes[j])
+        prior = records.get(key, _NO_RECORD)
+        if prior is not _NO_RECORD:
             with_prior += 1
-            prior = ledger.records[(u, v)]
             if prior is UNREACHABLE and dist is not UNREACHABLE:
                 newly += 1
             elif prior is not UNREACHABLE and dist is not UNREACHABLE and dist < prior:
                 shortened += 1
-        ledger.records[(u, v)] = dist
+        records[key] = dist
     ledger.last_iteration = iteration
     return PairStats(newly, shortened, with_prior)
 

@@ -70,11 +70,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_samples(value: str) -> int | None:
+    """``--samples``: ``all`` (None, every pair) or a pair count of at least 1."""
+    if value == "all":
+        return None
+    try:
+        samples = int(value)
+    except ValueError:
+        samples = 0
+    if samples < 1:
+        raise KgExpandError(f"--samples must be 'all' or an integer of at least 1, "
+                            f"got {value!r}")
+    return samples
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from . import report as report_mod
 
     if args.stride < 1:
         raise KgExpandError(f"--stride must be at least 1, got {args.stride}")
+    if args.spl_samples < 1:
+        raise KgExpandError(f"--spl-samples must be at least 1, got {args.spl_samples}")
+    samples = _parse_samples(args.samples)
     store = SnapshotStore(args.snapshots)
     count = len(store.picked_paths(args.stride))
     if count == 0:
@@ -83,14 +100,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         louvain=args.louvain_seed if args.louvain_seed is not None else args.seed,
         sampling=args.sampling_seed if args.sampling_seed is not None else args.seed,
     )
-    if args.samples == "all":
-        samples = None
-    else:
-        try:
-            samples = int(args.samples)
-        except ValueError:
-            raise KgExpandError(f"--samples must be an integer or 'all', "
-                                f"got {args.samples!r}") from None
     out = report_mod.analyze_series(store.snapshots(args.stride), args.out, seeds,
                                     samples, spl_samples=args.spl_samples,
                                     stride=args.stride)

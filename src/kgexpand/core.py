@@ -85,8 +85,12 @@ class KnowledgeGraph:
     def add_edge(self, source: str, kind: str, target: str) -> bool:
         """Insert a triple; returns True when it was genuinely new."""
         kind = normalize_relation(kind)  # a rejected relation adds no node
-        src = self.add_node(source)
-        tgt = self.add_node(target)
+        return self.add_keyed_edge(self.add_node(source), kind, self.add_node(target))
+
+    def add_keyed_edge(self, src: str, kind: str, tgt: str) -> bool:
+        """Insert a triple from parts already normalized: the identity keys
+        of two nodes present and a normalized relation. Returns True when it
+        was genuinely new."""
         triple = (src, kind, tgt)
         if triple in self._edges:
             return False

@@ -20,7 +20,7 @@ import xml.etree.ElementTree as ET
 from collections.abc import Iterator
 from pathlib import Path
 
-from .core import DEFAULT_RELATION, KnowledgeGraph, Snapshot
+from .core import DEFAULT_RELATION, KnowledgeGraph, Snapshot, normalize_relation
 from .errors import EmptyGraph, GraphMLError
 
 log = logging.getLogger(__name__)
@@ -187,6 +187,11 @@ def read_graphml(path: str | Path) -> KnowledgeGraph:
 
     Unknown attributes are ignored; an edge without a relation attribute gets
     RELATES-TO and a warning. Malformed XML raises GraphMLError with the line.
+
+    Elements are read in document order. Each node's label is normalized
+    once and its identity key kept by node id; an edge endpoint maps through
+    that table, and an id not declared before the edge is taken as a label
+    itself. Each distinct relation text is normalized once.
     """
     try:
         tree = ET.parse(path)
@@ -195,37 +200,49 @@ def read_graphml(path: str | Path) -> KnowledgeGraph:
         raise GraphMLError(f"{path}: malformed XML at line {line}, column {col}: "
                            f"{exc}") from exc
     root = tree.getroot()
+    names: dict[str, str] = {}      # tag -> local name, for every tag in the file
     label_key = relation_key = None
     for el in root.iter():
-        if _local(el.tag) == "key":
+        name = names.get(el.tag)
+        if name is None:
+            name = names[el.tag] = _local(el.tag)
+        if name == "key":
             if el.get("attr.name") == "label" and el.get("for") == "node":
                 label_key = el.get("id")
             if el.get("attr.name") == "relation" and el.get("for") == "edge":
                 relation_key = el.get("id")
     g = KnowledgeGraph()
-    displays: dict[str, str] = {}
+    keys: dict[str, str] = {}       # node id -> identity key
+    kinds: dict[str, str] = {}      # relation text -> normalized relation
     defaulted = 0
     for el in root.iter():
-        tag = _local(el.tag)
+        tag = names[el.tag]
         if tag == "node":
             node_id = el.get("id")
             label = node_id
             for data in el:
-                if _local(data.tag) == "data" and data.get("key") == label_key:
+                if names[data.tag] == "data" and data.get("key") == label_key:
                     label = data.text or node_id
-            displays[node_id] = label
-            g.add_node(label)
+            keys[node_id] = g.add_node(label)
         elif tag == "edge":
-            src_id, tgt_id = el.get("source"), el.get("target")
             relation = None
             for data in el:
-                if _local(data.tag) == "data" and data.get("key") == relation_key:
+                if names[data.tag] == "data" and data.get("key") == relation_key:
                     relation = data.text
             if not relation:
                 relation = DEFAULT_RELATION
                 defaulted += 1
-            g.add_edge(displays.get(src_id, src_id), relation,
-                       displays.get(tgt_id, tgt_id))
+            kind = kinds.get(relation)
+            if kind is None:    # a rejected relation adds no node
+                kind = kinds[relation] = normalize_relation(relation)
+            src_id, tgt_id = el.get("source"), el.get("target")
+            src = keys.get(src_id)
+            if src is None:
+                src = keys[src_id] = g.add_node(src_id)
+            tgt = keys.get(tgt_id)
+            if tgt is None:
+                tgt = keys[tgt_id] = g.add_node(tgt_id)
+            g.add_keyed_edge(src, kind, tgt)
     if defaulted:
         log.warning("%s: %d edge(s) had no relation attribute; defaulted to %s",
                     path, defaulted, DEFAULT_RELATION)

@@ -28,7 +28,12 @@ from .extraction import (
 )
 from .graphml_io import SnapshotStore
 from .prompts import OPEN_ENDED_DEFAULT_PROMPT, build_followup_prompt, build_initial_prompt
-from .sessions import GeneratorSession, HTTPGeneratorSession, SyntheticGenerator
+from .sessions import (
+    MIN_VOCABULARY_SIZE,
+    GeneratorSession,
+    HTTPGeneratorSession,
+    SyntheticGenerator,
+)
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +63,11 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
+        if self.max_retries < 0:
+            raise ConfigError(f"max_retries must be at least 0, got {self.max_retries}")
+        if self.synthetic and self.vocabulary_size < MIN_VOCABULARY_SIZE:
+            raise ConfigError("the synthetic generator's vocabulary_size must be at "
+                              f"least {MIN_VOCABULARY_SIZE}, got {self.vocabulary_size}")
         if self.mode == "topic" and not self.topic.strip():
             raise ConfigError("topic mode needs a non-empty topic")
         if not self.synthetic and not self.endpoint:

@@ -105,6 +105,9 @@ _RELATIONS = ("RELATES-TO", "RELATES-TO", "RELATES-TO", "IS-A", "INFLUENCES",
 _TRIPLE_LINE = re.compile(r"^(.*?)\s+--\s+([A-Z][A-Z -]*?)\s+-->\s+(.*?)$")
 
 
+MIN_VOCABULARY_SIZE = 10
+
+
 class SyntheticGenerator:
     """Deterministic stand-in for a graph-reasoning model.
 
@@ -116,8 +119,8 @@ class SyntheticGenerator:
     """
 
     def __init__(self, seed: int, vocabulary_size: int = 20) -> None:
-        if vocabulary_size < 10:
-            raise ValueError("vocabulary_size must be at least 10")
+        if vocabulary_size < MIN_VOCABULARY_SIZE:
+            raise ValueError(f"vocabulary_size must be at least {MIN_VOCABULARY_SIZE}")
         self.seed = seed
         self.vocabulary_size = vocabulary_size
         self._rng = random.Random(seed)

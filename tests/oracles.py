@@ -4,8 +4,9 @@ Everything here recomputes metrics from first principles (Floyd-Warshall
 distances, explicit path enumeration, subset enumeration, exhaustive set
 partitions, dense eigendecomposition) so the production implementations are
 checked against genuinely different algorithms. Where a fast path replaced a
-simple one (the GraphML writer, the reply brace scan, the longest-path
-extractors, Louvain), the simple one is kept here as its reference.
+simple one (the GraphML writer and reader, the pair sampler, the reply brace
+scan, the longest-path extractors, Louvain), the simple one is kept here as
+its reference.
 ``index_of`` puts a networkx test graph on the production
 ``sweep.SnapshotIndex``, with its node keys kept.
 """
@@ -13,6 +14,7 @@ extractors, Louvain), the simple one is kept here as its reference.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -29,9 +31,10 @@ from kgexpand.analytics import (
     centralities,
     pearson,
 )
-from kgexpand.core import KnowledgeGraph, largest_component
+from kgexpand.core import DEFAULT_RELATION, KnowledgeGraph, largest_component
 from kgexpand.errors import (
     EmptyGraph,
+    GraphMLError,
     MalformedLiteral,
     NoGraphFound,
     TrivialPath,
@@ -432,10 +435,10 @@ def louvain_on_view(g: nx.Graph, seed: int = 0) -> tuple[dict, float]:
         best_q = float("-inf")
         memo: dict = {}
         for j in range(restarts):
-            cand = analytics._louvain_once(adj, degree, 2.0 * m,
-                                           random.Random(seed * restarts + j))
+            cand, _ = analytics._louvain_once(adj, degree, 2.0 * m,
+                                              random.Random(seed * restarts + j))
             if refine:
-                cand = analytics._merge_refine(adj, degree, m, cand, memo)
+                cand, _ = analytics._merge_refine(adj, degree, m, cand, memo)
             q = analytics._modularity(adj, m, cand)
             if q > best_q + 1e-12:
                 best, best_q = cand, q
@@ -602,6 +605,19 @@ def louvain(g: nx.Graph, seed: int = 0) -> tuple[dict, float]:
 # snapshot series
 
 
+def sample_pairs(nodes: list, samples: int, rng: random.Random) -> list[tuple]:
+    """The pair sampler that ``analytics._sample_pairs`` must match, drawing
+    with ``rng.choice``."""
+    pairs = []
+    for _ in range(samples):
+        u = rng.choice(nodes)
+        v = rng.choice(nodes)
+        while v == u:
+            v = rng.choice(nodes)
+        pairs.append((u, v) if u <= v else (v, u))
+    return pairs
+
+
 def validate_supergraph(snapshots) -> None:
     """Raise ValueError unless each snapshot holds its predecessor's nodes and edges."""
     for prev, cur in zip(snapshots, snapshots[1:]):
@@ -724,6 +740,63 @@ def write_graphml_etree(g, path, node_attrs=None) -> None:
     tree = ET.ElementTree(root)
     ET.indent(tree, space="  ")
     tree.write(path, encoding="utf-8", xml_declaration=True)
+
+
+def read_graphml(path) -> KnowledgeGraph:
+    """The GraphML reader that ``graphml_io.read_graphml`` must match: every
+    edge goes through ``KnowledgeGraph.add_edge`` with its endpoints' labels,
+    so each label is normalized again at every edge that names it.
+
+    Unknown attributes are ignored; an edge without a relation attribute gets
+    RELATES-TO and a warning. Malformed XML raises GraphMLError with the line.
+    """
+    try:
+        tree = ET.parse(path)
+    except ET.ParseError as exc:
+        line, col = exc.position
+        raise GraphMLError(f"{path}: malformed XML at line {line}, column {col}: "
+                           f"{exc}") from exc
+    root = tree.getroot()
+    label_key = relation_key = None
+    for el in root.iter():
+        if _local(el.tag) == "key":
+            if el.get("attr.name") == "label" and el.get("for") == "node":
+                label_key = el.get("id")
+            if el.get("attr.name") == "relation" and el.get("for") == "edge":
+                relation_key = el.get("id")
+    g = KnowledgeGraph()
+    displays: dict[str, str] = {}
+    defaulted = 0
+    for el in root.iter():
+        tag = _local(el.tag)
+        if tag == "node":
+            node_id = el.get("id")
+            label = node_id
+            for data in el:
+                if _local(data.tag) == "data" and data.get("key") == label_key:
+                    label = data.text or node_id
+            displays[node_id] = label
+            g.add_node(label)
+        elif tag == "edge":
+            src_id, tgt_id = el.get("source"), el.get("target")
+            relation = None
+            for data in el:
+                if _local(data.tag) == "data" and data.get("key") == relation_key:
+                    relation = data.text
+            if not relation:
+                relation = DEFAULT_RELATION
+                defaulted += 1
+            g.add_edge(displays.get(src_id, src_id), relation,
+                       displays.get(tgt_id, tgt_id))
+    if defaulted:
+        logging.getLogger("kgexpand.graphml_io").warning(
+            "%s: %d edge(s) had no relation attribute; defaulted to %s",
+            path, defaulted, DEFAULT_RELATION)
+    return g
+
+
+def _local(tag: str) -> str:
+    return tag.rsplit("}", 1)[-1]
 
 
 def find_brace_block(text: str) -> tuple[int, int]:

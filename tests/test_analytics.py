@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -289,7 +290,7 @@ def test_louvain_memo_reuses_merge_refine_searches(monkeypatch, g, seed, chain):
     # every search the memo answered is a local-move phase not run
     assert 0 < len(ours) < len(reference)
     shared: dict = {}
-    for result in memos[0].values():
+    for result, _ in memos[0].values():
         shared[id(result)] = shared.get(id(result), 0) + 1
     assert max(shared.values()) >= chain
 
@@ -308,19 +309,35 @@ def _exact_modularity(adj, degree, labels) -> Fraction:
 
 @st.composite
 def start_states(draw):
-    """A simple graph with edges, the links inside each node (as at an
-    aggregate level, where nodes can gain by leaving for a fresh community),
-    a visiting order and a start labelling."""
+    """A simple graph with edges, as rows of an aggregate level: each edge
+    repeated up to three times, and links inside each node (so nodes can gain
+    by leaving for a fresh community), some so many that a degree passes
+    4096; a visiting order and a start labelling."""
     g = draw(simple_graphs().filter(lambda g: g.number_of_edges() > 0))
     n = g.number_of_nodes()
-    loops = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    repeats = draw(st.lists(st.integers(1, 3), min_size=g.number_of_edges(),
+                            max_size=g.number_of_edges()))
+    loops = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(2048, 100_000)),
+                          min_size=n, max_size=n))
     labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     order = draw(st.permutations(range(n)))
-    return g, loops, labels, order
+    return g, repeats, loops, labels, order
+
+
+def _aggregate_level(g, repeats, loops):
+    """The rows and degrees of a start state: each neighbour listed once per
+    edge, and a degree counting each link inside a node twice."""
+    index = index_of(g)
+    times = {}
+    for (u, v), r in zip(index.edges.tolist(), repeats):
+        times[u, v] = times[v, u] = r
+    adj = [[u for u in row for _ in range(times[v, u])]
+           for v, row in enumerate(index.adjacency)]
+    return adj, [len(row) + 2 * loop for row, loop in zip(adj, loops)]
 
 
 # the last node's loop makes the second triangle leave for a fresh community
-_FRESH = (_two_triangles(), [0, 0, 0, 0, 0, 1], [0] * 6, list(range(6)))
+_FRESH = (_two_triangles(), [1] * 6, [0, 0, 0, 0, 0, 1], [0] * 6, list(range(6)))
 
 
 @given(start_states(), st.booleans())
@@ -328,9 +345,8 @@ _FRESH = (_two_triangles(), [0, 0, 0, 0, 0, 1], [0] * 6, list(range(6)))
 @example(_FRESH, True)
 @settings(max_examples=300, deadline=None)
 def test_one_level_returns_its_exact_modularity_gain(state, skip_settled):
-    g, loops, labels, order = state
-    adj = index_of(g).adjacency
-    degree = [float(len(row) + 2 * loop) for row, loop in zip(adj, loops)]
+    g, repeats, loops, labels, order = state
+    adj, degree = _aggregate_level(g, repeats, loops)
     node_comm = labels.copy()
     gain = analytics._louvain_one_level(adj, degree, sum(degree), order, node_comm,
                                         skip_settled=skip_settled)
@@ -341,9 +357,8 @@ def test_one_level_returns_its_exact_modularity_gain(state, skip_settled):
 
 
 def test_one_level_moves_into_fresh_communities():
-    g, loops, labels, order = _FRESH
-    adj = index_of(g).adjacency
-    degree = [float(len(row) + 2 * loop) for row, loop in zip(adj, loops)]
+    g, repeats, loops, labels, order = _FRESH
+    adj, degree = _aggregate_level(g, repeats, loops)
     node_comm = labels.copy()
     assert analytics._louvain_one_level(adj, degree, sum(degree), order, node_comm) > 0
     assert max(node_comm) > max(labels)
@@ -387,13 +402,13 @@ def test_merge_refine_builds_groups_only_for_accepted_merges(monkeypatch, g, see
     def search(adj, degree, m, communities, memo):
         known = set(memo)
         searching.append(1)
-        result = merge_refine(adj, degree, m, communities, memo)
+        result, gain = merge_refine(adj, degree, m, communities, memo)
         searching.pop()
         # every state searched is a new key, and each but a last one with no
         # better trial was left by an accepted merge
         final = tuple(sorted(tuple(sorted(c)) for c in result))
         accepted.append(len(set(memo) - known) - (final not in known))
-        return result
+        return result, gain
 
     counting("_modularity")
     counting("_communities")
@@ -636,6 +651,21 @@ def test_sampling_restricted_to_lcc():
         distance_sweep(snapshot_index(kg)), 200, seed=5)
     assert set(dist.histogram) <= {1, 2}
     assert sum(dist.histogram.values()) == 200
+
+
+@given(st.integers(2, 2100), st.integers(0, 60), st.integers(0, 2 ** 32))
+@example(2, 50, 0)
+@example(64, 50, 1)
+@example(65, 50, 1)
+@example(1024, 50, 2)
+@settings(max_examples=200, deadline=None)
+def test_sample_pairs_draws_what_random_choice_draws(n, samples, seed):
+    nodes = list(range(0, 3 * n, 3))    # distinct, and not their own positions
+    ours, reference = random.Random(seed), random.Random(seed)
+    assert (analytics._sample_pairs(nodes, samples, ours)
+            == oracles.sample_pairs(nodes, samples, reference))
+    # the same draws were consumed
+    assert ours.random() == reference.random()
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,36 @@ def test_missing_snapshot_dir_exits_1(tmp_path):
                  str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--spl-samples", "0"],
+    ["--spl-samples", "-3"],
+    ["--samples", "-4"],
+    ["--samples", "0"],
+    ["--samples", "some"],
+    ["--samples", "2.5"],
+])
+def test_analyze_rejects_bad_sample_counts_before_reading(monkeypatch, capsys,
+                                                         snapshot_dir, tmp_path, flags):
+    def unread(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr("kgexpand.graphml_io.read_graphml", unread)
+    out = tmp_path / "analysis"
+    assert main(["analyze", str(snapshot_dir), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + flags[0])
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_analyze_accepts_all_and_one_sample(snapshot_dir, tmp_path):
+    for samples in ("all", "1"):
+        out = tmp_path / samples
+        assert main(["analyze", str(snapshot_dir), "--out", str(out),
+                     "--samples", samples, "--spl-samples", "1"]) == 0
+        assert (out / "metrics.csv").exists()
+
+
 def test_analyze_emits_full_metric_set(snapshot_dir, tmp_path):
     out = tmp_path / "analysis"
     code = main(["analyze", str(snapshot_dir), "--out", str(out),

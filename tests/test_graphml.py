@@ -1,11 +1,16 @@
+import logging
+from xml.sax.saxutils import escape, quoteattr
+
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgexpand.core import KnowledgeGraph, Snapshot
-from kgexpand.errors import GraphMLError
+from kgexpand.errors import GraphMLError, KgExpandError
 from kgexpand.graphml_io import SnapshotStore, read_graphml, write_graphml
 
+from . import oracles
 from .strategies import knowledge_graphs
 
 
@@ -150,6 +155,80 @@ def test_extra_node_attributes_written_and_readable(tmp_path):
     assert nxg.nodes["b"]["betweenness"] == 0.0
     back = read_graphml(path)
     assert back.triples() == [("a", "HAS", "b")]
+
+
+# ---------------------------------------------------------------------------
+# the reader against the per-edge reference
+
+# ids and labels that differ only in case or whitespace, and blank ones
+_IDS = st.sampled_from(["a", "A", "b", " b", "b  c", "B C", "n1", " "])
+_LABELS = st.sampled_from([None, "", "  ", "Alpha", "alpha", "  ALPHA ", "Al  pha", "b"])
+# None: no relation element; "" is blank; "  " is a relation normalize rejects
+_RELATIONS = st.sampled_from([None, "", "  ", "is-a", "IS-A", " is   a ", "has"])
+
+_nodes = st.tuples(st.just("node"), _IDS, _LABELS)
+# endpoints may be declared later in the document, or never
+_edges = st.tuples(st.just("edge"), _IDS, _IDS, _RELATIONS)
+
+
+def _data(key, text):
+    if text is None:
+        return ""
+    return f'<data key="{key}">{escape(text)}</data>'
+
+
+def _graphml_document(elements) -> str:
+    body = []
+    for element in elements:
+        if element[0] == "node":
+            _, node_id, label = element
+            body.append(f"<node id={quoteattr(node_id)}>{_data('d0', label)}</node>")
+        else:
+            _, src, tgt, relation = element
+            body.append(f"<edge source={quoteattr(src)} target={quoteattr(tgt)}>"
+                        f"{_data('d1', relation)}</edge>")
+    return ("<?xml version='1.0' encoding='utf-8'?>\n"
+            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+            '<key id="d0" for="node" attr.name="label" attr.type="string" />\n'
+            '<key id="d1" for="edge" attr.name="relation" attr.type="string" />\n'
+            '<graph edgedefault="directed">\n' + "\n".join(body) + "\n</graph>\n</graphml>\n")
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _read_outcome(reader, path):
+    """The graph a reader makes (nodes in insertion order, triples) and its
+    warnings, or the error it raises."""
+    records = _Records()
+    logger = logging.getLogger("kgexpand.graphml_io")
+    logger.addHandler(records)
+    try:
+        g = reader(path)
+    except KgExpandError as exc:
+        return type(exc), str(exc)
+    finally:
+        logger.removeHandler(records)
+    return list(g.display_map().items()), g.triples(), records.messages
+
+
+@given(st.lists(st.one_of(_nodes, _edges), max_size=12))
+@example([("edge", "b  c", "A", None), ("node", "A", "Alpha"), ("edge", "a", "B C", ""),
+          ("node", "n1", "  ALPHA "), ("edge", "n1", "a", " is   a "),
+          ("edge", "A", "b  c", "is-a")])
+@example([("node", "a", "Alpha"), ("edge", "a", "b", "  ")])
+@example([("node", "a", "Alpha"), ("edge", " ", "a", "has")])
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_the_per_edge_reference(tmp_path_factory, elements):
+    path = tmp_path_factory.mktemp("read") / "g.graphml"
+    path.write_text(_graphml_document(elements), encoding="utf-8")
+    assert _read_outcome(read_graphml, path) == _read_outcome(oracles.read_graphml, path)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from kgexpand.cli import main
 from kgexpand.core import KnowledgeGraph, Snapshot
 from kgexpand.errors import ConfigError, GeneratorError
 from kgexpand.extraction import THINK_CLOSE, THINK_OPEN
@@ -38,6 +39,29 @@ def test_open_ended_default_prompt():
 def test_empty_topic_fails_validation():
     with pytest.raises(ConfigError):
         RunConfig(mode="topic", topic="  ").validate()
+
+
+def test_negative_max_retries_fails_validation():
+    with pytest.raises(ConfigError, match="max_retries"):
+        RunConfig(max_retries=-1).validate()
+    RunConfig(max_retries=0).validate()
+
+
+def test_small_synthetic_vocabulary_fails_validation():
+    with pytest.raises(ConfigError, match="vocabulary_size"):
+        RunConfig(vocabulary_size=9).validate()
+    RunConfig(vocabulary_size=10).validate()
+
+
+@pytest.mark.parametrize("flags", [["--max-retries", "-1"], ["--vocabulary", "3"]])
+def test_run_rejects_bad_config_with_an_error_line(capsys, tmp_path, flags):
+    out = tmp_path / "snaps"
+    assert main(["run", "--synthetic", "--iterations", "2", "--out", str(out),
+                 *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_followup_prompt_lists_entities_and_relations():
