@@ -45,7 +45,8 @@ import numpy as np
 
 from .core import KnowledgeGraph, Snapshot, largest_component
 from .errors import EmptyGraph, UndefinedMetric
-from .sweep import DistanceSweep, SnapshotIndex, distance_sweep, snapshot_index
+from .sweep import (DistanceSweep, NeighbourRows, SnapshotIndex, distance_sweep,
+                    snapshot_index)
 
 LOUVAIN_RESTARTS = 5
 LOUVAIN_SMALL_RESTARTS = 16       # order traps are likelier on tiny graphs
@@ -570,33 +571,25 @@ def eigenvector_centrality(index: SnapshotIndex, *, self_loops: bool) -> dict | 
     value and adds its neighbours' last values in ascending key order, its
     own at its sorted place when it has a self-loop; the vector is divided by
     its ``math.hypot``, and the L1 change is summed in key order by the
-    builtin ``sum``. With the nodes ordered by decreasing row length, the
-    ``k``-th additions of every node are one update of a prefix.
+    builtin ``sum``. The neighbour sums run on the index's degree-ordered
+    ``rows``, or with self-loops on a table of the same layout over the CSR
+    with each self-loop inserted at its sorted place in its row.
     """
     n = len(index.nodes)
-    cols, length, starts = index.indices, index.degree, index.indptr[:-1]
     if self_loops and index.self_loop.any():
         loops = np.flatnonzero(index.self_loop)
         rows = np.concatenate((np.repeat(np.arange(n), index.degree), loops))
-        cols = np.concatenate((cols, loops))
-        cols = cols[np.lexsort((cols, rows))]
+        cols = np.concatenate((index.indices, loops))
         length = index.degree + index.self_loop
-        starts = np.cumsum(length) - length
-    order = np.argsort(-length, kind="stable")
-    place = np.empty(n, dtype=np.int64)     # node -> its row in ``order``
-    place[order] = np.arange(n)
-    length, starts = length[order], starts[order]
-    widest = int(length[0]) if n else 0
-    counts = np.searchsorted(-length, -np.arange(widest), side="left")
-    additions = [(c, place[cols[starts[:c] + k]]) for k, c in enumerate(counts.tolist())]
+        table = NeighbourRows(np.cumsum(length) - length, length,
+                              cols[np.lexsort((cols, rows))])
+    else:
+        table = index.rows
     x = np.full(n, 1 / n)
     for _ in range(EIGENVECTOR_MAX_ITER):
         last = x
-        ordered = last[order]
-        y = ordered.copy()
-        for count, nbr in additions:
-            y[:count] += ordered[nbr]
-        x = y[place]
+        ordered = last[table.order]
+        x = table.neighbour_sums(ordered, out=ordered.copy())[table.row_of]
         x = x / (math.hypot(*x.tolist()) or 1)
         if sum(np.abs(x - last).tolist()) < n * EIGENVECTOR_TOL:
             return dict(zip(index.nodes, x.tolist()))

@@ -27,7 +27,13 @@ def _load_config(path: str | None) -> dict:
         return {}
     import yaml
 
-    data = yaml.safe_load(Path(path).read_text())
+    try:
+        data = yaml.safe_load(Path(path).read_text())
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f", line {mark.line + 1} column {mark.column + 1}" if mark else ""
+        raise KgExpandError(f"config file {path}{where} is not valid YAML: "
+                            f"{getattr(exc, 'problem', None) or exc}") from exc
     if data is None:
         return {}
     if not isinstance(data, dict):
@@ -40,21 +46,11 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(values) - known
     if unknown:
-        raise KgExpandError(f"unknown config keys: {sorted(unknown)}")
-    flag_map = {
-        "mode": args.mode, "prompt": args.prompt, "topic": args.topic,
-        "iterations": args.iterations, "seed": args.seed,
-        "vocabulary_size": args.vocabulary, "snapshot_dir": args.out,
-        "max_retries": args.max_retries, "endpoint": args.endpoint,
-        "model": args.model, "max_tokens": args.max_tokens,
-        "timeout": args.timeout, "temperature": args.temperature,
-    }
-    for name, value in flag_map.items():
-        if value is not None:
-            values[name] = value
-    if args.synthetic:
-        values["synthetic"] = True
-    elif args.endpoint:
+        raise KgExpandError(f"unknown config keys: {sorted(unknown, key=str)}")
+    # each run flag's dest is its field's name; a flag left out is None
+    values.update((name, getattr(args, name)) for name in known
+                  if getattr(args, name) is not None)
+    if args.endpoint and not args.synthetic:
         values["synthetic"] = False
     if values.get("topic") and "mode" not in values:
         values["mode"] = "topic"
@@ -177,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--topic", help="topic to explore (topic mode)")
     p_run.add_argument("--iterations", type=int)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--vocabulary", type=int,
-                       help="synthetic generator vocabulary size")
+    p_run.add_argument("--vocabulary", type=int, dest="vocabulary_size",
+                       metavar="VOCABULARY", help="synthetic generator vocabulary size")
     p_run.add_argument("--endpoint", help="remote completion endpoint URL")
     p_run.add_argument("--model")
     p_run.add_argument("--max-tokens", type=int, dest="max_tokens")
@@ -186,9 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--temperature", type=float,
                        help="sampling temperature (endpoint default if omitted)")
     p_run.add_argument("--max-retries", type=int, dest="max_retries")
-    p_run.add_argument("--synthetic", action="store_true",
+    p_run.add_argument("--synthetic", action="store_true", default=None,
                        help="use the deterministic synthetic generator")
-    p_run.add_argument("--out", help="snapshot directory")
+    p_run.add_argument("--out", dest="snapshot_dir", metavar="OUT",
+                       help="snapshot directory")
     p_run.set_defaults(func=_cmd_run)
 
     p_an = sub.add_parser("analyze", help="compute the metric suite over snapshots")

@@ -124,9 +124,6 @@ class KnowledgeGraph:
         """Edge triples, unordered: the graph's own set, to read and not to change."""
         return self._edges
 
-    def has_edge(self, source_key: str, kind: str, target_key: str) -> bool:
-        return (source_key, kind, target_key) in self._edges
-
     @property
     def node_count(self) -> int:
         return len(self._nodes)

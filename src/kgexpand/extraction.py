@@ -64,10 +64,9 @@ def locate_graph_section(block: str) -> str:
 
 @dataclass
 class LocalGraph:
-    """Graph parsed from one iteration's output, with provenance."""
+    """Graph parsed from one iteration's output, with its warning count."""
 
     graph: KnowledgeGraph = field(default_factory=KnowledgeGraph)
-    iteration: int = -1
     warnings: int = 0  # edges accepted with defaulted relation or dropped entries
 
     @property
@@ -124,7 +123,7 @@ def _coerce_label(value: object) -> str:
     raise InvalidLabel(f"cannot use {type(value).__name__} as a concept label")
 
 
-def parse_graph_literal(text: str, iteration: int = -1) -> LocalGraph:
+def parse_graph_literal(text: str) -> LocalGraph:
     """Parse the first balanced adjacency-map literal in ``text``.
 
     Raises NoGraphFound when there is no brace block at all and
@@ -149,7 +148,7 @@ def parse_graph_literal(text: str, iteration: int = -1) -> LocalGraph:
     if not isinstance(obj, dict):
         raise MalformedLiteral(f"top level is {type(obj).__name__}, expected dict")
 
-    local = LocalGraph(iteration=iteration)
+    local = LocalGraph()
     for raw_src, targets in obj.items():
         try:
             src_label = _coerce_label(raw_src)
@@ -215,8 +214,8 @@ class ExtractionOutcome:
     last_error: str = ""
 
 
-def extract_with_retry(session, raw_reasoning: str, max_retries: int = 2,
-                       iteration: int = -1) -> ExtractionOutcome:
+def extract_with_retry(session, raw_reasoning: str,
+                       max_retries: int = 2) -> ExtractionOutcome:
     """Ask the generator to format ``raw_reasoning`` as a literal and parse it.
 
     Parse failures retry up to ``max_retries`` times with the error appended
@@ -237,12 +236,12 @@ def extract_with_retry(session, raw_reasoning: str, max_retries: int = 2,
             )
         reply = session.complete(ask)
         try:
-            local = parse_graph_literal(reply, iteration=iteration)
+            local = parse_graph_literal(reply)
             return ExtractionOutcome(local=local, retries_used=attempt)
         except (NoGraphFound, MalformedLiteral) as exc:
             last_error = str(exc)
     return ExtractionOutcome(
-        local=LocalGraph(iteration=iteration),
+        local=LocalGraph(),
         retries_used=max_retries,
         skipped=True,
         last_error=last_error,

@@ -15,7 +15,7 @@ import json
 import logging
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .core import KnowledgeGraph, MergeDelta, Snapshot, merge_local
@@ -41,6 +41,11 @@ RECORDS_FILENAME = "run_records.csv"
 MANIFEST_FILENAME = "manifest.json"
 
 
+# the values each ``RunConfig`` field annotation admits; only a bool field a bool
+_FIELD_KINDS = {"str": str, "int": int, "bool": bool, "float": (int, float),
+                "float | None": (int, float, type(None))}
+
+
 @dataclass
 class RunConfig:
     mode: str = "open-ended"            # "open-ended" | "topic"
@@ -59,6 +64,12 @@ class RunConfig:
     temperature: float | None = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) != (f.type == "bool")
+                    or not isinstance(value, _FIELD_KINDS[f.type])):
+                raise ConfigError(f"{f.name} must be of type {f.type}, "
+                                  f"got {type(value).__name__} {value!r}")
         if self.mode not in ("open-ended", "topic"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.iterations < 1:
@@ -151,7 +162,7 @@ def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
                 log.debug("iteration %d: degraded reasoning isolation (%s)",
                           i, status.value)
             raw_graph = locate_graph_section(block)
-            outcome = extract_with_retry(gen, raw_graph, cfg.max_retries, iteration=i)
+            outcome = extract_with_retry(gen, raw_graph, cfg.max_retries)
             delta: MergeDelta = merge_local(global_graph, outcome.local.graph)
             store.write(Snapshot(i, global_graph))
             followup = build_followup_prompt(outcome.local, cfg)

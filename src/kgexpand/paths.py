@@ -163,9 +163,6 @@ class CorrelationMatrix:
     metrics: tuple[str, ...]
     matrix: list[list[float | None]]    # None marks undefined (zero variance)
 
-    def value(self, a: str, b: str) -> float | None:
-        return self.matrix[self.metrics.index(a)][self.metrics.index(b)]
-
 
 def induced_path_graph(g: KnowledgeGraph, path: ExtractedPath) -> KnowledgeGraph:
     """Subgraph induced by the path's nodes, for GraphML export."""

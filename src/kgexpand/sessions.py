@@ -40,7 +40,8 @@ class HTTPGeneratorSession:
     """Single-turn completion client for a remote text endpoint.
 
     Sends ``{"model", "prompt", "max_tokens"}`` as JSON and accepts either a
-    bare ``{"text": ...}`` reply or a completions-style ``{"choices": [...]}``.
+    bare ``{"text": ...}`` reply or a completions-style ``{"choices": [...]}``
+    whose text is a string; any other reply shape fails at once.
     The auth token comes from the environment, never from config files.
     Timeouts, connection errors and 5xx replies are retried
     ``TRANSPORT_RETRIES`` times; a 4xx reply fails at once, since the same
@@ -74,15 +75,38 @@ class HTTPGeneratorSession:
                     raise GeneratorError(f"endpoint {self.endpoint} refused the "
                                          f"request: HTTP {resp.status_code}")
                 resp.raise_for_status()
-                payload = resp.json()
-                if "text" in payload:
-                    return payload["text"]
-                if "choices" in payload and payload["choices"]:
-                    return payload["choices"][0]["text"]
-                raise GeneratorError(f"unrecognized reply shape: {sorted(payload)}")
-            except (requests.RequestException, ValueError, KeyError) as exc:
+                try:
+                    payload = resp.json()
+                except RecursionError:      # the decoder's stack, not the transport
+                    raise GeneratorError("reply JSON nests too deeply") from None
+                return _reply_text(payload)
+            except (requests.RequestException, ValueError) as exc:
                 last_exc = exc
         raise GeneratorError(f"endpoint {self.endpoint} failed: {last_exc}") from last_exc
+
+
+def _reply_text(payload: object) -> str:
+    """The text of a decoded reply, ``{"text": str}`` or ``{"choices": [{"text":
+    str}, ...]}``; any other shape, a non-string text included, is an error."""
+    text = None
+    if isinstance(payload, dict):
+        text = payload.get("text")
+        choices = payload.get("choices")
+        if "text" not in payload and isinstance(choices, list) and choices:
+            text = choices[0].get("text") if isinstance(choices[0], dict) else None
+    if not isinstance(text, str):
+        raise GeneratorError(f"unrecognized reply shape: {_shape(payload)}")
+    return text
+
+
+def _shape(value: object, depth: int = 3) -> str:
+    """A JSON value's keys and types, ``depth`` levels down, for error messages."""
+    if depth and isinstance(value, dict):
+        return "{" + ", ".join(f"{k!r}: {_shape(v, depth - 1)}"
+                               for k, v in sorted(value.items())) + "}"
+    if depth and isinstance(value, list):
+        return f"[{_shape(value[0], depth - 1)}, ...]" if value else "[]"
+    return "null" if value is None else type(value).__name__
 
 
 _ADJECTIVES = (

@@ -4,7 +4,8 @@
 adjacency straight from its triples: the sorted node keys, an int32 CSR with
 the degrees and component labels, a self-loop flag per node, and each edge
 once in the order networkx's view of the graph would yield it. Every
-per-snapshot metric reads this index; no stage builds a networkx graph.
+per-snapshot metric reads this index; no stage builds a networkx graph. Its
+``rows``, built once, lay the CSR out in degree order for every neighbour sum.
 ``distance_sweep`` runs Brandes' algorithm (J. Math. Sociol. 25:163,
 2001) in its algebraic, level-synchronous form (Kepner and Gilbert, *Graph
 Algorithms in the Language of Linear Algebra*, SIAM 2011): a batch of sources
@@ -62,6 +63,11 @@ class SnapshotIndex:
         """The CSR rows as lists of ints, for the kernels that walk them in Python."""
         ptr, ind = self.indptr.tolist(), self.indices.tolist()
         return [ind[ptr[i]:ptr[i + 1]] for i in range(len(self.nodes))]
+
+    @cached_property
+    def rows(self) -> NeighbourRows:
+        """The CSR in degree order, for the batched neighbour sums."""
+        return NeighbourRows(self.indptr[:-1], self.degree, self.indices)
 
     def lcc_degrees(self) -> dict:
         """Node key -> degree over the largest component, in key order."""
@@ -149,7 +155,7 @@ class DistanceSweep:
         missing = np.asarray(sorted(set(sources) - self.rows.keys()), dtype=np.int64)
         out = {s: self.rows[s] for s in sources if s in self.rows}
         if missing.size:
-            rows = _Rows(self.index)
+            rows = self.index.rows
             dtype = hop_dtype(len(self.index.nodes))
             for batch in _batches(self.index, missing):
                 depth, _, _ = rows.forward(rows.row_of[batch])
@@ -169,31 +175,34 @@ def _batches(index: SnapshotIndex, sources: np.ndarray):
         yield sources[start:start + width]
 
 
-class _Rows:
-    """The adjacency in degree order, as slices that numpy sums without a loop
+class NeighbourRows:
+    """An adjacency in degree order, as slices that numpy sums without a loop
     over nodes.
 
     Row ``r`` is node ``order[r]``, so the rows of degree above ``k`` are a
     prefix; slice ``k`` holds the row of the ``k``-th neighbour of each of
     them. Summing neighbours is one gather-and-add per slice, and
-    ``np.add.reduceat`` over the CSR was 8x slower at 500 nodes.
+    ``np.add.reduceat`` over the CSR was 8x slower at 500 nodes. Node ``i``'s
+    neighbours are ``indices[starts[i]:starts[i] + lengths[i]]``.
     """
 
-    def __init__(self, index: SnapshotIndex) -> None:
-        n = len(index.nodes)
-        self.order = np.argsort(-index.degree, kind="stable")
+    def __init__(self, starts: np.ndarray, lengths: np.ndarray,
+                 indices: np.ndarray) -> None:
+        n = len(lengths)
+        self.order = np.argsort(-lengths, kind="stable")
         self.row_of = np.empty(n, dtype=np.int64)
         self.row_of[self.order] = np.arange(n)
-        degree = index.degree[self.order]
-        widest = int(degree[0]) if n else 0
-        counts = np.searchsorted(-degree, -np.arange(widest), side="left")
-        starts = index.indptr[:-1][self.order]
-        self.slices = [(c, self.row_of[index.indices[starts[:c] + k]])
+        lengths = lengths[self.order]
+        widest = int(lengths[0]) if n else 0
+        counts = np.searchsorted(-lengths, -np.arange(widest), side="left")
+        starts = starts[self.order]
+        self.slices = [(c, self.row_of[indices[starts[:c] + k]])
                        for k, c in enumerate(counts.tolist())]
 
-    def neighbour_sums(self, x: np.ndarray) -> np.ndarray:
-        """Row r of the result is the sum of x's rows over r's neighbours."""
-        out = np.zeros_like(x)
+    def neighbour_sums(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Row r of the result is the sum of x's rows over r's neighbours,
+        added in slice order onto ``out`` (zeros when None), which is returned."""
+        out = np.zeros_like(x) if out is None else out
         for count, nbr in self.slices:
             out[:count] += x[nbr]
         return out
@@ -247,7 +256,7 @@ def distance_sweep(index: SnapshotIndex, keep=(), *,
     """
     n = len(index.nodes)
     keep = set(keep)
-    rows = _Rows(index)
+    rows = index.rows
     dist_sum = np.zeros(n, dtype=np.int64)
     reach = np.zeros(n, dtype=np.int64)
     eccentricity = np.zeros(n, dtype=np.int64)

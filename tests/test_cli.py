@@ -159,6 +159,35 @@ def test_unknown_config_key_fails(tmp_path):
                  str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("text, named", [
+    ("iterations: [2\n", "line 2 column 1 is not valid YAML"),
+    ("mode: topic\n  topic: x\n", "line 2 column 8 is not valid YAML"),
+    ("iterations: ten\n", "iterations must be of type int, got str 'ten'"),
+    ("iterations: true\n", "iterations must be of type int, got bool True"),
+    ("seed: 1.5\n", "seed must be of type int, got float 1.5"),
+    ('synthetic: "no"\n', "synthetic must be of type bool, got str 'no'"),
+    ("timeout: fast\n", "timeout must be of type float, got str 'fast'"),
+    ("model: null\n", "model must be of type str, got NoneType None"),
+])
+def test_bad_config_file_exits_1_with_an_error_line(tmp_path, capsys, text, named):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "snaps"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_file_types_accept_ints_as_floats_and_null_temperature(tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("iterations: 1\ntimeout: 30\ntemperature: null\nsynthetic: true\n")
+    out = tmp_path / "snaps"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "graph_iteration_0.graphml").exists()
+
+
 def test_analyze_tolerates_empty_leading_snapshots(tmp_path):
     # extraction failing on the first iterations leaves empty snapshots
     from kgexpand.core import KnowledgeGraph, Snapshot

@@ -419,3 +419,36 @@ def test_http_session_retries_server_and_transport_errors_once(monkeypatch, firs
     with pytest.raises(GeneratorError):
         HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x")
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("payload, shape", [
+    ("just text", "str"),
+    (None, "null"),
+    ([{"text": "x"}], "[{'text': str}, ...]"),
+    ({"choices": ["x"]}, "{'choices': [str, ...]}"),
+    ({"text": 42}, "{'text': int}"),
+    ({"choices": [{"text": None}]}, "{'choices': [{'text': null}, ...]}"),
+    ({"choices": []}, "{'choices': []}"),
+])
+def test_http_session_rejects_a_reply_without_string_text(monkeypatch, payload, shape):
+    calls = _scripted_post(monkeypatch, [200, 200])
+    monkeypatch.setattr(_Reply, "json", lambda self: payload)
+    with pytest.raises(GeneratorError) as exc:
+        HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x")
+    assert str(exc.value) == f"unrecognized reply shape: {shape}"
+    assert len(calls) == 1              # the same request would get the same reply
+
+
+def test_http_session_rejects_a_reply_nested_past_the_decoder(monkeypatch):
+    calls = _scripted_post(monkeypatch, [200, 200])
+    monkeypatch.setattr(_Reply, "json", lambda self: json.loads("[" * 100_000))
+    with pytest.raises(GeneratorError, match="nests too deeply"):
+        HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x")
+    assert len(calls) == 1
+
+
+def test_http_session_reads_completions_style_text(monkeypatch):
+    _scripted_post(monkeypatch, [200])
+    monkeypatch.setattr(_Reply, "json",
+                        lambda self: {"choices": [{"text": "first"}, {"text": "second"}]})
+    assert HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x") == "first"

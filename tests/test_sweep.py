@@ -138,3 +138,29 @@ def test_hop_dtype_holds_every_hop_count():
     # n nodes are at most n - 1 hops apart
     assert sweep.hop_dtype((1 << 15) - 1) is np.int16
     assert sweep.hop_dtype(1 << 15) is np.int32
+
+
+def test_one_index_builds_one_neighbour_table(monkeypatch):
+    built = []
+    init = sweep.NeighbourRows.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(sweep.NeighbourRows, "__init__", counted)
+    g = oracles.random_connected_graph(30, 20, 3)
+    g.add_edge("x1", "x2")
+    g.add_edge("x1", "x1")
+    index = index_of(g)
+    n = len(index.nodes)
+    swept = distance_sweep(index, keep=range(0, n, 2))
+    swept.depths(range(n))              # the odd rows take a forward pass of their own
+    analytics.eigenvector_centrality(index, self_loops=False)
+    assert built == [index.rows]
+    # the self-loops on the diagonal need their own table, one more
+    analytics.eigenvector_centrality(index, self_loops=True)
+    assert len(built) == 2 and built[0] is index.rows
+    # and an index that only that call reads builds only that table
+    analytics.eigenvector_centrality(index_of(g), self_loops=True)
+    assert len(built) == 3
