@@ -850,7 +850,11 @@ class BetweennessSeries:
 
 
 def betweenness_timeseries(series: list[Snapshot]) -> BetweennessSeries:
-    """Normalized betweenness of every node over time; absent nodes score 0."""
+    """Normalized betweenness of every node over time; absent nodes score 0.
+
+    ``analyze`` writes betweenness rows to metrics.csv only for the nodes
+    present in each snapshot, so it has no rows for those zeros.
+    """
     if len(series) == 0:
         raise EmptyGraph("empty snapshot series")
     per_iter = {snap.iteration: distance_sweep(snapshot_index(snap.graph)).betweenness

@@ -19,7 +19,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
-from .core import DEFAULT_RELATION, KnowledgeGraph
+from .core import DEFAULT_RELATION, KnowledgeGraph, normalize_relation
 from .errors import InvalidLabel, MalformedLiteral, NoGraphFound
 
 THINK_OPEN = "<|thinking|>"
@@ -177,9 +177,13 @@ def parse_graph_literal(text: str) -> LocalGraph:
                 kind = DEFAULT_RELATION
                 local.warnings += 1
             try:
-                local.graph.add_edge(local.graph.display(src_key), kind, tgt_label)
+                # a rejected relation adds no target node, as in ``add_edge``
+                kind = normalize_relation(kind)
+                tgt_key = local.graph.add_node(tgt_label)
             except InvalidLabel:
                 local.warnings += 1
+                continue
+            local.graph.add_keyed_edge(src_key, kind, tgt_key)
     return local
 
 

@@ -4,7 +4,8 @@ Each iteration asks the generator a question, isolates the reasoning block,
 reformats its graph section into a parseable literal, merges the parsed local
 graph into the global one, writes a GraphML snapshot, and asks the generator
 for a follow-up question built from the latest extracted entities. Skipped
-iterations (parse exhaustion) still write an unchanged snapshot so the series
+iterations (parse exhaustion, or a reasoning reply over ``MAX_REPLY_CHARS``,
+which is never sent back) still write an unchanged snapshot so the series
 stays index-dense.
 """
 
@@ -21,7 +22,10 @@ from pathlib import Path
 from .core import KnowledgeGraph, MergeDelta, Snapshot, merge_local
 from .errors import ConfigError
 from .extraction import (
+    MAX_REPLY_CHARS,
+    ExtractionOutcome,
     IsolationStatus,
+    LocalGraph,
     extract_with_retry,
     isolate_reasoning,
     locate_graph_section,
@@ -161,8 +165,13 @@ def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
             if status is not IsolationStatus.WELL_FORMED:
                 log.debug("iteration %d: degraded reasoning isolation (%s)",
                           i, status.value)
-            raw_graph = locate_graph_section(block)
-            outcome = extract_with_retry(gen, raw_graph, cfg.max_retries)
+            if len(response) > MAX_REPLY_CHARS:
+                outcome = ExtractionOutcome(LocalGraph(), skipped=True, last_error=(
+                    f"reasoning reply has {len(response)} characters, over the "
+                    f"cap of {MAX_REPLY_CHARS}"))
+            else:
+                outcome = extract_with_retry(gen, locate_graph_section(block),
+                                             cfg.max_retries)
             delta: MergeDelta = merge_local(global_graph, outcome.local.graph)
             store.write(Snapshot(i, global_graph))
             followup = build_followup_prompt(outcome.local, cfg)

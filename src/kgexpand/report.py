@@ -12,8 +12,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 from collections import Counter
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,10 +70,24 @@ class AnalyzeSeeds:
     sampling: int = 0
 
 
+@contextmanager
+def _csv_writer(path: Path, header: list[str]):
+    """Write ``path.partial``, which replaces ``path`` if the block ends and is
+    removed if it raises, so ``path`` only ever holds a whole file."""
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            yield writer
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, path)
+
+
 def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+    with _csv_writer(path, header) as writer:
         writer.writerows(rows)
 
 
@@ -85,120 +101,105 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
     the output directory. Deterministic given the seeds.
 
     ``snapshots`` (in iteration order, already thinned by ``stride``, which is
-    only recorded) is read once, and the last one is the final snapshot. Each
-    gets one pass: its index is built once from its triples and passed to
-    every metric, with one triangle pass, one Louvain partition and one
-    distance sweep, which keeps the depth rows of the sampled pairs' sources
-    and gives both betweenness tables; ``analytics.summarize_*`` aggregate
-    the hub and bridge results. metrics.csv is streamed from the per-iteration
-    values and betweenness tables the loop keeps, so no row table is built.
+    only recorded) is read once; the last is the final snapshot. Each gets one
+    index, one triangle pass, one Louvain partition and one distance sweep,
+    which keeps the sampled pairs' sources' depth rows and gives both
+    betweenness tables. Its metrics.csv rows, with a betweenness row for each
+    node it holds, are written before the next snapshot is read.
     """
     seeds = seeds or AnalyzeSeeds()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ledger = analytics.PairDistanceLedger(seed=seeds.sampling)
 
-    values_by_iter, bet_by_iter, bridge_sets, degrees_by_iter = {}, {}, {}, {}
-    scalefree_rows: list[list] = []
-    final = None
-    for snap in snapshots:
-        final, it, g = snap, snap.iteration, snap.graph
-        index = snapshot_index(g)
-        # after the loop, ``degrees`` is the final snapshot's degree sequence
-        degrees = index.degree.tolist()
-        try:
-            fit, verdict = scalefree.classify(degrees)
-            scalefree_rows.append([it, _fmt(fit.alpha), fit.xmin, fit.n_tail,
-                                   _fmt(verdict.lr), _fmt(verdict.p),
-                                   "yes" if verdict.is_scale_free else "no"])
-        except KgExpandError as exc:
-            scalefree_rows.append([it, "nan", "nan", "nan", "nan", "nan",
-                                   type(exc).__name__])
-        pairs = analytics.draw_pairs(ledger, it, g.node_count, samples)
-        # after the loop, ``sweep`` is the final snapshot's
-        sweep = distance_sweep(index, keep={u for u, _ in pairs})
-        pair_stats = analytics.newly_connected_pairs(ledger, it, sweep, pairs)
-        if g.node_count == 0:
-            # leading snapshots can be empty when extraction failed early
-            zero = {"nodes", "edges", "self_loops", "lcc_size", "bridge_nodes",
-                    "newly_connected", "shortened_paths"}
-            values_by_iter[it] = {n: 0 if n in zero else math.nan for n in GLOBAL_METRICS}
-            bet_by_iter[it], bridge_sets[it], degrees_by_iter[it] = {}, set(), {}
-            continue
-        triangles = analytics.triangles(index)
-        basic = analytics.basic_metrics(g, index, analytics.clustering(index, triangles))
-        avg_spl, diameter = analytics.spl_and_diameter(sweep)
-        partition, q = analytics.louvain(index, seeds.louvain)
-        bridge_sets[it] = analytics.bridge_nodes(index, partition)
-        try:
-            assort = analytics.assortativity(index)
-        except UndefinedMetric:
-            assort = float("nan")
-        kmax, ksize = analytics.kcore(index)
-        bet_by_iter[it] = bet = sweep.betweenness
-        degrees_by_iter[it] = index.lcc_degrees()
-        values_by_iter[it] = {
-            **dataclasses.asdict(basic),
-            "modularity": q,
-            "communities": len(set(partition.values())),
-            "avg_spl_lcc": avg_spl,
-            "diameter_lcc": diameter,
-            "assortativity": assort,
-            "transitivity": analytics.transitivity(index, triangles),
-            "kcore_max": kmax,
-            "kcore_size": ksize,
-            "avg_betweenness_lcc": (sum(sweep.lcc_betweenness.values())
-                                    / len(sweep.lcc_betweenness)),
-            "articulation_points": len(analytics.articulation_points(index)),
-            "bridge_nodes": len(bridge_sets[it]),
-            "newly_connected": pair_stats.newly_connected,
-            "shortened_paths": pair_stats.shortened,
-            "mean_betweenness": sum(bet.values()) / len(bet),
-            "max_betweenness": max(bet.values()),
-        }
-    if final is None:
-        raise EmptyGraph("empty snapshot series")
-    bridges = analytics.summarize_bridges(bridge_sets)
-    hubs = analytics.summarize_hubs(degrees_by_iter)
-    final_table, histogram = None, {}
-    if final.graph.node_count:
-        # Every other metric ignores self-loops; the eigenvector rows keep
-        # them. A self-loop adds to the adjacency diagonal and so changes
-        # eigenvector scores, and these rows have always counted it.
-        # Closeness is the same either way; the loop's sweep gives it.
-        final_table = analytics.centralities(sweep, self_loops=True)
-        histogram = analytics.sampled_spl_distribution(sweep, spl_samples,
-                                                       seeds.sampling).histogram
-
-    def metric_rows():
-        nodes = sorted({v for bc in bet_by_iter.values() for v in bc})
-        for it, values in values_by_iter.items():
-            if values["nodes"]:
-                values["mean_degree_lcc"] = hubs.mean_degree[it]
-            for name in GLOBAL_METRICS:
-                yield it, name, "global", _fmt(values[name])
-            if values["nodes"]:
-                bc = bet_by_iter[it]
-                for node in nodes:
-                    yield it, "betweenness", node, _fmt(bc.get(node, 0.0))
+    scalefree_rows, bridge_sets, degrees_by_iter, final = [], {}, {}, None
+    with _csv_writer(out / "metrics.csv",
+                     ["iteration", "metric", "subject", "value"]) as metrics:
+        for snap in snapshots:
+            final, it, g = snap, snap.iteration, snap.graph
+            index = snapshot_index(g)
+            # after the loop, ``degrees`` is the final snapshot's degree sequence
+            degrees = index.degree.tolist()
+            try:
+                fit, verdict = scalefree.classify(degrees)
+                scalefree_rows.append([it, _fmt(fit.alpha), fit.xmin, fit.n_tail,
+                                       _fmt(verdict.lr), _fmt(verdict.p),
+                                       "yes" if verdict.is_scale_free else "no"])
+            except KgExpandError as exc:
+                scalefree_rows.append([it, "nan", "nan", "nan", "nan", "nan",
+                                       type(exc).__name__])
+            pairs = analytics.draw_pairs(ledger, it, g.node_count, samples)
+            # after the loop, ``sweep`` is the final snapshot's
+            sweep = distance_sweep(index, keep={u for u, _ in pairs})
+            pair_stats = analytics.newly_connected_pairs(ledger, it, sweep, pairs)
+            if g.node_count == 0:
+                # leading snapshots can be empty when extraction failed early
+                zero = {"nodes", "edges", "self_loops", "lcc_size", "bridge_nodes",
+                        "newly_connected", "shortened_paths"}
+                metrics.writerows((it, name, "global", "0" if name in zero else "nan")
+                                  for name in GLOBAL_METRICS)
+                bridge_sets[it], degrees_by_iter[it] = set(), {}
+                continue
+            triangles = analytics.triangles(index)
+            basic = analytics.basic_metrics(g, index,
+                                            analytics.clustering(index, triangles))
+            avg_spl, diameter = analytics.spl_and_diameter(sweep)
+            partition, q = analytics.louvain(index, seeds.louvain)
+            bridge_sets[it] = analytics.bridge_nodes(index, partition)
+            try:
+                assort = analytics.assortativity(index)
+            except UndefinedMetric:
+                assort = float("nan")
+            kmax, ksize = analytics.kcore(index)
+            bet = sweep.betweenness
+            degrees_by_iter[it] = lcc_degrees = index.lcc_degrees()
+            values = {
+                **dataclasses.asdict(basic),
+                "modularity": q,
+                "communities": len(set(partition.values())),
+                "avg_spl_lcc": avg_spl,
+                "diameter_lcc": diameter,
+                "assortativity": assort,
+                "transitivity": analytics.transitivity(index, triangles),
+                "kcore_max": kmax,
+                "kcore_size": ksize,
+                "avg_betweenness_lcc": (sum(sweep.lcc_betweenness.values())
+                                        / len(sweep.lcc_betweenness)),
+                "articulation_points": len(analytics.articulation_points(index)),
+                "bridge_nodes": len(bridge_sets[it]),
+                "newly_connected": pair_stats.newly_connected,
+                "shortened_paths": pair_stats.shortened,
+                "mean_betweenness": sum(bet.values()) / len(bet),
+                "max_betweenness": max(bet.values()),
+                "mean_degree_lcc": sum(lcc_degrees.values()) / len(lcc_degrees),
+            }
+            metrics.writerows((it, name, "global", _fmt(values[name]))
+                              for name in GLOBAL_METRICS)
+            metrics.writerows((it, "betweenness", node, _fmt(value))
+                              for node, value in bet.items())
+        if final is None:
+            raise EmptyGraph("empty snapshot series")
+        bridges = analytics.summarize_bridges(bridge_sets)
+        hubs = analytics.summarize_hubs(degrees_by_iter)
         for hub, trajectory in hubs.trajectories.items():
-            for it, deg in trajectory.items():
-                yield it, "hub_degree", hub, _fmt(deg)
+            metrics.writerows((it, "hub_degree", hub, _fmt(deg))
+                              for it, deg in trajectory.items())
         for node, present in zip(bridges.presence_nodes, bridges.presence):
-            for it, here in zip(bridges.presence_iterations, present):
-                yield it, "bridge_presence", node, _fmt(int(here))
-        # final-snapshot centrality distributions (plot-ready per-node values)
-        if final_table is not None:
-            for node in sorted(final_table.closeness):
-                yield (final.iteration, "closeness", node,
-                       _fmt(final_table.closeness[node]))
-            if final_table.eigenvector is not None:
-                for node in sorted(final_table.eigenvector):
-                    yield (final.iteration, "eigenvector", node,
-                           _fmt(final_table.eigenvector[node]))
+            metrics.writerows((it, "bridge_presence", node, _fmt(int(here)))
+                              for it, here in zip(bridges.presence_iterations, present))
+        histogram = {}
+        if final.graph.node_count:
+            # Every other metric ignores self-loops; the eigenvector rows keep
+            # them, as a self-loop adds to the adjacency diagonal and so changes
+            # eigenvector scores. Closeness is the same either way.
+            final_table = analytics.centralities(sweep, self_loops=True)
+            histogram = analytics.sampled_spl_distribution(sweep, spl_samples,
+                                                           seeds.sampling).histogram
+            for name, table in (("closeness", final_table.closeness),
+                                ("eigenvector", final_table.eigenvector)):
+                metrics.writerows((final.iteration, name, node, _fmt(table[node]))
+                                  for node in sorted(table or ()))
 
-    _write_csv(out / "metrics.csv", ["iteration", "metric", "subject", "value"],
-               metric_rows())
     _write_csv(out / "scalefree.csv",
                ["iteration", "alpha", "xmin", "n_tail", "lr", "p", "verdict"],
                scalefree_rows)
@@ -215,7 +216,7 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
         "samples": samples,
         "spl_samples": spl_samples,
         "stride": stride,
-        "iterations": list(values_by_iter),
+        "iterations": list(degrees_by_iter),
     }, indent=2, sort_keys=True) + "\n")
 
     return out

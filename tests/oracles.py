@@ -13,10 +13,14 @@ its reference.
 
 from __future__ import annotations
 
+import ast
+import csv
+import io
 import itertools
 import logging
 import math
 import random
+import warnings
 import xml.etree.ElementTree as ET
 
 import networkx as nx
@@ -35,12 +39,18 @@ from kgexpand.core import DEFAULT_RELATION, KnowledgeGraph, largest_component
 from kgexpand.errors import (
     EmptyGraph,
     GraphMLError,
+    InvalidLabel,
     MalformedLiteral,
     NoGraphFound,
     TrivialPath,
     UndefinedMetric,
 )
-from kgexpand.extraction import MAX_BRACE_DEPTH
+from kgexpand.extraction import (
+    MAX_BRACE_DEPTH,
+    MAX_REPLY_CHARS,
+    LocalGraph,
+    _coerce_label,
+)
 from kgexpand.paths import ExtractedPath
 from kgexpand.sweep import SnapshotIndex, distance_sweep, snapshot_index
 
@@ -629,6 +639,40 @@ def validate_supergraph(snapshots) -> None:
                 f"snapshot {cur.iteration} lost edges present at {prev.iteration}")
 
 
+def dense_metrics_csv(text: str, node_sets: dict) -> str:
+    """metrics.csv as ``analyze`` wrote it when every non-empty snapshot got a
+    betweenness row for each node of any picked snapshot, rebuilt from the
+    file written now, which has rows for the nodes each snapshot holds.
+
+    ``node_sets`` maps each picked iteration to its node keys. An absent
+    node's row reads 0; the rows of each snapshot are in key order, after its
+    global rows. Raises AssertionError unless each snapshot's betweenness
+    subjects are exactly its node keys, in key order.
+    """
+    nodes = sorted(set().union(*node_sets.values()))
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    subjects: dict[int, list] = {}
+    values, kept = {}, []
+    for row in rows:
+        if row[1] == "betweenness":
+            subjects.setdefault(int(row[0]), []).append(row[2])
+            values[int(row[0]), row[2]] = row[3]
+        else:
+            kept.append(row)
+    assert subjects == {it: sorted(keys) for it, keys in node_sets.items() if keys}
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in kept:
+        writer.writerow(row)
+        it = int(row[0])
+        # mean_degree_lcc is a snapshot's last global row
+        if row[1:3] == ["mean_degree_lcc", "global"] and node_sets[it]:
+            writer.writerows([it, "betweenness", v, values.get((it, v), "0")]
+                             for v in nodes)
+    return out.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # graph generators for the oracle suites
 
@@ -828,6 +872,56 @@ def find_brace_block(text: str) -> tuple[int, int]:
                 return start, i + 1
         i += 1
     raise MalformedLiteral("unbalanced braces in reply")
+
+
+def parse_graph_literal(text: str) -> LocalGraph:
+    """The reference for ``extraction.parse_graph_literal``: every edge goes
+    through ``KnowledgeGraph.add_edge`` with its source's display label, so
+    the source is normalized again at each of its edges."""
+    if len(text) > MAX_REPLY_CHARS:
+        raise MalformedLiteral(
+            f"reply has {len(text)} characters, over the cap of {MAX_REPLY_CHARS}")
+    start, end = find_brace_block(text)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            obj = ast.literal_eval(text[start:end])
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError) as exc:
+        raise MalformedLiteral(f"brace block is not a Python literal: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise MalformedLiteral(f"top level is {type(obj).__name__}, expected dict")
+    local = LocalGraph()
+    for raw_src, targets in obj.items():
+        try:
+            src_key = local.graph.add_node(_coerce_label(raw_src))
+        except InvalidLabel:
+            local.warnings += 1
+            continue
+        if targets is None:
+            continue
+        if not isinstance(targets, dict):
+            local.warnings += 1
+            continue
+        for raw_tgt, attrs in targets.items():
+            try:
+                tgt_label = _coerce_label(raw_tgt)
+            except InvalidLabel:
+                local.warnings += 1
+                continue
+            kind = None
+            if isinstance(attrs, dict):
+                kind = attrs.get("relation")
+            elif attrs is not None:
+                local.warnings += 1
+                continue
+            if not isinstance(kind, str) or not kind.strip():
+                kind = DEFAULT_RELATION
+                local.warnings += 1
+            try:
+                local.graph.add_edge(local.graph.display(src_key), kind, tgt_label)
+            except InvalidLabel:
+                local.warnings += 1
+    return local
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from kgexpand.extraction import (
     serialize_graph_literal,
 )
 
+from . import oracles
 from .oracles import find_brace_block
 from .strategies import knowledge_graphs
 
@@ -156,6 +157,36 @@ def test_parser_never_crashes_on_bytes(blob):
         parse_graph_literal(blob.decode("utf-8", errors="replace"))
     except (NoGraphFound, MalformedLiteral, InvalidLabel):
         pass
+
+
+# labels and relations that reach every branch of the build: empty after
+# trimming, a character XML cannot hold, case and whitespace variants of one
+# label, numbers, and keys that are no label at all
+_raw_labels = (st.sampled_from(["a", " A ", "a\tb", "A B", "", " ", "b\x00", "\ufffe"])
+               | st.integers(0, 2) | st.booleans() | st.just(0.5) | st.none()
+               | st.just((0,)))
+_relations = (st.sampled_from(["has", " Has ", "IS-A", "", "\t", "h\x01", "\x01"])
+              | st.none() | st.just(1))
+_attrs = (st.fixed_dictionaries({"relation": _relations}) | st.just({})
+          | st.just({"weight": 1}) | st.none() | st.just("HAS") | st.just([]))
+_literals = st.dictionaries(
+    _raw_labels, st.none() | st.just(7) | st.dictionaries(_raw_labels, _attrs, max_size=4),
+    max_size=5).map(repr)
+
+
+def _parsed(parse, text):
+    try:
+        local = parse(text)
+    except (NoGraphFound, MalformedLiteral) as exc:
+        return type(exc)    # its message can hold an object's address
+    g = local.graph
+    return list(g.display_map().items()), g.triples(), local.warnings
+
+
+@given(_literals | st.text(alphabet="{}:'a, \x01", max_size=30))
+@settings(max_examples=500)
+def test_parser_matches_the_per_edge_build(text):
+    assert _parsed(parse_graph_literal, text) == _parsed(oracles.parse_graph_literal, text)
 
 
 def test_reply_over_the_character_cap_is_rejected():

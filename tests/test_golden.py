@@ -18,6 +18,13 @@ snapshots grow to about 750 nodes, far past the first run's 100 or so, so
 Louvain builds many aggregate levels on it. Every file that
 `analyze --stride 50` writes was pinned while Louvain still kept its
 aggregate levels as weight dicts. Every byte must match.
+
+metrics.csv once held a betweenness row for every node of any picked
+snapshot, reading 0 where the snapshot lacked the node. It now holds rows
+only for the nodes each snapshot has. Both pins of metrics.csv were moved
+with that change alone: the T=40 line count and the stride-50 digest. The
+dense file rebuilt from the new one and the snapshots' node sets
+(`oracles.dense_metrics_csv`) must still give the old line count and digest.
 """
 
 import hashlib
@@ -25,6 +32,9 @@ import hashlib
 import pytest
 
 from kgexpand.cli import main
+from kgexpand.graphml_io import SnapshotStore, read_graphml
+
+from .oracles import dense_metrics_csv
 
 BETWEENNESS_ROWS = {"betweenness", "mean_betweenness", "max_betweenness",
                     "avg_betweenness_lcc"}
@@ -37,8 +47,9 @@ DIGESTS = {
     "scalefree.csv": "5326eea4c4606cd7b39ebded3865262ee8b4cc093899e503e4ffc3f88dc3c1db",
     "spl_histogram.csv": "57c7d14366b00289abb52e8ad111e0c705b905ee35b459db99579cb5c4bea8ec",
 }
-METRICS_LINES = 9473        # betweenness rows included
+METRICS_LINES = 7530        # betweenness rows of the nodes present included
 METRICS_LINES_KEPT = 5233
+DENSE_METRICS_LINES = 9473  # with a row for every node of any picked snapshot
 
 
 @pytest.fixture(scope="module")
@@ -120,10 +131,13 @@ STRIDE_50_DIGESTS = {
     "bridge_persistence.csv": "f6c6cfc117b85178c748bf979096393e31c568331de516baf467ae58ac6f608e",
     "degree_histogram.csv": "7fd43f413ad21e214b6478b3662b5336a1aa24b1410aa8fbc85cf630b54bbfcb",
     "hub_emergence.csv": "ebeaed0bb807a085b7ab45cfdb2e26e7d74e5d71e6a4aab20f19af3d172cd5bb",
-    "metrics.csv": "08431e62bbf634b07074ad056b9f6697fa51f1259d0ad07c775268f12f1a98bc",
+    "metrics.csv": "930214199237485b7ed8c34773848d885d4fdfa2694c147ecc92d5efac2f8220",
     "scalefree.csv": "c8704039c5a92d9b109bf789403b45786a99bf0ee2cab133fb9bb5d267678eae",
     "spl_histogram.csv": "6576e713e8701587c9f8098637009bde299768abfc6e62cddbe3479633dcc691",
 }
+
+
+DENSE_STRIDE_50_METRICS = "08431e62bbf634b07074ad056b9f6697fa51f1259d0ad07c775268f12f1a98bc"
 
 
 @pytest.fixture(scope="module")
@@ -144,3 +158,17 @@ def test_stride_50_analyze_writes_the_pinned_files(stride_50_analysis):
 def test_stride_50_analyze_bytes_match_the_pins(stride_50_analysis, name):
     digest = hashlib.sha256((stride_50_analysis / name).read_bytes()).hexdigest()
     assert digest == STRIDE_50_DIGESTS[name]
+
+
+def _dense_metrics(analysis, snaps, stride):
+    node_sets = {it: read_graphml(path).node_keys
+                 for it, path in SnapshotStore(snaps).picked_paths(stride)}
+    return dense_metrics_csv((analysis / "metrics.csv").read_bytes().decode(), node_sets)
+
+
+def test_dense_metrics_rebuilt_from_the_present_node_rows_match_the_old_pins(
+        analysis, snaps, stride_50_analysis):
+    dense = _dense_metrics(analysis, snaps, 1)
+    assert len(dense.splitlines()) == DENSE_METRICS_LINES
+    dense = _dense_metrics(stride_50_analysis, stride_50_analysis.parent / "snaps", 50)
+    assert hashlib.sha256(dense.encode()).hexdigest() == DENSE_STRIDE_50_METRICS

@@ -2,6 +2,7 @@ import csv
 import errno
 import http.server
 import json
+import logging
 import threading
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from kgexpand.cli import main
 from kgexpand.core import KnowledgeGraph, Snapshot
 from kgexpand.errors import ConfigError, GeneratorError
-from kgexpand.extraction import THINK_CLOSE, THINK_OPEN
+from kgexpand.extraction import MAX_REPLY_CHARS, THINK_CLOSE, THINK_OPEN, LocalGraph
 from kgexpand.graphml_io import SnapshotStore
 from kgexpand import loop
 from kgexpand.loop import RECORDS_FILENAME, RunConfig, run
@@ -216,6 +217,39 @@ def test_skipped_iteration_still_writes_snapshot(tmp_path):
     assert len(list(tmp_path.glob("*.graphml"))) == 3
     counts = [s.graph.edge_count for s in SnapshotStore(result.snapshot_dir).snapshots()]
     assert counts[1] == counts[0]  # unchanged snapshot on the skipped iteration
+
+
+def test_reasoning_reply_over_the_cap_skips_the_iteration(tmp_path, caplog):
+    class HugeFirstReasoning(OneTripleSession):
+        def __init__(self):
+            self.prompts = []
+
+        def complete(self, prompt):
+            self.prompts.append(prompt)
+            reply = super().complete(prompt)
+            if len(self.prompts) == 1:
+                # the graph section alone is five times the cap
+                padding = "x" * (5_000_000 - len(reply))
+                return reply[:-len(THINK_CLOSE)] + padding + THINK_CLOSE
+            return reply
+
+    session = HugeFirstReasoning()
+    cfg = RunConfig(iterations=2, snapshot_dir=str(tmp_path))
+    with caplog.at_level(logging.INFO, logger="kgexpand.loop"):
+        result = run(cfg, session)
+    assert max(len(prompt) for prompt in session.prompts) <= MAX_REPLY_CHARS
+    # no format prompt on iteration 0; its follow-up comes from an empty graph
+    assert session.prompts[1] == build_followup_prompt(LocalGraph(), cfg)
+    assert sum("Output the graph as a Python dictionary" in prompt
+               for prompt in session.prompts) == 1
+    first, second = result.records
+    assert (first.skipped, first.retries, first.added_nodes) == (True, 0, 0)
+    assert first.reasoning_length > MAX_REPLY_CHARS
+    assert (second.skipped, second.added_edges) == (False, 1)
+    counts = [s.graph.node_count for s in SnapshotStore(tmp_path).snapshots()]
+    assert counts == [0, 2]
+    assert ("iteration 0 skipped after 0 retries: reasoning reply has 5000000 "
+            "characters, over the cap of 1000000") in caplog.text
 
 
 def test_transport_failure_preserves_partial_series(tmp_path):

@@ -1,12 +1,12 @@
 """The single-pass analysis, the shared centrality table and the final-snapshot reads."""
 
+import contextlib
 import csv
 import json
 import os
 import shutil
 import subprocess
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 
 import networkx as nx
@@ -71,15 +71,16 @@ def test_series_has_empty_disconnected_and_connected_snapshots():
 
 
 def test_per_node_betweenness_matches_betweenness_timeseries(analyzed):
+    # one row for each node the snapshot holds, in key order, and none for a
+    # node it lacks (the series' later snapshots add nodes)
     series, rows, _ = analyzed
     bet = analytics.betweenness_timeseries(series)
-    expected = {(str(it), node): _fmt(bet.values[idx][col])
-                for idx, it in enumerate(bet.iterations)
-                if series[idx].graph.node_count
-                for col, node in enumerate(bet.nodes)}
-    got = {(r["iteration"], r["subject"]): r["value"]
-           for r in rows if r["metric"] == "betweenness"}
-    assert got == expected
+    for idx, it in enumerate(bet.iterations):
+        got = [(r["subject"], r["value"]) for r in rows
+               if r["metric"] == "betweenness" and r["iteration"] == str(it)]
+        nodes = sorted(series[idx].graph.node_keys)
+        assert got == [(v, _fmt(bet.values[idx][bet.nodes.index(v)])) for v in nodes]
+    assert len(bet.nodes) > len(series[1].graph.node_keys) > 0
     for idx, it in enumerate(bet.iterations[1:], start=1):
         glob = {r["metric"]: r["value"] for r in rows
                 if r["iteration"] == str(it) and r["subject"] == "global"}
@@ -272,17 +273,42 @@ def test_analyze_series_builds_no_view(monkeypatch, tmp_path):
 
 
 def test_analyze_series_streams_metrics_rows(monkeypatch, tmp_path):
-    written = {}
-    write_csv = report._write_csv
+    # a snapshot's global and betweenness rows reach the writer before the next
+    # snapshot is read, so no table of every row or every betweenness dict is kept
+    events = []
+    csv_writer = report._csv_writer
 
-    def recording(path, header, rows):
-        written[Path(path).name] = rows
-        write_csv(path, header, rows)
+    class Recording:
+        def __init__(self, writer):
+            self.writer = writer
 
-    monkeypatch.setattr(report, "_write_csv", recording)
-    analyze_series(_series(), tmp_path, samples=10, spl_samples=10)
-    # an iterator, not a list: no table of every row is built before the write
-    assert isinstance(written["metrics.csv"], Iterator)
+        def writerows(self, rows):
+            rows = list(rows)
+            events.extend(("row", it, metric) for it, metric, *_ in rows)
+            self.writer.writerows(rows)
+
+    @contextlib.contextmanager
+    def recording(path, header):
+        with csv_writer(path, header) as writer:
+            yield Recording(writer) if path.name == "metrics.csv" else writer
+
+    def reading(series):
+        for snap in series:
+            events.append(("read", snap.iteration, None))
+            yield snap
+
+    monkeypatch.setattr(report, "_csv_writer", recording)
+    series = _series()
+    analyze_series(reading(series), tmp_path, samples=10, spl_samples=10)
+    per_snapshot = [(kind, it) for kind, it, metric in events
+                    if kind == "read" or metric == "betweenness"
+                    or metric in report.GLOBAL_METRICS]
+    assert per_snapshot == [
+        step for snap in series for step in (
+            [("read", snap.iteration)]
+            + [("row", snap.iteration)] * (len(report.GLOBAL_METRICS)
+                                           + snap.graph.node_count))]
+    assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".partial") == []
 
 
 def test_analyze_series_runs_one_sweep_per_snapshot(monkeypatch, tmp_path):
@@ -353,6 +379,15 @@ def test_analyze_with_a_stride_skips_a_malformed_unpicked_snapshot(ten_run, tmp_
     (snaps / "graph_iteration_4.graphml").write_text("<graphml><broken")
     assert _analyze(snaps, tmp_path / "a", "--stride", "3") == 0
     assert _analyze(snaps, tmp_path / "b", "--stride", "2") == 1
+
+
+def test_analyze_failing_on_a_picked_snapshot_leaves_no_metrics_file(ten_run, tmp_path):
+    snaps = tmp_path / "snaps"
+    shutil.copytree(ten_run, snaps)
+    (snaps / "graph_iteration_4.graphml").write_text("<graphml><broken")
+    # snapshots 0 and 2 are analyzed and their rows written before 4 fails
+    assert _analyze(snaps, tmp_path / "a", "--stride", "2") == 1
+    assert list((tmp_path / "a").iterdir()) == []
 
 
 def test_analyze_rejects_a_stride_below_one(ten_run, tmp_path):
