@@ -647,16 +647,13 @@ def sampled_spl_distribution(sweep: DistanceSweep, samples: int = 2000,
 # newly connected pair tracking
 
 
-UNREACHABLE = None
-_NO_RECORD = object()
-
-
 @dataclass
 class PairDistanceLedger:
-    """Last known shortest-path distances of previously sampled node pairs."""
+    """Last known shortest-path distances of previously sampled node pairs:
+    the hop count, or -1 for a pair that was unreachable."""
 
     seed: int = 0
-    records: dict[tuple[str, str], int | None] = field(default_factory=dict)
+    records: dict[tuple[str, str], int] = field(default_factory=dict)
     last_iteration: int = -1
 
 
@@ -722,16 +719,16 @@ def newly_connected_pairs(ledger: PairDistanceLedger, iteration: int,
     newly = shortened = with_prior = 0
     for i, j in pairs:
         d = rows[i].item(j)
-        dist = d if d >= 0 else UNREACHABLE
         key = (nodes[i], nodes[j])
-        prior = records.get(key, _NO_RECORD)
-        if prior is not _NO_RECORD:
+        prior = records.get(key)
+        if prior is not None:
             with_prior += 1
-            if prior is UNREACHABLE and dist is not UNREACHABLE:
-                newly += 1
-            elif prior is not UNREACHABLE and dist is not UNREACHABLE and dist < prior:
-                shortened += 1
-        records[key] = dist
+            if d >= 0:
+                if prior < 0:
+                    newly += 1
+                elif d < prior:
+                    shortened += 1
+        records[key] = d
     ledger.last_iteration = iteration
     return PairStats(newly, shortened, with_prior)
 

@@ -4,6 +4,8 @@ The global graph is a directed multigraph on relation kinds: the triple
 (source, kind, target) is the unit of identity, so IS-A and RELATES-TO edges
 between the same pair of concepts coexist. Node identity is the case-folded,
 whitespace-collapsed form of the label; the first display spelling seen wins.
+A graph only grows, and it is its own growth log: nodes and triples are kept
+in the order they were first added, and ``added_since`` reads the log's tail.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import re
 from collections import Counter
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .errors import EmptyGraph, InvalidLabel
@@ -69,10 +72,10 @@ class KnowledgeGraph:
     """Directed labeled multigraph of concepts; the evolving global graph."""
 
     def __init__(self) -> None:
-        # identity key -> first-seen display label
+        # identity key -> first-seen display label, in the order first added
         self._nodes: dict[str, str] = {}
-        # (source key, KIND, target key)
-        self._edges: set[tuple[str, str, str]] = set()
+        # (source key, KIND, target key) -> None, in the order first added
+        self._edges: dict[tuple[str, str, str], None] = {}
 
     # -- construction -------------------------------------------------
 
@@ -94,13 +97,13 @@ class KnowledgeGraph:
         triple = (src, kind, tgt)
         if triple in self._edges:
             return False
-        self._edges.add(triple)
+        self._edges[triple] = None
         return True
 
     def copy(self) -> "KnowledgeGraph":
         dup = KnowledgeGraph()
         dup._nodes = dict(self._nodes)
-        dup._edges = set(self._edges)
+        dup._edges = dict(self._edges)
         return dup
 
     # -- accessors ----------------------------------------------------
@@ -121,8 +124,14 @@ class KnowledgeGraph:
 
     @property
     def triple_set(self) -> AbstractSet[tuple[str, str, str]]:
-        """Edge triples, unordered: the graph's own set, to read and not to change."""
-        return self._edges
+        """Edge triples as a read-only set view, in the order they were added."""
+        return self._edges.keys()
+
+    def added_since(self, nodes: int, edges: int) -> tuple[list, list]:
+        """The node keys and triples added after the first ``nodes`` keys and
+        ``edges`` triples, each in the order they were added."""
+        return (list(islice(self._nodes, nodes, None)),
+                list(islice(self._edges, edges, None)))
 
     @property
     def node_count(self) -> int:
@@ -169,19 +178,14 @@ def merge_local(global_graph: KnowledgeGraph, local: KnowledgeGraph) -> MergeDel
     """Append a local graph to the global one; duplicates are ignored.
 
     Nodes merge on identity key, edges on the full (source, kind, target)
-    triple. Returns counts of genuinely new nodes and edges.
+    triple; the new ones are appended in the local graph's order. Returns
+    counts of genuinely new nodes and edges.
     """
-    delta = MergeDelta()
-    before = global_graph.node_count
+    nodes, edges = global_graph.node_count, global_graph.edge_count
     for key, display in local._nodes.items():
-        if key not in global_graph._nodes:
-            global_graph._nodes[key] = display
-    delta.added_nodes = global_graph.node_count - before
-    for triple in local.triples():
-        if triple not in global_graph._edges:
-            global_graph._edges.add(triple)
-            delta.added_edges += 1
-    return delta
+        global_graph._nodes.setdefault(key, display)
+    global_graph._edges.update(local._edges)
+    return MergeDelta(global_graph.node_count - nodes, global_graph.edge_count - edges)
 
 
 def largest_component(g: KnowledgeGraph) -> KnowledgeGraph:
@@ -211,7 +215,7 @@ def largest_component(g: KnowledgeGraph) -> KnowledgeGraph:
     best = min((c for c in components if len(c) == max_size), key=min)
     sub = KnowledgeGraph()
     sub._nodes = {k: g._nodes[k] for k in sorted(best)}
-    sub._edges = {(s, k, t) for s, k, t in g._edges if s in best and t in best}
+    sub._edges = {(s, k, t): None for s, k, t in g._edges if s in best and t in best}
     return sub
 
 

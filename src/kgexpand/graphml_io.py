@@ -6,9 +6,11 @@ is deterministic (sorted nodes and edges), so writing the same graph twice is
 byte-stable.
 
 There is one serializer. A ``SnapshotStore`` passes its ``RenderCache`` to
-every ``write_graphml`` call, so a snapshot renders only the nodes and triples
-its graph gained since the last one; a call without a cache renders the whole
-graph with the same element code. Both write the same bytes.
+every ``write_graphml`` call. A graph only grows and keeps what it gained in
+order, so when the store writes the same graph again the cache renders only
+the tail of that log, ``KnowledgeGraph.added_since`` what it rendered last; a
+call without a cache renders the whole graph with the same element code. Both
+write the same bytes.
 """
 
 from __future__ import annotations
@@ -80,19 +82,21 @@ class _SortedText:
 
 
 class RenderCache:
-    """The rendered elements of the last graph written through it.
+    """The rendered elements of the last graph object written through it.
 
-    It keeps each node's ``<node>`` element for its key and display, and the
-    text of each triple's ``<edge>`` element after the ``e{i}`` id, both in
-    sorted order, and the numbered id prefixes. A graph that holds the last
-    one (every node with the same display, and every triple) costs only its
-    new elements; otherwise the nodes or the edges are rendered from nothing.
-    The bytes are those of an uncached write either way.
+    It keeps each node's ``<node>`` element and the text of each triple's
+    ``<edge>`` element after the ``e{i}`` id, both in sorted order, and the
+    numbered id prefixes. Written again, the same graph object costs only the
+    nodes and triples it added since, read from the tail of its growth log;
+    any other graph is rendered from nothing. The bytes are those of an
+    uncached write either way.
     """
 
     def __init__(self) -> None:
-        self._displays: dict[str, str] = {}
-        self._triples: set[tuple[str, str, str]] = set()
+        self._start(None)
+
+    def _start(self, g: KnowledgeGraph | None) -> None:
+        self._graph = g
         self._nodes = _SortedText()
         self._edges = _SortedText()
         # '    <edge id="e{i}' and then the text of the i-th triple, for each i
@@ -109,21 +113,13 @@ class RenderCache:
             parts.append(f'  <key for="node" attr.name="{_escape_attr(name)}" '
                          f'attr.type="{_attr_type(node_attrs[name].values())}" '
                          f'id="d{i + 2}" />\n')
-        displays = g.display_map()
-        if self._displays.items() <= displays.items():
-            new_keys = displays.keys() - self._displays.keys()
-        else:  # a node is gone, or shows another display
-            self._nodes, new_keys = _SortedText(), displays.keys()
-        self._nodes.insert(new_keys, lambda key: _node_element(key, displays[key], extras))
-        self._displays = displays
-        triples = g.triple_set
-        new_triples = triples - self._triples
-        if len(triples) - len(new_triples) != len(self._triples):  # a triple is gone
-            self._edges, self._triples, new_triples = _SortedText(), set(), triples
+        if g is not self._graph:
+            self._start(g)
+        new_keys, new_triples = g.added_since(len(self._nodes.items),
+                                              len(self._edges.items))
+        self._nodes.insert(new_keys, lambda key: _node_element(key, g.display(key), extras))
         self._edges.insert(new_triples, _edge_text)
-        self._triples |= new_triples
         texts, edge_parts = self._edges.texts, self._edge_parts
-        del edge_parts[2 * len(texts):]
         for i in range(len(edge_parts) // 2, len(texts)):
             edge_parts += (f'    <edge id="e{i}', "")
         edge_parts[1::2] = texts

@@ -113,11 +113,14 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
     ledger = analytics.PairDistanceLedger(seed=seeds.sampling)
 
     scalefree_rows, bridge_sets, degrees_by_iter, final = [], {}, {}, None
+    keys: dict[str, str] = {}  # node key -> the first string read for it
     with _csv_writer(out / "metrics.csv",
                      ["iteration", "metric", "subject", "value"]) as metrics:
         for snap in snapshots:
             final, it, g = snap, snap.iteration, snap.graph
             index = snapshot_index(g)
+            # what is kept across snapshots holds one string per node key
+            index.nodes = [keys.setdefault(k, k) for k in index.nodes]
             # after the loop, ``degrees`` is the final snapshot's degree sequence
             degrees = index.degree.tolist()
             try:

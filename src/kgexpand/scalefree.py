@@ -138,28 +138,23 @@ def fit_power_law(degrees) -> PowerLawFit:
             f"need at least {MIN_OBSERVATIONS} nonzero observations, got {xs.size}"
         )
     xs.sort()
-    # the distinct values of the sorted sample; np.unique would load numpy.ma
-    uniq = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
-    if uniq.size == 1:
+    # the distinct values of the sorted sample, their first offsets and their
+    # counts, in one pass; np.unique would load numpy.ma
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    if starts.size == 1:
         raise DegenerateSequence("all observations are equal")
+    uniq, counts = xs[starts], np.diff(starts, append=xs.size)
 
     best: tuple[float, int, float, float, int] | None = None  # ks, xmin, alpha, ll, n
     log_all = np.log(xs.astype(np.float64))
-    for xmin in uniq:
-        tail = xs[xs >= xmin]
-        n = int(tail.size)
-        if n < 2 or tail[0] == tail[-1]:
-            continue
-        log_sum = float(log_all[xs.size - n:].sum())
-        alpha, loglik = _mle_alpha(n, int(xmin), log_sum)
-        tail_uniq, counts = np.unique(tail, return_counts=True)
-        emp_cdf = np.cumsum(counts) / n
-        fit_cdf = _fitted_cdf(alpha, int(xmin), tail_uniq)
-        ks = float(np.max(np.abs(emp_cdf - fit_cdf)))
-        if best is None or (ks, int(xmin)) < (best[0], best[1]):
-            best = (ks, int(xmin), alpha, loglik, n)
-    if best is None:
-        raise DegenerateSequence("no viable lower bound leaves a non-constant tail")
+    # each distinct value but the largest starts a non-constant tail xs[first:]
+    for i, (xmin, first) in enumerate(zip(uniq[:-1].tolist(), starts.tolist())):
+        n = xs.size - first
+        alpha, loglik = _mle_alpha(n, xmin, float(log_all[first:].sum()))
+        emp_cdf = np.cumsum(counts[i:]) / n
+        ks = float(np.max(np.abs(emp_cdf - _fitted_cdf(alpha, xmin, uniq[i:]))))
+        if best is None or (ks, xmin) < (best[0], best[1]):
+            best = (ks, xmin, alpha, loglik, n)
     _, xmin, alpha, loglik, n_tail = best
     return PowerLawFit(alpha=alpha, xmin=xmin, n_tail=n_tail, loglik=loglik)
 

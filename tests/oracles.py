@@ -5,8 +5,8 @@ distances, explicit path enumeration, subset enumeration, exhaustive set
 partitions, dense eigendecomposition) so the production implementations are
 checked against genuinely different algorithms. Where a fast path replaced a
 simple one (the GraphML writer and reader, the pair sampler, the reply brace
-scan, the longest-path extractors, Louvain), the simple one is kept here as
-its reference.
+scan, the longest-path extractors, Louvain, the graph merge, the power-law
+fit), the simple one is kept here as its reference.
 ``index_of`` puts a networkx test graph on the production
 ``sweep.SnapshotIndex``, with its node keys kept.
 """
@@ -35,10 +35,12 @@ from kgexpand.analytics import (
     centralities,
     pearson,
 )
-from kgexpand.core import DEFAULT_RELATION, KnowledgeGraph, largest_component
+from kgexpand.core import DEFAULT_RELATION, KnowledgeGraph, MergeDelta, largest_component
 from kgexpand.errors import (
+    DegenerateSequence,
     EmptyGraph,
     GraphMLError,
+    InsufficientData,
     InvalidLabel,
     MalformedLiteral,
     NoGraphFound,
@@ -52,6 +54,7 @@ from kgexpand.extraction import (
     _coerce_label,
 )
 from kgexpand.paths import ExtractedPath
+from kgexpand.scalefree import MIN_OBSERVATIONS, PowerLawFit, _fitted_cdf, _mle_alpha
 from kgexpand.sweep import SnapshotIndex, distance_sweep, snapshot_index
 
 INF = float("inf")
@@ -62,8 +65,24 @@ def knowledge_graph(view: nx.Graph) -> KnowledgeGraph:
     type) and one triple per edge, self-loops included."""
     kg = KnowledgeGraph()
     kg._nodes = {v: str(v) for v in view}
-    kg._edges = {(u, "RELATES-TO", v) for u, v in view.edges()}
+    kg._edges = dict.fromkeys((u, "RELATES-TO", v) for u, v in view.edges())
     return kg
+
+
+def merge_local(global_graph: KnowledgeGraph, local: KnowledgeGraph) -> MergeDelta:
+    """The per-triple merge that ``core.merge_local`` replaced: each key
+    tested and added, then each of the local triples in sorted order."""
+    delta = MergeDelta()
+    before = global_graph.node_count
+    for key, display in local._nodes.items():
+        if key not in global_graph._nodes:
+            global_graph._nodes[key] = display
+    delta.added_nodes = global_graph.node_count - before
+    for triple in local.triples():
+        if triple not in global_graph._edges:
+            global_graph._edges[triple] = None
+            delta.added_edges += 1
+    return delta
 
 
 def index_of(view: nx.Graph) -> SnapshotIndex:
@@ -742,6 +761,39 @@ def sample_discrete_power_law(alpha: float, xmin: int, n: int, seed: int) -> lis
 def sample_geometric(p: float, xmin: int, n: int, seed: int) -> list[int]:
     rng = np.random.default_rng(seed)
     return (xmin + rng.geometric(p, n) - 1).tolist()
+
+
+def fit_power_law(degrees) -> PowerLawFit:
+    """The fit that ``scalefree.fit_power_law`` replaced: each candidate xmin
+    masks its tail out of the sample and counts its distinct values anew."""
+    xs = np.asarray([int(d) for d in degrees if d > 0], dtype=np.int64)
+    if xs.size < MIN_OBSERVATIONS:
+        raise InsufficientData(
+            f"need at least {MIN_OBSERVATIONS} nonzero observations, got {xs.size}"
+        )
+    xs.sort()
+    uniq = np.unique(xs)
+    if uniq.size == 1:
+        raise DegenerateSequence("all observations are equal")
+    best = None  # ks, xmin, alpha, ll, n
+    log_all = np.log(xs.astype(np.float64))
+    for xmin in uniq:
+        tail = xs[xs >= xmin]
+        n = int(tail.size)
+        if n < 2 or tail[0] == tail[-1]:
+            continue
+        log_sum = float(log_all[xs.size - n:].sum())
+        alpha, loglik = _mle_alpha(n, int(xmin), log_sum)
+        tail_uniq, counts = np.unique(tail, return_counts=True)
+        emp_cdf = np.cumsum(counts) / n
+        fit_cdf = _fitted_cdf(alpha, int(xmin), tail_uniq)
+        ks = float(np.max(np.abs(emp_cdf - fit_cdf)))
+        if best is None or (ks, int(xmin)) < (best[0], best[1]):
+            best = (ks, int(xmin), alpha, loglik, n)
+    if best is None:
+        raise DegenerateSequence("no viable lower bound leaves a non-constant tail")
+    _, xmin, alpha, loglik, n_tail = best
+    return PowerLawFit(alpha=alpha, xmin=xmin, n_tail=n_tail, loglik=loglik)
 
 
 # ---------------------------------------------------------------------------

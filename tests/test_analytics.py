@@ -710,6 +710,17 @@ def test_component_merge_counts_match_brute_force():
         assert stats.shortened == expected_short
 
 
+def test_ledger_records_hop_counts_and_minus_one_when_unreachable():
+    series = snapshot_series([[("a", "b"), ("b", "c"), ("x", "y")]])
+    ledger = analytics.PairDistanceLedger(seed=0)
+    newly_connected_pairs(ledger, series[0], samples=None)
+    assert ledger.records == {
+        ("a", "b"): 1, ("a", "c"): 2, ("a", "x"): -1, ("a", "y"): -1,
+        ("b", "c"): 1, ("b", "x"): -1, ("b", "y"): -1,
+        ("c", "x"): -1, ("c", "y"): -1, ("x", "y"): 1}
+    assert all(type(d) is int for d in ledger.records.values())
+
+
 def test_ledger_rejects_stale_iteration():
     series = snapshot_series([[("a", "b")]])
     ledger = analytics.PairDistanceLedger(seed=0)

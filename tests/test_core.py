@@ -9,10 +9,12 @@ from kgexpand.core import (
     largest_component,
     merge_local,
     normalize_label,
+    normalize_relation,
 )
 from kgexpand.errors import EmptyGraph, InvalidLabel
 
-from .strategies import knowledge_graphs, labels
+from . import oracles
+from .strategies import knowledge_graphs, labels, relation_kinds
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +114,78 @@ def test_merge_order_does_not_matter(locals_, rng):
         merge_local(g2, local)
     assert g1.triples() == g2.triples()
     assert g1.display_map().keys() == g2.display_map().keys()
+
+
+@given(knowledge_graphs(), st.lists(knowledge_graphs(max_edges=6), max_size=4))
+def test_merge_equals_the_per_triple_merge(start, locals_):
+    fast, slow = start.copy(), start.copy()
+    for local in locals_:
+        assert merge_local(fast, local) == oracles.merge_local(slow, local)
+    assert list(fast.display_map().items()) == list(slow.display_map().items())
+    assert fast.triples() == slow.triples()
+
+
+# ---------------------------------------------------------------------------
+# the growth log
+
+
+def test_added_since_reads_the_tail_and_a_duplicate_keeps_its_place():
+    g = _graph(("A", "HAS", "B"))
+    g.add_node("C")
+    assert g.added_since(0, 0) == (["a", "b", "c"], [("a", "HAS", "b")])
+    local = _graph(("b", "IS-A", "D"), ("a", "HAS", "b"), ("C", "HAS", "A"))
+    merge_local(g, local)
+    g.add_node("a")
+    assert not g.add_keyed_edge("b", "IS-A", "d")
+    assert g.added_since(2, 1) == (["c", "d"], [("b", "IS-A", "d"), ("c", "HAS", "a")])
+    assert g.added_since(4, 3) == ([], [])
+    assert list(g.triple_set) == [("a", "HAS", "b"), ("b", "IS-A", "d"), ("c", "HAS", "a")]
+
+
+_steps = st.one_of(
+    st.tuples(st.just("node"), labels),
+    st.tuples(st.just("edge"), labels, relation_kinds, labels),
+    st.tuples(st.just("keyed"), st.integers(0, 20), relation_kinds, st.integers(0, 20)),
+    st.tuples(st.just("merge"), knowledge_graphs(max_edges=5)),
+)
+
+
+@given(st.lists(st.tuples(_steps, st.integers(0, 40), st.integers(0, 40)), max_size=12))
+def test_added_since_lists_what_each_step_added_in_order(steps):
+    g = KnowledgeGraph()
+    nodes, triples = [], []  # the log kept by hand: each key and triple once
+
+    def node(key):
+        if key not in nodes:
+            nodes.append(key)
+        return key
+
+    def triple(t):
+        if t not in triples:
+            triples.append(t)
+
+    for step, n, e in steps:
+        if step[0] == "node":
+            g.add_node(step[1])
+            node(normalize_label(step[1]).key)
+        elif step[0] == "edge":
+            g.add_edge(step[1], step[2], step[3])
+            kind = normalize_relation(step[2])
+            triple((node(normalize_label(step[1]).key), kind,
+                    node(normalize_label(step[3]).key)))
+        elif step[0] == "keyed" and nodes:
+            src, tgt = nodes[step[1] % len(nodes)], nodes[step[3] % len(nodes)]
+            g.add_keyed_edge(src, step[2], tgt)
+            triple((src, step[2], tgt))
+        elif step[0] == "merge":
+            merge_local(g, step[1])
+            for key in step[1].display_map():
+                node(key)
+            for t in step[1].triple_set:
+                triple(t)
+        assert g.added_since(0, 0) == (nodes, triples)
+        assert g.added_since(n, e) == (nodes[n:], triples[e:])
+        assert list(g.triple_set) == triples
 
 
 # ---------------------------------------------------------------------------

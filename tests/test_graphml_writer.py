@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgexpand import graphml_io
-from kgexpand.core import KnowledgeGraph, Snapshot, normalize_label, normalize_relation
+from kgexpand.core import (
+    KnowledgeGraph,
+    Snapshot,
+    merge_local,
+    normalize_label,
+    normalize_relation,
+)
 from kgexpand.errors import InvalidLabel
 from kgexpand.extraction import THINK_CLOSE, THINK_OPEN, parse_graph_literal
 from kgexpand.graphml_io import RenderCache, SnapshotStore, read_graphml, write_graphml
@@ -200,6 +206,43 @@ def test_a_store_follows_growth_shrinking_respelling_and_the_empty_graph(tmp_pat
     _assert_store_writes_what_elementtree_writes(
         tmp_path, [KnowledgeGraph(), small, grown, shrunk, grown, respelled,
                    KnowledgeGraph(), grown])
+
+
+def _assert_store_writes_what_the_uncached_writer_writes(store, out, i, g):
+    path = store.write(Snapshot(i, g))
+    write_graphml(g, out / "uncached.graphml")
+    assert path.read_bytes() == (out / "uncached.graphml").read_bytes(), i
+
+
+def test_a_store_renders_another_graph_of_the_same_size_from_nothing(tmp_path):
+    a, b = KnowledgeGraph(), KnowledgeGraph()
+    a.add_edge("Alpha", "HAS", "Beta")
+    b.add_edge("Gamma", "IS-A", "Delta")
+    store = SnapshotStore(tmp_path / "snapshots")
+    _assert_store_writes_what_the_uncached_writer_writes(store, tmp_path, 0, a)
+    _assert_store_writes_what_the_uncached_writer_writes(store, tmp_path, 1, b)
+    a.add_edge("Beta", "HAS", "Epsilon")
+    _assert_store_writes_what_the_uncached_writer_writes(store, tmp_path, 2, a)
+    _assert_store_writes_what_the_uncached_writer_writes(store, tmp_path, 3, a)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_store_follows_graphs_that_grow_in_place(tmp_path_factory, data):
+    """Graphs grown in place between writes, the store switching between
+    them; every file is what the uncached writer makes of the graph then."""
+    out = tmp_path_factory.mktemp("live")
+    store = SnapshotStore(out / "snapshots")
+    graphs = [KnowledgeGraph(), KnowledgeGraph()]
+    for i in range(data.draw(st.integers(1, 8))):
+        g = graphs[data.draw(st.integers(0, 1))]
+        for src, kind, tgt in data.draw(st.lists(
+                st.tuples(xml_labels, relation_kinds, xml_labels), max_size=3)):
+            g.add_edge(src, kind, tgt)
+        if data.draw(st.booleans()):
+            merge_local(g, data.draw(knowledge_graphs(max_edges=4,
+                                                      label_strategy=xml_labels)))
+        _assert_store_writes_what_the_uncached_writer_writes(store, out, i, g)
 
 
 def test_every_snapshot_of_a_run_equals_the_uncached_writer(tmp_path, monkeypatch):

@@ -122,6 +122,25 @@ def test_insufficient_tail_for_comparison():
         compare_exponential(forced, [1] * 20)
 
 
+def _fit_or_error(fit, degrees):
+    try:
+        return repr(fit(degrees))
+    except Exception as exc:
+        return type(exc)
+
+
+@given(st.one_of(
+    st.lists(st.integers(0, 30), max_size=60),
+    st.builds(lambda alpha, xmin, n, seed: oracles.sample_discrete_power_law(
+                  alpha, xmin, n, seed),
+              st.floats(1.5, 3.5), st.integers(1, 6), st.integers(5, 300),
+              st.integers(0, 2**32 - 1))))
+@settings(max_examples=150, deadline=None)
+def test_fit_equals_the_per_candidate_mask_fit(degrees):
+    assert (_fit_or_error(fit_power_law, degrees)
+            == _fit_or_error(oracles.fit_power_law, degrees))
+
+
 def test_fit_is_deterministic():
     data = oracles.sample_discrete_power_law(2.5, 4, 4000, seed=9)
     assert fit_power_law(data) == fit_power_law(data)
