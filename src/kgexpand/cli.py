@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .errors import KgExpandError
-from .graphml_io import SnapshotStore, read_graphml, write_graphml
+from .graphml_io import SnapshotStore, read_graphml, whole_file, write_csv, write_graphml
 from .loop import RunConfig, run
 
 
@@ -126,9 +126,9 @@ def _cmd_paths(args: argparse.Namespace) -> int:
         write_graphml(sub, out / f"path_{i}.graphml", node_attrs=path.node_metrics)
     if len(top) >= 3:
         corr = paths_mod.path_metric_correlations(g, tables, top)
-        report_mod._write_csv(out / "path_correlations.csv", ["metric", *corr.metrics],
-                              ([name, *map(report_mod._fmt, row)]
-                               for name, row in zip(corr.metrics, corr.matrix)))
+        write_csv(out / "path_correlations.csv", ["metric", *corr.metrics],
+                  ([name, *map(report_mod._fmt, row)]
+                   for name, row in zip(corr.metrics, corr.matrix)))
     main_path = paths_mod.diameter_path(g, tables)
     print(f"diameter path ({main_path.length} steps): {main_path.render()}")
     if args.mode != "none":
@@ -143,7 +143,8 @@ def _cmd_paths(args: argparse.Namespace) -> int:
             rep = paths_mod.compositional_pipeline(main_path, g, session,
                                                    final_session)
         report_file = out / f"{args.mode}_report.md"
-        report_file.write_text(rep.to_markdown())
+        with whole_file(report_file) as fh:
+            fh.write(rep.to_markdown())
         print(f"wrote {report_file}")
     return 0
 

@@ -11,15 +11,22 @@ order, so when the store writes the same graph again the cache renders only
 the tail of that log, ``KnowledgeGraph.added_since`` what it rendered last; a
 call without a cache renders the whole graph with the same element code. Both
 write the same bytes.
+
+Every file a stage writes goes through ``whole_file``, so a stopped stage
+leaves each output whole or absent, never truncated.
 """
 
 from __future__ import annotations
 
 import bisect
+import csv
+import json
 import logging
+import os
 import re
 import xml.etree.ElementTree as ET
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from .core import DEFAULT_RELATION, KnowledgeGraph, Snapshot, normalize_relation
@@ -29,6 +36,38 @@ log = logging.getLogger(__name__)
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 SNAPSHOT_PATTERN = re.compile(r"graph_iteration_(\d+)\.graphml$")
+
+
+@contextmanager
+def whole_file(path: str | Path, **open_kwargs):
+    """A text file open on ``path.partial``, which replaces ``path`` if the block
+    ends and is removed if it raises, so ``path`` only ever holds a whole file."""
+    partial = Path(f"{path}.partial")
+    try:
+        with open(partial, "w", **open_kwargs) as fh:
+            yield fh
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, path)
+
+
+@contextmanager
+def csv_writer(path: str | Path, header: list[str]):
+    with whole_file(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        yield writer
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
+    with csv_writer(path, header) as writer:
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, data) -> None:
+    with whole_file(path) as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def snapshot_filename(iteration: int) -> str:
@@ -170,7 +209,7 @@ def write_graphml(g: KnowledgeGraph, path: str | Path,
     elif node_attrs:
         raise ValueError("a render cache holds node elements without extra attributes")
     text = cache.render(g, node_attrs or {})
-    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
+    with whole_file(path, encoding="utf-8", errors="xmlcharrefreplace") as fh:
         fh.write(text)
 
 

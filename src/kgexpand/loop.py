@@ -11,12 +11,10 @@ stays index-dense.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import time
 import traceback
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from .core import KnowledgeGraph, MergeDelta, Snapshot, merge_local
@@ -30,7 +28,7 @@ from .extraction import (
     isolate_reasoning,
     locate_graph_section,
 )
-from .graphml_io import SnapshotStore
+from .graphml_io import SnapshotStore, write_csv, write_json
 from .prompts import OPEN_ENDED_DEFAULT_PROMPT, build_followup_prompt, build_initial_prompt
 from .sessions import (
     MIN_VOCABULARY_SIZE,
@@ -116,18 +114,14 @@ class RunResult:
 
 
 def _write_records(path: Path, records: list[IterationRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "question", "reasoning_length",
-                         "added_nodes", "added_edges", "retries", "skipped"])
-        for r in records:
-            writer.writerow([r.iteration, r.question, r.reasoning_length,
-                             r.added_nodes, r.added_edges, r.retries, int(r.skipped)])
+    # one column per field, in field order; ``skipped`` as 0 or 1
+    write_csv(path, [f.name for f in fields(IterationRecord)],
+              ([*astuple(r)[:-1], int(r.skipped)] for r in records))
 
 
 def _write_manifest(path: Path, cfg: RunConfig, records: list[IterationRecord],
                     started: float, aborted: str = "") -> None:
-    manifest = {
+    write_json(path, {
         "config": asdict(cfg),
         "seeds": {"loop": cfg.seed},
         "iterations_completed": len(records),
@@ -135,8 +129,7 @@ def _write_manifest(path: Path, cfg: RunConfig, records: list[IterationRecord],
         "started_unix": started,
         "elapsed_seconds": time.time() - started,
         "aborted": aborted,
-    }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
@@ -144,10 +137,10 @@ def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
 
     Deterministic for the synthetic generator with a fixed seed. Each iteration
     writes the live graph as its snapshot. When any exception stops the loop
-    (a generator failure, a full disk, an interrupt), the partial series stays
-    on disk, ``run_records.csv`` and ``manifest.json`` are written for the
-    completed iterations with the exception in ``aborted``, and the exception
-    propagates.
+    (a generator failure, a full disk, an interrupt), the completed iterations'
+    snapshots stay on disk and the one being written is absent, never
+    truncated; ``run_records.csv`` and ``manifest.json`` are written for the
+    completed iterations with the exception in ``aborted``, and it propagates.
     """
     cfg.validate()
     if gen is None:

@@ -4,18 +4,15 @@ The tidy metrics file has one row per (iteration, metric, subject, value)
 where subject is either "global" or a node key. Histograms are (bin, count)
 files. The summary table mirrors the 13-row schema used for end-of-run graph
 comparisons, from "Number of nodes" through "Scale-free classification".
+Every file goes through ``graphml_io.whole_file``: it is whole or absent.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import json
 import math
-import os
 from collections import Counter
 from collections.abc import Iterable
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +21,7 @@ from . import analytics, scalefree
 # module that binds it and its tests expect this binding
 from .core import Snapshot, largest_component  # noqa: F401
 from .errors import EmptyGraph, KgExpandError, UndefinedMetric
+from .graphml_io import csv_writer, whole_file, write_csv, write_json
 from .sweep import distance_sweep, snapshot_index
 
 GLOBAL_METRICS = (
@@ -70,27 +68,6 @@ class AnalyzeSeeds:
     sampling: int = 0
 
 
-@contextmanager
-def _csv_writer(path: Path, header: list[str]):
-    """Write ``path.partial``, which replaces ``path`` if the block ends and is
-    removed if it raises, so ``path`` only ever holds a whole file."""
-    partial = path.with_name(path.name + ".partial")
-    try:
-        with open(partial, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            yield writer
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    os.replace(partial, path)
-
-
-def _write_csv(path: Path, header: list[str], rows: Iterable) -> None:
-    with _csv_writer(path, header) as writer:
-        writer.writerows(rows)
-
-
 def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
                    seeds: AnalyzeSeeds | None = None, samples: int | None = 1000,
                    spl_samples: int = 2000, stride: int = 1) -> Path:
@@ -114,8 +91,8 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
 
     scalefree_rows, bridge_sets, degrees_by_iter, final = [], {}, {}, None
     keys: dict[str, str] = {}  # node key -> the first string read for it
-    with _csv_writer(out / "metrics.csv",
-                     ["iteration", "metric", "subject", "value"]) as metrics:
+    with csv_writer(out / "metrics.csv",
+                    ["iteration", "metric", "subject", "value"]) as metrics:
         for snap in snapshots:
             final, it, g = snap, snap.iteration, snap.graph
             index = snapshot_index(g)
@@ -203,24 +180,24 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
                 metrics.writerows((final.iteration, name, node, _fmt(table[node]))
                                   for node in sorted(table or ()))
 
-    _write_csv(out / "scalefree.csv",
-               ["iteration", "alpha", "xmin", "n_tail", "lr", "p", "verdict"],
-               scalefree_rows)
-    _write_csv(out / "spl_histogram.csv", ["bin", "count"], histogram.items())
-    _write_csv(out / "degree_histogram.csv", ["bin", "count"],
-               sorted(Counter(degrees).items()))
-    _write_csv(out / "bridge_persistence.csv", ["node", "persistence"],
-               sorted(bridges.persistence.items()))
-    _write_csv(out / "hub_emergence.csv", ["node", "t_emerge"],
-               sorted(hubs.t_emerge.items()))
+    write_csv(out / "scalefree.csv",
+              ["iteration", "alpha", "xmin", "n_tail", "lr", "p", "verdict"],
+              scalefree_rows)
+    write_csv(out / "spl_histogram.csv", ["bin", "count"], histogram.items())
+    write_csv(out / "degree_histogram.csv", ["bin", "count"],
+              sorted(Counter(degrees).items()))
+    write_csv(out / "bridge_persistence.csv", ["node", "persistence"],
+              sorted(bridges.persistence.items()))
+    write_csv(out / "hub_emergence.csv", ["node", "t_emerge"],
+              sorted(hubs.t_emerge.items()))
 
-    (out / "analysis_manifest.json").write_text(json.dumps({
+    write_json(out / "analysis_manifest.json", {
         "seeds": {"louvain": seeds.louvain, "sampling": seeds.sampling},
         "samples": samples,
         "spl_samples": spl_samples,
         "stride": stride,
         "iterations": list(degrees_by_iter),
-    }, indent=2, sort_keys=True) + "\n")
+    })
 
     return out
 
@@ -293,13 +270,13 @@ def build_report(final: Snapshot, snapshots: int, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     values = summarize_snapshot(final, louvain_seed)
     report_path = out / "report.md"
-    report_path.write_text(
-        "# Knowledge Graph Summary\n\n"
-        f"Final snapshot: iteration {final.iteration}\n\n"
-        + summary_markdown(values))
+    with whole_file(report_path) as fh:
+        fh.write("# Knowledge Graph Summary\n\n"
+                 f"Final snapshot: iteration {final.iteration}\n\n"
+                 + summary_markdown(values))
     summary_csv = out / "summary.csv"
-    _write_csv(summary_csv, ["metric", "value"],
-               ((row, values[row]) for row in SUMMARY_ROWS))
+    write_csv(summary_csv, ["metric", "value"],
+              ((row, values[row]) for row in SUMMARY_ROWS))
 
     def _listing(directory, patterns):
         if directory is None:
@@ -311,7 +288,7 @@ def build_report(final: Snapshot, snapshots: int, out_dir: str | Path,
         return found
 
     manifest_path = out / "report_bundle.json"
-    manifest_path.write_text(json.dumps({
+    write_json(manifest_path, {
         "final_iteration": final.iteration,
         "snapshots": snapshots,
         "louvain_seed": louvain_seed,
@@ -319,5 +296,5 @@ def build_report(final: Snapshot, snapshots: int, out_dir: str | Path,
         "run_manifest": _listing(run_dir, ["manifest.json"]),
         "metrics_csvs": _listing(analysis_dir, ["*.csv", "*.json"]),
         "path_reports": _listing(paths_dir, ["*.md", "*.graphml", "*.csv"]),
-    }, indent=2, sort_keys=True) + "\n")
+    })
     return ReportBundle(report_path, summary_csv, manifest_path)

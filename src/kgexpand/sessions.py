@@ -14,8 +14,9 @@ import random
 import re
 from typing import Protocol
 
+from .core import KnowledgeGraph
 from .errors import GeneratorError
-from .extraction import THINK_CLOSE, THINK_OPEN
+from .extraction import THINK_CLOSE, THINK_OPEN, serialize_graph_literal
 
 TOKEN_ENV_VAR = "KGEXPAND_API_TOKEN"
 TRANSPORT_RETRIES = 1   # extra attempts after a failed request
@@ -231,19 +232,12 @@ class SyntheticGenerator:
         )
 
     def _format_reply(self, prompt: str) -> str:
-        adj: dict[str, dict[str, str]] = {}
+        g = KnowledgeGraph()
         for line in prompt.splitlines():
             m = _TRIPLE_LINE.match(line.strip())
-            if not m:
-                continue
-            src, kind, tgt = m.group(1).strip(), m.group(2).strip(), m.group(3).strip()
-            if src and tgt:
-                adj.setdefault(src, {}).setdefault(tgt, kind)
-        parts = []
-        for src in adj:
-            inner = ", ".join(f"'{t}': {{'relation': '{k}'}}" for t, k in adj[src].items())
-            parts.append(f"'{src}': {{{inner}}}")
-        return "{" + ", ".join(parts) + "}"
+            if m:
+                g.add_edge(*m.groups())
+        return serialize_graph_literal(g)
 
     def _question_reply(self) -> str:
         rng = self._rng

@@ -252,10 +252,13 @@ def test_store_orders_by_iteration_not_lexically(tmp_path):
 def test_store_ignores_unrelated_files(tmp_path):
     (tmp_path / "notes.txt").write_text("hello")
     (tmp_path / "graph_iteration_x.graphml").write_text("not matched")
+    # what a write stopped by SIGKILL leaves behind
+    (tmp_path / "graph_iteration_1.graphml.partial").write_text("<graphml><broken")
     store = SnapshotStore(tmp_path)
     g = KnowledgeGraph()
     g.add_edge("a", "HAS", "b")
     store.write(Snapshot(0, g))
+    assert [i for i, _ in store.iteration_paths()] == [0]
     series = list(store.snapshots())
     assert len(series) == 1
 

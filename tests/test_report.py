@@ -276,7 +276,7 @@ def test_analyze_series_streams_metrics_rows(monkeypatch, tmp_path):
     # a snapshot's global and betweenness rows reach the writer before the next
     # snapshot is read, so no table of every row or every betweenness dict is kept
     events = []
-    csv_writer = report._csv_writer
+    csv_writer = report.csv_writer
 
     class Recording:
         def __init__(self, writer):
@@ -297,7 +297,7 @@ def test_analyze_series_streams_metrics_rows(monkeypatch, tmp_path):
             events.append(("read", snap.iteration, None))
             yield snap
 
-    monkeypatch.setattr(report, "_csv_writer", recording)
+    monkeypatch.setattr(report, "csv_writer", recording)
     series = _series()
     analyze_series(reading(series), tmp_path, samples=10, spl_samples=10)
     per_snapshot = [(kind, it) for kind, it, metric in events
