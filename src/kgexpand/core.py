@@ -14,6 +14,7 @@ import re
 from collections import Counter
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import TYPE_CHECKING
 
@@ -37,13 +38,7 @@ class ConceptLabel:
     key: str
 
 
-def normalize_label(raw: str) -> ConceptLabel:
-    """Trim and collapse whitespace; case preserved for display, folded for identity.
-
-    Raises InvalidLabel when nothing is left after trimming, or when a
-    character is left that XML cannot hold (a control character, a lone
-    surrogate, U+FFFE or U+FFFF).
-    """
+def _label(raw) -> ConceptLabel:
     display = _WS_RUN.sub(" ", str(raw)).strip()
     if not display:
         raise InvalidLabel(f"label is empty after normalization: {raw!r}")
@@ -52,14 +47,43 @@ def normalize_label(raw: str) -> ConceptLabel:
     return ConceptLabel(display=display, key=display.casefold())
 
 
-def normalize_relation(raw: str) -> str:
-    """Uppercase a relation tag, collapsing internal whitespace; hyphens survive."""
+def _relation(raw) -> str:
     kind = _WS_RUN.sub(" ", str(raw)).strip().upper()
     if not kind:
         raise InvalidLabel(f"relation kind is empty: {raw!r}")
     if _NON_XML_CHAR.search(kind):
         raise InvalidLabel(f"relation kind has a character XML cannot hold: {raw!r}")
     return kind
+
+
+# Parsing, the synthetic generator and read_graphml meet the same few thousand
+# raw labels over and over, so each normalizer keeps a bounded cache. Only a
+# plain str of at most LABEL_CACHE_CHARS characters is cached: that keeps 1,
+# True and "1" apart, lets any other input (unhashable ones too) through
+# uncached, and bounds the cache's memory. A call that raises is not cached.
+LABEL_CACHE_SIZE = 1 << 13
+LABEL_CACHE_CHARS = 256
+_cached_label = lru_cache(maxsize=LABEL_CACHE_SIZE)(_label)
+_cached_relation = lru_cache(maxsize=LABEL_CACHE_SIZE)(_relation)
+
+
+def normalize_label(raw: str) -> ConceptLabel:
+    """Trim and collapse whitespace; case preserved for display, folded for identity.
+
+    Raises InvalidLabel when nothing is left after trimming, or when a
+    character is left that XML cannot hold (a control character, a lone
+    surrogate, U+FFFE or U+FFFF).
+    """
+    if type(raw) is str and len(raw) <= LABEL_CACHE_CHARS:
+        return _cached_label(raw)
+    return _label(raw)
+
+
+def normalize_relation(raw: str) -> str:
+    """Uppercase a relation tag, collapsing internal whitespace; hyphens survive."""
+    if type(raw) is str and len(raw) <= LABEL_CACHE_CHARS:
+        return _cached_relation(raw)
+    return _relation(raw)
 
 
 @dataclass

@@ -226,7 +226,9 @@ def read_graphml(path: str | Path) -> KnowledgeGraph:
     Elements are read in document order. Each node's label is normalized
     once and its identity key kept by node id; an edge endpoint maps through
     that table, and an id not declared before the edge is taken as a label
-    itself. Each distinct relation text is normalized once.
+    itself. ``normalize_label`` and ``normalize_relation`` cache what they
+    normalize, so a label or relation text met again, in this file or an
+    earlier one, costs a cache lookup.
     """
     try:
         tree = ET.parse(path)
@@ -248,7 +250,6 @@ def read_graphml(path: str | Path) -> KnowledgeGraph:
                 relation_key = el.get("id")
     g = KnowledgeGraph()
     keys: dict[str, str] = {}       # node id -> identity key
-    kinds: dict[str, str] = {}      # relation text -> normalized relation
     defaulted = 0
     for el in root.iter():
         tag = names[el.tag]
@@ -267,9 +268,7 @@ def read_graphml(path: str | Path) -> KnowledgeGraph:
             if not relation:
                 relation = DEFAULT_RELATION
                 defaulted += 1
-            kind = kinds.get(relation)
-            if kind is None:    # a rejected relation adds no node
-                kind = kinds[relation] = normalize_relation(relation)
+            kind = normalize_relation(relation)     # a rejected relation adds no node
             src_id, tgt_id = el.get("source"), el.get("target")
             src = keys.get(src_id)
             if src is None:

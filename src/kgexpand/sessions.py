@@ -9,6 +9,7 @@ model.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import re
@@ -16,10 +17,15 @@ from typing import Protocol
 
 from .core import KnowledgeGraph
 from .errors import GeneratorError
-from .extraction import THINK_CLOSE, THINK_OPEN, serialize_graph_literal
+from .extraction import MAX_REPLY_CHARS, THINK_CLOSE, THINK_OPEN, serialize_graph_literal
 
 TOKEN_ENV_VAR = "KGEXPAND_API_TOKEN"
 TRANSPORT_RETRIES = 1   # extra attempts after a failed request
+# The largest reply body read. JSON spells one character in at most 12 bytes
+# (a surrogate pair of \u escapes), so a text at ``MAX_REPLY_CHARS`` always
+# fits, with room left for the rest of the payload.
+MAX_REPLY_BYTES = 16 * MAX_REPLY_CHARS
+_CHUNK_BYTES = 1 << 16
 
 
 class GeneratorSession(Protocol):
@@ -46,7 +52,8 @@ class HTTPGeneratorSession:
     The auth token comes from the environment, never from config files.
     Timeouts, connection errors and 5xx replies are retried
     ``TRANSPORT_RETRIES`` times; a 4xx reply fails at once, since the same
-    request would be refused again.
+    request would be refused again. So does a body over ``MAX_REPLY_BYTES``,
+    which is read no further.
     """
 
     def __init__(self, endpoint: str, model: str = "default",
@@ -70,20 +77,31 @@ class HTTPGeneratorSession:
         last_exc: Exception | None = None
         for _ in range(TRANSPORT_RETRIES + 1):
             try:
-                resp = requests.post(self.endpoint, json=body,
-                                     headers=headers, timeout=self.timeout)
-                if 400 <= resp.status_code < 500:
-                    raise GeneratorError(f"endpoint {self.endpoint} refused the "
-                                         f"request: HTTP {resp.status_code}")
-                resp.raise_for_status()
+                with requests.post(self.endpoint, json=body, headers=headers,
+                                   timeout=self.timeout, stream=True) as resp:
+                    if 400 <= resp.status_code < 500:
+                        raise GeneratorError(f"endpoint {self.endpoint} refused the "
+                                             f"request: HTTP {resp.status_code}")
+                    resp.raise_for_status()
+                    reply = _read_capped(resp)
                 try:
-                    payload = resp.json()
+                    payload = json.loads(reply)
                 except RecursionError:      # the decoder's stack, not the transport
                     raise GeneratorError("reply JSON nests too deeply") from None
                 return _reply_text(payload)
             except (requests.RequestException, ValueError) as exc:
                 last_exc = exc
         raise GeneratorError(f"endpoint {self.endpoint} failed: {last_exc}") from last_exc
+
+
+def _read_capped(resp) -> bytearray:
+    """The body of a streamed response; over ``MAX_REPLY_BYTES`` it is an error."""
+    body = bytearray()
+    for chunk in resp.iter_content(chunk_size=_CHUNK_BYTES):
+        body += chunk
+        if len(body) > MAX_REPLY_BYTES:
+            raise GeneratorError(f"reply body is over the cap of {MAX_REPLY_BYTES} bytes")
+    return body
 
 
 def _reply_text(payload: object) -> str:

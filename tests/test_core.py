@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kgexpand import core
 from kgexpand.core import (
+    LABEL_CACHE_CHARS,
     KnowledgeGraph,
     largest_component,
     merge_local,
@@ -47,6 +49,55 @@ def test_normalize_is_idempotent(raw):
     once = normalize_label(raw)
     twice = normalize_label(once.display)
     assert once == twice
+
+
+def test_label_cache_keeps_types_apart_and_passes_other_input_through():
+    # 1 == True and hash(1) == hash(True): a cache keyed on the value alone
+    # would answer one with the other's label
+    assert [normalize_label(raw).display for raw in (1, True, "1", 1.0, True, 1)] == [
+        "1", "True", "1", "1.0", "True", "1"]
+    assert [normalize_relation(raw) for raw in (1, True, "true", 1)] == [
+        "1", "TRUE", "TRUE", "1"]
+    assert normalize_label(["a", "b"]).display == "['a', 'b']"     # unhashable
+    assert normalize_relation({"has": 1}) == "{'HAS': 1}"
+    assert normalize_label(" Cached  Label ") is normalize_label(" Cached  Label ")
+    long = "x" * (LABEL_CACHE_CHARS + 1)
+    size = core._cached_label.cache_info().currsize
+    assert normalize_label(long).display == long
+    assert core._cached_label.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("normalize, cached, raw, message", [
+    (normalize_label, core._cached_label, " \t ",
+     "label is empty after normalization: ' \\t '"),
+    (normalize_label, core._cached_label, "a\x01",
+     "label has a character XML cannot hold: 'a\\x01'"),
+    (normalize_relation, core._cached_relation, "  ", "relation kind is empty: '  '"),
+    (normalize_relation, core._cached_relation, "\ud800",
+     "relation kind has a character XML cannot hold: '\\ud800'"),
+])
+def test_label_cache_does_not_cache_a_failure(normalize, cached, raw, message):
+    before = cached.cache_info()
+    for _ in range(2):
+        with pytest.raises(InvalidLabel) as exc:
+            normalize(raw)
+        assert str(exc.value) == message
+    after = cached.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits, before.misses + 2, before.currsize)
+
+
+@given(st.text(max_size=12))
+def test_cached_normalizers_match_the_uncached_ones(raw):
+    for normalize, uncached in ((normalize_label, core._label),
+                                (normalize_relation, core._relation)):
+        outcomes = []
+        for f in (normalize, normalize, uncached):
+            try:
+                outcomes.append(f(raw))
+            except InvalidLabel as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 # ---------------------------------------------------------------------------

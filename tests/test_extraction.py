@@ -1,3 +1,6 @@
+import ast
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from kgexpand.extraction import (
     MAX_BRACE_DEPTH,
     MAX_REPLY_CHARS,
     IsolationStatus,
+    _fast_literal,
     _find_brace_block,
     extract_with_retry,
     isolate_reasoning,
@@ -19,6 +23,8 @@ from kgexpand.extraction import (
     parse_graph_literal,
     serialize_graph_literal,
 )
+from kgexpand.loop import RunConfig, run
+from kgexpand.sessions import SyntheticGenerator
 
 from . import oracles
 from .oracles import find_brace_block
@@ -183,10 +189,110 @@ def _parsed(parse, text):
     return list(g.display_map().items()), g.triples(), local.warnings
 
 
-@given(_literals | st.text(alphabet="{}:'a, \x01", max_size=30))
-@settings(max_examples=500)
+# Adjacency maps written token by token, half of them in the fast path's
+# grammar alone and half with the rest mixed in: double quotes, backslash
+# escapes, CR, LF, NUL, a lone surrogate or a form feed in a string, a form
+# feed or a comment between tokens, numbers, True, string prefixes, trailing
+# commas, duplicate keys, maps three and four deep, and prose or a second map
+# after the block.
+_BLANKS = (["", "", " ", "\n", "\r\n", "\r", "\t"], ["\x0c", " # c\n"])
+_WORDS = (["a", " A ", "a\tb", "A B", "", " ", "has", " Has ", "IS-A", "relation",
+           "x {y}", "#", "b\x0c", 'q"', "q'", "\u2028", "\xe9"],
+          ["c\x00", "d\ud800", "e\\\\f", "g\\'", "h\r", "i\n", "\\x41"])
+_SCALARS = (["'", "'", '"', "None"], ["1", "True", "r'"])
+
+
+@st.composite
+def _map_texts(draw, depth=1, odd=False):
+    def pick(choices):
+        return draw(st.sampled_from(choices[0] + choices[1] if odd else choices[0]))
+
+    def scalar():
+        kind = pick(_SCALARS)
+        return kind if kind in ("None", "1", "True") else f"{kind}{pick(_WORDS)}{kind[-1]}"
+
+    items = []
+    for _ in range(draw(st.integers(0, 3))):
+        key = scalar()
+        if depth < 4 and draw(st.integers(0, 2)):
+            value = draw(_map_texts(depth + 1, odd))
+        else:
+            value = scalar()
+        items.append(f"{key}{pick(_BLANKS)}:{pick(_BLANKS)}{value}")
+    trailing = "," if items and draw(st.booleans()) else ""
+    sep = "," + pick(_BLANKS)
+    return "{" + pick(_BLANKS) + sep.join(items) + trailing + pick(_BLANKS) + "}"
+
+
+_replies = st.tuples(
+    st.sampled_from(["", "Sure:\n", "it's {"]), st.booleans().flatmap(
+        lambda odd: _map_texts(odd=odd)),
+    st.sampled_from(["", "\nDone.", " } {'z': {}}", " it's", "{"])).map("".join)
+
+
+@given(_literals | _replies | st.text(alphabet="{}:'a, \x01", max_size=30)
+       | st.text(alphabet="{}:'\", \\\r\n\t\x00\x0c#aN1T\ud800", max_size=40))
+@settings(max_examples=1000)
 def test_parser_matches_the_per_edge_build(text):
     assert _parsed(parse_graph_literal, text) == _parsed(oracles.parse_graph_literal, text)
+
+
+@given(_replies)
+@settings(max_examples=500)
+def test_fast_path_builds_what_literal_eval_builds(text):
+    fast = _fast_literal(text)
+    if fast is not None:
+        start, end = _find_brace_block(text)
+        assert repr(fast) == repr(ast.literal_eval(text[start:end]))
+
+
+def test_fast_path_takes_its_grammar_and_leaves_the_rest():
+    text = "{ 'a' :{\"b\": {'relation': None},},\r\n'a': None} x"
+    assert _fast_literal(text) == {"a": None}
+    for text in ["{'a': 1}", "{'a': True}", "{'a\\x41': {}}", "{'a': {}, # c\n}",
+                 "{'a' 'b': {}}", "{'a': {'b': {'c': {}}}}", "{'a': []}", "{'a': {}",
+                 "{'a':\x0c{}}", "{'a\rb': {}}", "{'\ud800': {}}", "{,}", "{'a': {},,}",
+                 "{r'a': {}}", "{'''a''': {}}", "{Nonex: {}}", "{{}: {}}", "no map"]:
+        assert _fast_literal(text) is None, text
+
+
+def test_every_synthetic_reply_of_a_run_skips_literal_eval(monkeypatch, tmp_path):
+    literal_evals = []
+    real = ast.literal_eval
+    monkeypatch.setattr(ast, "literal_eval",
+                        lambda text: literal_evals.append(text) or real(text))
+    gen = SyntheticGenerator(seed=3)
+    result = run(RunConfig(iterations=150, seed=3, snapshot_dir=str(tmp_path)), gen)
+    assert not any(r.skipped or r.retries for r in result.records)
+    assert gen.calls == 3 * 150     # a reasoning, a format and a question reply each
+    assert literal_evals == []
+
+
+def _capped_reply() -> str:
+    """An adjacency map of just under ``MAX_REPLY_CHARS`` characters."""
+    entries, length, i = [], 2, 0
+    while True:
+        inner = ", ".join(f"'Concept {(7 * i + j) % 20011}': {{'relation': 'HAS'}}"
+                          for j in range(1, 4))
+        entry = f"'Concept {i}': {{{inner}}}"
+        if length + len(entry) + 2 > MAX_REPLY_CHARS:
+            return "{" + ", ".join(entries) + "}"
+        entries.append(entry)
+        length += len(entry) + 2
+        i += 1
+
+
+def test_a_reply_at_the_character_cap_parses_in_bounded_memory():
+    reply = _capped_reply()
+    assert MAX_REPLY_CHARS - 200 < len(reply) <= MAX_REPLY_CHARS
+    tracemalloc.start()
+    try:
+        local = parse_graph_literal(reply)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert local.graph.node_count > 17_000 and local.warnings == 0
+    assert peak < 40 * 2**20    # a syntax tree of the reply takes over 100 MiB
 
 
 def test_reply_over_the_character_cap_is_rejected():

@@ -19,6 +19,10 @@ Louvain builds many aggregate levels on it. Every file that
 `analyze --stride 50` writes was pinned while Louvain still kept its
 aggregate levels as weight dicts. Every byte must match.
 
+The `run` outputs of both runs are pinned as well: `run_records.csv` and the
+last snapshot, taken before the parser read replies in one pass and cached
+normalized labels. Every byte must match.
+
 metrics.csv once held a betweenness row for every node of any picked
 snapshot, reading 0 where the snapshot lacked the node. It now holds rows
 only for the nodes each snapshot has. Both pins of metrics.csv were moved
@@ -64,6 +68,16 @@ def snaps(tmp_path_factory):
 def analysis(snaps):
     assert main(["analyze", str(snaps), "--out", str(snaps.parent / "analysis")]) == 0
     return snaps.parent / "analysis"
+
+
+RUN_DIGESTS = {
+    (40, "run_records.csv"): "a36516cf57ff67499c03d282c83f48f094e5ede346badae2edb7937e04b2fade",
+    (40, "graph_iteration_39.graphml"):
+        "7a70f6647fdd153e14e4cc41351ba03bcdc4b66d43fd2ae328b3dc1479245906",
+    (300, "run_records.csv"): "49a9dc967ebc50736698443a9bc842182d9bf935a01869bc9ec0cb61d5a25a04",
+    (300, "graph_iteration_299.graphml"):
+        "b742edf06b8d0961e07b43b2355bdfff0c266c6d535b4f3af198070763759bc9",
+}
 
 
 def test_analyze_writes_the_pinned_csv_files(analysis):
@@ -172,3 +186,10 @@ def test_dense_metrics_rebuilt_from_the_present_node_rows_match_the_old_pins(
     assert len(dense.splitlines()) == DENSE_METRICS_LINES
     dense = _dense_metrics(stride_50_analysis, stride_50_analysis.parent / "snaps", 50)
     assert hashlib.sha256(dense.encode()).hexdigest() == DENSE_STRIDE_50_METRICS
+
+
+@pytest.mark.parametrize("iterations, name", sorted(RUN_DIGESTS))
+def test_run_bytes_match_the_pins(snaps, stride_50_analysis, iterations, name):
+    directory = snaps if iterations == 40 else stride_50_analysis.parent / "snaps"
+    digest = hashlib.sha256((directory / name).read_bytes()).hexdigest()
+    assert digest == RUN_DIGESTS[iterations, name]

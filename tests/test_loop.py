@@ -15,7 +15,7 @@ from kgexpand.graphml_io import SnapshotStore
 from kgexpand import loop
 from kgexpand.loop import RECORDS_FILENAME, RunConfig, run
 from kgexpand.prompts import build_followup_prompt, build_initial_prompt
-from kgexpand.sessions import HTTPGeneratorSession, SyntheticGenerator
+from kgexpand.sessions import MAX_REPLY_BYTES, HTTPGeneratorSession, SyntheticGenerator
 from kgexpand.extraction import parse_graph_literal
 
 from . import oracles
@@ -401,8 +401,18 @@ def test_http_session_failure_raises_after_retries():
 
 
 class _Reply:
+    """A streamed response: a status code and a body read in chunks."""
+
+    body = b'{"text": "ok"}'
+
     def __init__(self, status):
         self.status_code = status
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
 
     def raise_for_status(self):
         import requests
@@ -410,8 +420,9 @@ class _Reply:
         if self.status_code >= 400:
             raise requests.HTTPError(f"HTTP {self.status_code}")
 
-    def json(self):
-        return {"text": "ok"}
+    def iter_content(self, chunk_size):
+        for i in range(0, len(self.body), chunk_size):
+            yield self.body[i:i + chunk_size]
 
 
 def _scripted_post(monkeypatch, outcomes):
@@ -466,7 +477,7 @@ def test_http_session_retries_server_and_transport_errors_once(monkeypatch, firs
 ])
 def test_http_session_rejects_a_reply_without_string_text(monkeypatch, payload, shape):
     calls = _scripted_post(monkeypatch, [200, 200])
-    monkeypatch.setattr(_Reply, "json", lambda self: payload)
+    monkeypatch.setattr(_Reply, "body", json.dumps(payload).encode())
     with pytest.raises(GeneratorError) as exc:
         HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x")
     assert str(exc.value) == f"unrecognized reply shape: {shape}"
@@ -475,7 +486,7 @@ def test_http_session_rejects_a_reply_without_string_text(monkeypatch, payload, 
 
 def test_http_session_rejects_a_reply_nested_past_the_decoder(monkeypatch):
     calls = _scripted_post(monkeypatch, [200, 200])
-    monkeypatch.setattr(_Reply, "json", lambda self: json.loads("[" * 100_000))
+    monkeypatch.setattr(_Reply, "body", b"[" * 100_000)
     with pytest.raises(GeneratorError, match="nests too deeply"):
         HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x")
     assert len(calls) == 1
@@ -483,6 +494,40 @@ def test_http_session_rejects_a_reply_nested_past_the_decoder(monkeypatch):
 
 def test_http_session_reads_completions_style_text(monkeypatch):
     _scripted_post(monkeypatch, [200])
-    monkeypatch.setattr(_Reply, "json",
-                        lambda self: {"choices": [{"text": "first"}, {"text": "second"}]})
+    monkeypatch.setattr(_Reply, "body",
+                        b'{"choices": [{"text": "first"}, {"text": "second"}]}')
     assert HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x") == "first"
+
+
+def test_http_session_reads_a_body_at_the_byte_cap_and_refuses_one_byte_more(monkeypatch):
+    # JSON's longest spelling of a character at the character cap fits
+    assert MAX_REPLY_BYTES >= 12 * MAX_REPLY_CHARS
+    head, tail = b'{"text": "', b'"}'
+    at_cap = head + b"x" * (MAX_REPLY_BYTES - len(head) - len(tail)) + tail
+    assert len(at_cap) == MAX_REPLY_BYTES
+    calls = _scripted_post(monkeypatch, [200, 200])
+    monkeypatch.setattr(_Reply, "body", at_cap)
+    text = HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x")
+    assert len(text) == MAX_REPLY_BYTES - len(head) - len(tail)
+    assert len(calls) == 1
+    # one byte more fails at once, without a retry
+    calls = _scripted_post(monkeypatch, [200, 200])
+    monkeypatch.setattr(_Reply, "body", at_cap[:-1] + b' }')
+    with pytest.raises(GeneratorError, match="over the cap"):
+        HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x")
+    assert len(calls) == 1
+
+
+def test_http_session_stops_reading_an_endless_body_at_the_byte_cap(monkeypatch):
+    handed = []
+
+    def endless(self, chunk_size):
+        while True:
+            handed.append(chunk_size)
+            yield b" " * chunk_size
+
+    _scripted_post(monkeypatch, [200])
+    monkeypatch.setattr(_Reply, "iter_content", endless)
+    with pytest.raises(GeneratorError, match="over the cap"):
+        HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x")
+    assert MAX_REPLY_BYTES < sum(handed) <= MAX_REPLY_BYTES + handed[-1]
