@@ -29,8 +29,10 @@ phase's returned gain and one pass per searched state) and the choice of
 restart (the sum of its gains), so ``_modularity`` runs once, for the
 returned value. Merge-refine results are memoized per call, keyed by the
 partition. None of this changes a move, a partition or a modularity bit
-against the plain algorithm in ``tests/oracles.py``. The
-series functions build their own indexes, as references for
+against the plain algorithm in ``tests/oracles.py``. The cross-snapshot
+state (the pair ledger, ``HubTracker`` and ``BridgeTracker``) is folded one
+snapshot at a time over global node ids; the series functions build their
+own indexes and fold through the same trackers, as references for
 ``report.analyze_series``' one pass. All seeded operations are
 deterministic for a fixed seed.
 """
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +49,7 @@ import numpy as np
 from .core import KnowledgeGraph, Snapshot, largest_component
 from .errors import EmptyGraph, UndefinedMetric
 from .sweep import (DistanceSweep, NeighbourRows, SnapshotIndex, distance_sweep,
-                    snapshot_index)
+                    hop_dtype, snapshot_index)
 
 LOUVAIN_RESTARTS = 5
 LOUVAIN_SMALL_RESTARTS = 16       # order traps are likelier on tiny graphs
@@ -421,15 +424,21 @@ def louvain(index: SnapshotIndex, seed: int = 0) -> tuple[dict, float]:
     return partition, _modularity(adj, m, communities)
 
 
-def bridge_nodes(index: SnapshotIndex, partition: dict) -> set:
-    """Nodes whose neighbors span more than one community of the partition."""
+def bridge_indices(index: SnapshotIndex, partition: dict) -> np.ndarray:
+    """Indices of the nodes whose neighbors span more than one community of
+    the partition, ascending."""
     if not index.indices.size:
-        return set()
+        return np.zeros(0, dtype=np.int64)
     community = np.array([partition[v] for v in index.nodes])
     linked = np.flatnonzero(index.degree > 0)
     seen, starts = community[index.indices], index.indptr[linked]
     spans = np.minimum.reduceat(seen, starts) != np.maximum.reduceat(seen, starts)
-    return {index.nodes[i] for i in linked[spans].tolist()}
+    return linked[spans]
+
+
+def bridge_nodes(index: SnapshotIndex, partition: dict) -> set:
+    """The keys of ``bridge_indices``."""
+    return {index.nodes[i] for i in bridge_indices(index, partition).tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -635,25 +644,35 @@ def sampled_spl_distribution(sweep: DistanceSweep, samples: int = 2000,
     if len(lcc) < 2:
         return SplSample({}, 0)
     pairs = _sample_pairs(lcc, samples, random.Random(seed))
-    rows = sweep.depths({u for u, _ in pairs})
-    hist: dict[int, int] = {}
-    for u, v in pairs:
-        d = rows[u].item(v)
-        hist[d] = hist.get(d, 0) + 1
+    hist = Counter(pair_hops(sweep, pairs).tolist())
     return SplSample(dict(sorted(hist.items())), samples)
 
 
 # ---------------------------------------------------------------------------
-# newly connected pair tracking
+# newly connected pair tracking, over global node ids
+
+
+def node_ids(ids: dict, nodes: list) -> np.ndarray:
+    """The global id of each of ``nodes`` in ``ids``, which numbers each key
+    it has not seen next, so ``list(ids)`` holds every key in id order."""
+    return np.fromiter((ids.setdefault(v, len(ids)) for v in nodes), dtype=np.int64,
+                       count=len(nodes))
+
+
+def _grown(values: np.ndarray, ids: np.ndarray, fill: int) -> np.ndarray:
+    """``values`` by global id, extended with ``fill`` to cover every id in ``ids``."""
+    extra = int(ids.max(initial=-1)) + 1 - len(values)
+    return (np.append(values, np.full(extra, fill, dtype=values.dtype)) if extra > 0
+            else values)
 
 
 @dataclass
 class PairDistanceLedger:
-    """Last known shortest-path distances of previously sampled node pairs:
-    the hop count, or -1 for a pair that was unreachable."""
+    """Each sampled pair's last hop count (-1 unreachable, -2 never sampled) at
+    (id of its lower key, id of its higher key), ids from ``node_ids(ids, ...)``."""
 
-    seed: int = 0
-    records: dict[tuple[str, str], int] = field(default_factory=dict)
+    ids: dict = field(default_factory=dict)
+    hops: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.int16))
     last_iteration: int = -1
 
 
@@ -689,48 +708,47 @@ def _sample_pairs(nodes: list[int], samples: int | None,
     return pairs
 
 
-def draw_pairs(ledger: PairDistanceLedger, iteration: int, n: int,
+def draw_pairs(seed: int, iteration: int, n: int,
                samples: int | None = 1000) -> list[tuple[int, int]]:
-    """The node-index pairs ``newly_connected_pairs`` reads at ``iteration`` on
-    a graph of ``n`` nodes: ``samples`` draws from the ledger's seed, or every
+    """The node-index pairs the pair ledger reads at ``iteration`` on a graph
+    of ``n`` nodes: ``samples`` draws from the sampling ``seed``, or every
     unordered pair for ``samples=None``. Draw them before the sweep, so it
     keeps the depth rows of their first nodes."""
     if n < 2:
         return []
-    rng = random.Random(ledger.seed * 1_000_003 + iteration)
+    rng = random.Random(seed * 1_000_003 + iteration)
     return _sample_pairs(list(range(n)), samples, rng)
 
 
-def newly_connected_pairs(ledger: PairDistanceLedger, iteration: int,
-                          sweep: DistanceSweep,
-                          pairs: list[tuple[int, int]]) -> PairStats:
-    """Count ``pairs`` (from ``draw_pairs``) of the swept graph that became
-    reachable or closer since their last record.
+def pair_hops(sweep: DistanceSweep, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """The hop count of each of ``pairs`` in the swept graph, -1 where unreachable."""
+    rows = sweep.depths({u for u, _ in pairs})
+    return np.array([rows[i].item(j) for i, j in pairs], dtype=np.int64)
 
-    Pairs without a prior record only establish a baseline. The ledger is
-    updated in place; it records pairs by node key.
-    """
+
+def newly_connected_pairs(ledger: PairDistanceLedger, iteration: int, gid: np.ndarray,
+                          pairs: list[tuple[int, int]], hops: np.ndarray) -> PairStats:
+    """Count and record ``pairs`` (``draw_pairs``; node ``i`` has global id
+    ``gid[i]``) of ``hops`` (``pair_hops``) that became reachable or closer
+    since their last record. A pair with none only sets a baseline; one drawn
+    twice is its own prior the second time."""
     if ledger.last_iteration >= iteration:
         raise ValueError(
-            f"ledger already saw iteration {ledger.last_iteration}; got {iteration}"
-        )
-    nodes, records = sweep.index.nodes, ledger.records
-    rows = sweep.depths({u for u, _ in pairs})
-    newly = shortened = with_prior = 0
-    for i, j in pairs:
-        d = rows[i].item(j)
-        key = (nodes[i], nodes[j])
-        prior = records.get(key)
-        if prior is not None:
-            with_prior += 1
-            if d >= 0:
-                if prior < 0:
-                    newly += 1
-                elif d < prior:
-                    shortened += 1
-        records[key] = d
+            f"ledger already saw iteration {ledger.last_iteration}; got {iteration}")
     ledger.last_iteration = iteration
-    return PairStats(newly, shortened, with_prior)
+    u, v = gid[np.asarray(pairs, dtype=np.int64).reshape(-1, 2)].T
+    size = len(ledger.hops)
+    if gid.max(initial=-1) >= size:     # regrown by 256 ids at a time
+        pad = -(-(int(gid.max()) + 1 - size) // 256) * 256
+        ledger.hops = np.pad(ledger.hops.astype(hop_dtype(size + pad), copy=False),
+                             (0, pad), constant_values=-2)
+    _, first = np.unique(u * len(ledger.hops) + v, return_index=True)
+    prior, d = ledger.hops[u[first], v[first]], hops[first]
+    ledger.hops[u, v] = hops
+    reached = d >= 0
+    return PairStats(int(np.count_nonzero(reached & (prior == -1))),
+                     int(np.count_nonzero(reached & (prior >= 0) & (d < prior))),
+                     int(np.count_nonzero(prior != -2)) + len(hops) - len(first))
 
 
 # ---------------------------------------------------------------------------
@@ -745,25 +763,50 @@ class HubEmergence:
     mean_degree: dict[int, float]
 
 
-def summarize_hubs(degrees_by_iter: dict[int, dict[str, int]], d_emerge: int = 5,
-                   top_n: int = 10) -> HubEmergence:
-    """Hub trajectories from each iteration's LCC degrees ({} for an empty snapshot)."""
-    max_deg: dict[str, int] = {}
-    t_emerge: dict[str, int] = {}
-    for it in sorted(degrees_by_iter):
-        for v, d in degrees_by_iter[it].items():
-            if d > max_deg.get(v, -1):
-                max_deg[v] = d
-            if d > d_emerge and v not in t_emerge:
-                t_emerge[v] = it
-    top_hubs = sorted(max_deg, key=lambda v: (-max_deg[v], v))[:top_n]
-    trajectories = {
-        v: {it: degs[v] for it, degs in sorted(degrees_by_iter.items()) if v in degs}
-        for v in top_hubs
-    }
-    mean_degree = {it: sum(deg.values()) / len(deg) if deg else 0.0
-                   for it, deg in degrees_by_iter.items()}
-    return HubEmergence(top_hubs, trajectories, t_emerge, mean_degree)
+class HubTracker:
+    """Each node's greatest LCC degree and emergence iteration, by global node
+    id, folded in iteration order. The top hubs are chosen at the end, so
+    every node's LCC degree history is kept, as each snapshot's changes to
+    it: the ids whose degree changed, and the new degree (-1 out of the LCC)."""
+
+    def __init__(self, d_emerge: int = 5) -> None:
+        self.d_emerge = d_emerge
+        self.max_deg = np.zeros(0, dtype=np.int64)      # -1: never in an LCC
+        self.t_emerge = np.zeros(0, dtype=np.int64)     # -1: not emerged
+        self.degree = np.zeros(0, dtype=np.int64)       # the last snapshot's, -1 out
+        self.changes: list[tuple[int, np.ndarray, np.ndarray]] = []
+        self.mean_degree: dict[int, float] = {}
+
+    def add(self, iteration: int, gid: np.ndarray, degree: np.ndarray) -> None:
+        """One snapshot's LCC: its nodes' global ids and their degrees."""
+        last, self.t_emerge = _grown(self.degree, gid, -1), _grown(self.t_emerge, gid, -1)
+        self.degree = np.full(len(last), -1, dtype=np.int64)
+        self.degree[gid] = degree
+        self.max_deg = np.maximum(_grown(self.max_deg, gid, -1), self.degree)
+        self.t_emerge[(self.degree > self.d_emerge) & (self.t_emerge < 0)] = iteration
+        changed = np.flatnonzero(self.degree != last)
+        self.changes.append((iteration, changed.astype(np.int32),
+                             self.degree[changed].astype(np.int32)))
+        self.mean_degree[iteration] = int(degree.sum()) / len(degree) if len(degree) else 0.0
+
+    def summary(self, keys: list, top_n: int = 10) -> HubEmergence:
+        """The ``top_n`` hubs by (-max degree, key) and their trajectories;
+        node id ``i`` is ``keys[i]``."""
+        max_deg = self.max_deg.tolist()
+        top = sorted((i for i, d in enumerate(max_deg) if d >= 0),
+                     key=lambda i: (-max_deg[i], keys[i]))[:top_n]
+        trajectories: dict[int, dict[int, int]] = {i: {} for i in top}
+        degree = dict.fromkeys(top, -1)
+        for iteration, gid, changed in self.changes:
+            hit = np.isin(gid, top)
+            degree.update(zip(gid[hit].tolist(), changed[hit].tolist()))
+            for i, d in degree.items():
+                if d >= 0:
+                    trajectories[i][iteration] = d
+        return HubEmergence(
+            [keys[i] for i in top], {keys[i]: trajectories[i] for i in top},
+            {keys[i]: t for i, t in enumerate(self.t_emerge.tolist()) if t >= 0},
+            self.mean_degree)
 
 
 def hub_emergence(series: list[Snapshot], d_emerge: int = 5,
@@ -775,15 +818,16 @@ def hub_emergence(series: list[Snapshot], d_emerge: int = 5,
     """
     if len(series) == 0:
         raise EmptyGraph("empty snapshot series")
-    # a snapshot can be empty when early extractions failed
-    degrees_by_iter = {}
-    for snap in series:
-        degrees_by_iter[snap.iteration] = {}
+    ids: dict[str, int] = {}
+    tracker = HubTracker(d_emerge)
+    for snap in sorted(series, key=lambda s: s.iteration):
+        # a snapshot can be empty when early extractions failed
+        gid = degree = np.zeros(0, dtype=np.int64)
         if snap.graph.node_count:
             index = snapshot_index(largest_component(snap.graph))
-            degrees_by_iter[snap.iteration] = dict(zip(index.nodes,
-                                                       index.degree.tolist()))
-    return summarize_hubs(degrees_by_iter, d_emerge, top_n)
+            gid, degree = node_ids(ids, index.nodes), index.degree
+        tracker.add(snap.iteration, gid, degree)
+    return tracker.summary(list(ids), top_n)
 
 
 # ---------------------------------------------------------------------------
@@ -799,20 +843,37 @@ class BridgeSeries:
     presence: list[list[bool]]
 
 
-def summarize_bridges(bridge_sets: dict[int, set[str]], *, window: int = 200,
-                      top_nodes: int = 100) -> BridgeSeries:
-    """Persistence counts and presence matrix from per-iteration bridge sets."""
-    persistence: dict[str, int] = {}
-    t_first: dict[str, int] = {}
-    for it in sorted(bridge_sets):
-        for v in bridge_sets[it]:
-            persistence[v] = persistence.get(v, 0) + 1
-            t_first.setdefault(v, it)
-    window_iters = [it for it in sorted(bridge_sets) if it < window]
-    early = sorted((v for v, t in t_first.items() if t < window),
-                   key=lambda v: (t_first[v], v))[:top_nodes]
-    presence = [[v in bridge_sets[it] for it in window_iters] for v in early]
-    return BridgeSeries(bridge_sets, persistence, early, window_iters, presence)
+class BridgeTracker:
+    """Each node's bridge persistence and first bridge iteration, by global
+    node id, and the bridge ids of each iteration below ``window``, folded
+    in iteration order."""
+
+    def __init__(self, window: int = 200) -> None:
+        self.window = window
+        self.persistence = np.zeros(0, dtype=np.int64)
+        self.t_first = np.zeros(0, dtype=np.int64)      # -1: never a bridge
+        self.early: list[tuple[int, np.ndarray]] = []
+
+    def add(self, iteration: int, gid: np.ndarray) -> None:
+        """One snapshot's bridge nodes, by global id."""
+        self.persistence = _grown(self.persistence, gid, 0)
+        self.t_first = _grown(self.t_first, gid, -1)
+        self.persistence[gid] += 1
+        self.t_first[gid[self.t_first[gid] < 0]] = iteration
+        if iteration < self.window:
+            self.early.append((iteration, gid))
+
+    def summary(self, keys: list, top_nodes: int = 100) -> tuple[dict, list, list, list]:
+        """``BridgeSeries``' fields but its bridge sets: presence rows are the
+        ``top_nodes`` first bridges below ``window``, by (first iteration,
+        key); node id ``i`` is ``keys[i]``."""
+        t_first = self.t_first.tolist()
+        early = sorted((i for i, t in enumerate(t_first) if 0 <= t < self.window),
+                       key=lambda i: (t_first[i], keys[i]))[:top_nodes]
+        columns = [set(gid.tolist()) for _, gid in self.early]
+        return ({keys[i]: c for i, c in enumerate(self.persistence.tolist()) if c},
+                [keys[i] for i in early], [it for it, _ in self.early],
+                [[i in column for column in columns] for i in early])
 
 
 def bridge_analysis(series: list[Snapshot], seed: int = 0, *,
@@ -825,12 +886,15 @@ def bridge_analysis(series: list[Snapshot], seed: int = 0, *,
     """
     if len(series) == 0:
         raise EmptyGraph("empty snapshot series")
-    bridge_sets: dict[int, set[str]] = {}
-    for snap in series:
+    ids: dict[str, int] = {}
+    tracker, bridge_sets = BridgeTracker(window), {}
+    for snap in sorted(series, key=lambda s: s.iteration):
         index = snapshot_index(snap.graph)
-        bridge_sets[snap.iteration] = (bridge_nodes(index, louvain(index, seed)[0])
-                                       if snap.graph.node_count else set())
-    return summarize_bridges(bridge_sets, window=window, top_nodes=top_nodes)
+        found = (bridge_nodes(index, louvain(index, seed)[0])
+                 if snap.graph.node_count else set())
+        bridge_sets[snap.iteration] = found
+        tracker.add(snap.iteration, node_ids(ids, sorted(found)))
+    return BridgeSeries(bridge_sets, *tracker.summary(list(ids), top_nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,15 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import analytics, scalefree
 # ``largest_component`` is unused here, but perfbench/tracer.py patches every
 # module that binds it and its tests expect this binding
 from .core import Snapshot, largest_component  # noqa: F401
 from .errors import EmptyGraph, KgExpandError, UndefinedMetric
 from .graphml_io import csv_writer, whole_file, write_csv, write_json
-from .sweep import distance_sweep, snapshot_index
+from .sweep import DistanceSweep, distance_sweep, snapshot_index
 
 GLOBAL_METRICS = (
     "nodes", "edges", "avg_degree", "max_degree", "self_loops", "lcc_size",
@@ -68,6 +70,102 @@ class AnalyzeSeeds:
     sampling: int = 0
 
 
+# an empty snapshot's metrics (extraction can fail in the first iterations)
+EMPTY_VALUES = {**dict.fromkeys(GLOBAL_METRICS),
+                **dict.fromkeys(("nodes", "edges", "self_loops", "lcc_size",
+                                 "bridge_nodes"), 0)}
+
+
+@dataclass
+class SnapshotRecord:
+    """What one snapshot gives the analysis. Node ``i`` is
+    ``sweep.index.nodes[i]``; ``bridges`` and ``pairs`` hold such indices."""
+
+    iteration: int
+    values: dict                # every global metric but the two pair counts
+    scalefree_row: list
+    sweep: DistanceSweep        # with its index, and both betweenness tables
+    bridges: np.ndarray         # the bridge nodes, ascending
+    pairs: list[tuple[int, int]]    # the drawn pairs (``analytics.draw_pairs``)
+    hops: np.ndarray            # and their hop counts, -1 where unreachable
+
+
+def snapshot_record(snap: Snapshot, seeds: AnalyzeSeeds,
+                    samples: int | None) -> SnapshotRecord:
+    """One snapshot's metrics, a function of it and the seeds alone: from one
+    index, one triangle pass, one Louvain partition and one distance sweep,
+    which keeps the drawn pairs' sources' depth rows."""
+    it, g = snap.iteration, snap.graph
+    index = snapshot_index(g)
+    try:
+        fit, verdict = scalefree.classify(index.degree.tolist())
+        row = [it, _fmt(fit.alpha), fit.xmin, fit.n_tail, _fmt(verdict.lr),
+               _fmt(verdict.p), "yes" if verdict.is_scale_free else "no"]
+    except KgExpandError as exc:
+        row = [it, "nan", "nan", "nan", "nan", "nan", type(exc).__name__]
+    pairs = analytics.draw_pairs(seeds.sampling, it, g.node_count, samples)
+    sweep = distance_sweep(index, keep={u for u, _ in pairs})
+    hops = analytics.pair_hops(sweep, pairs)
+    if g.node_count == 0:
+        return SnapshotRecord(it, EMPTY_VALUES, row, sweep, np.zeros(0, dtype=np.int64),
+                              pairs, hops)
+    triangles = analytics.triangles(index)
+    basic = analytics.basic_metrics(g, index, analytics.clustering(index, triangles))
+    avg_spl, diameter = analytics.spl_and_diameter(sweep)
+    partition, q = analytics.louvain(index, seeds.louvain)
+    bridges = analytics.bridge_indices(index, partition)
+    try:
+        assort = analytics.assortativity(index)
+    except UndefinedMetric:
+        assort = float("nan")
+    kmax, ksize = analytics.kcore(index)
+    bet = sweep.betweenness
+    lcc_degree = index.degree[index.lcc]
+    values = {
+        **dataclasses.asdict(basic),
+        "modularity": q,
+        "communities": len(set(partition.values())),
+        "avg_spl_lcc": avg_spl,
+        "diameter_lcc": diameter,
+        "assortativity": assort,
+        "transitivity": analytics.transitivity(index, triangles),
+        "kcore_max": kmax,
+        "kcore_size": ksize,
+        "avg_betweenness_lcc": (sum(sweep.lcc_betweenness.values())
+                                / len(sweep.lcc_betweenness)),
+        "articulation_points": len(analytics.articulation_points(index)),
+        "bridge_nodes": len(bridges),
+        "mean_betweenness": sum(bet.values()) / len(bet),
+        "max_betweenness": max(bet.values()),
+        "mean_degree_lcc": int(lcc_degree.sum()) / len(lcc_degree),
+    }
+    return SnapshotRecord(it, values, row, sweep, bridges, pairs, hops)
+
+
+class Fold:
+    """What the analysis keeps across snapshots, folded from each record in
+    iteration order: the pair ledger and the hub and bridge trackers, over
+    the ledger's node ids, the iterations, and the last record."""
+
+    def __init__(self) -> None:
+        self.ledger = analytics.PairDistanceLedger()
+        self.hubs, self.bridges = analytics.HubTracker(), analytics.BridgeTracker()
+        self.iterations: list[int] = []
+        self.last: SnapshotRecord | None = None
+
+    def add(self, record: SnapshotRecord) -> analytics.PairStats:
+        """Fold in the next record; returns the counts of its pairs."""
+        it, index = record.iteration, record.sweep.index
+        gid = analytics.node_ids(self.ledger.ids, index.nodes)
+        stats = analytics.newly_connected_pairs(self.ledger, it, gid, record.pairs,
+                                                record.hops)
+        self.hubs.add(it, gid[index.lcc], index.degree[index.lcc])
+        self.bridges.add(it, gid[record.bridges])
+        self.iterations.append(it)
+        self.last = record
+        return stats
+
+
 def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
                    seeds: AnalyzeSeeds | None = None, samples: int | None = 1000,
                    spl_samples: int = 2000, stride: int = 1) -> Path:
@@ -78,125 +176,70 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
     the output directory. Deterministic given the seeds.
 
     ``snapshots`` (in iteration order, already thinned by ``stride``, which is
-    only recorded) is read once; the last is the final snapshot. Each gets one
-    index, one triangle pass, one Louvain partition and one distance sweep,
-    which keeps the sampled pairs' sources' depth rows and gives both
-    betweenness tables. Its metrics.csv rows, with a betweenness row for each
-    node it holds, are written before the next snapshot is read.
+    only recorded) is read once; the last is the final snapshot. Each one's
+    ``snapshot_record`` is folded into one ``Fold``, and its metrics.csv
+    rows, with a betweenness row for each node it holds, and its
+    scalefree.csv row are written before the next snapshot is read.
     """
     seeds = seeds or AnalyzeSeeds()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ledger = analytics.PairDistanceLedger(seed=seeds.sampling)
-
-    scalefree_rows, bridge_sets, degrees_by_iter, final = [], {}, {}, None
-    keys: dict[str, str] = {}  # node key -> the first string read for it
+    fold = Fold()
     with csv_writer(out / "metrics.csv",
-                    ["iteration", "metric", "subject", "value"]) as metrics:
+                    ["iteration", "metric", "subject", "value"]) as metrics, \
+            csv_writer(out / "scalefree.csv", ["iteration", "alpha", "xmin", "n_tail",
+                                               "lr", "p", "verdict"]) as scalefree_csv:
         for snap in snapshots:
-            final, it, g = snap, snap.iteration, snap.graph
-            index = snapshot_index(g)
-            # what is kept across snapshots holds one string per node key
-            index.nodes = [keys.setdefault(k, k) for k in index.nodes]
-            # after the loop, ``degrees`` is the final snapshot's degree sequence
-            degrees = index.degree.tolist()
-            try:
-                fit, verdict = scalefree.classify(degrees)
-                scalefree_rows.append([it, _fmt(fit.alpha), fit.xmin, fit.n_tail,
-                                       _fmt(verdict.lr), _fmt(verdict.p),
-                                       "yes" if verdict.is_scale_free else "no"])
-            except KgExpandError as exc:
-                scalefree_rows.append([it, "nan", "nan", "nan", "nan", "nan",
-                                       type(exc).__name__])
-            pairs = analytics.draw_pairs(ledger, it, g.node_count, samples)
-            # after the loop, ``sweep`` is the final snapshot's
-            sweep = distance_sweep(index, keep={u for u, _ in pairs})
-            pair_stats = analytics.newly_connected_pairs(ledger, it, sweep, pairs)
-            if g.node_count == 0:
-                # leading snapshots can be empty when extraction failed early
-                zero = {"nodes", "edges", "self_loops", "lcc_size", "bridge_nodes",
-                        "newly_connected", "shortened_paths"}
-                metrics.writerows((it, name, "global", "0" if name in zero else "nan")
-                                  for name in GLOBAL_METRICS)
-                bridge_sets[it], degrees_by_iter[it] = set(), {}
-                continue
-            triangles = analytics.triangles(index)
-            basic = analytics.basic_metrics(g, index,
-                                            analytics.clustering(index, triangles))
-            avg_spl, diameter = analytics.spl_and_diameter(sweep)
-            partition, q = analytics.louvain(index, seeds.louvain)
-            bridge_sets[it] = analytics.bridge_nodes(index, partition)
-            try:
-                assort = analytics.assortativity(index)
-            except UndefinedMetric:
-                assort = float("nan")
-            kmax, ksize = analytics.kcore(index)
-            bet = sweep.betweenness
-            degrees_by_iter[it] = lcc_degrees = index.lcc_degrees()
-            values = {
-                **dataclasses.asdict(basic),
-                "modularity": q,
-                "communities": len(set(partition.values())),
-                "avg_spl_lcc": avg_spl,
-                "diameter_lcc": diameter,
-                "assortativity": assort,
-                "transitivity": analytics.transitivity(index, triangles),
-                "kcore_max": kmax,
-                "kcore_size": ksize,
-                "avg_betweenness_lcc": (sum(sweep.lcc_betweenness.values())
-                                        / len(sweep.lcc_betweenness)),
-                "articulation_points": len(analytics.articulation_points(index)),
-                "bridge_nodes": len(bridge_sets[it]),
-                "newly_connected": pair_stats.newly_connected,
-                "shortened_paths": pair_stats.shortened,
-                "mean_betweenness": sum(bet.values()) / len(bet),
-                "max_betweenness": max(bet.values()),
-                "mean_degree_lcc": sum(lcc_degrees.values()) / len(lcc_degrees),
-            }
-            metrics.writerows((it, name, "global", _fmt(values[name]))
+            # no record outlives its successor's sweep: both hold a sweep's rows
+            fold.last = None
+            record = snapshot_record(snap, seeds, samples)
+            stats = fold.add(record)
+            values = {**record.values, "newly_connected": stats.newly_connected,
+                      "shortened_paths": stats.shortened}
+            metrics.writerows((record.iteration, name, "global", _fmt(values[name]))
                               for name in GLOBAL_METRICS)
-            metrics.writerows((it, "betweenness", node, _fmt(value))
-                              for node, value in bet.items())
+            metrics.writerows((record.iteration, "betweenness", node, _fmt(value))
+                              for node, value in record.sweep.betweenness.items())
+            scalefree_csv.writerow(record.scalefree_row)
+            del record
+        final = fold.last
         if final is None:
             raise EmptyGraph("empty snapshot series")
-        bridges = analytics.summarize_bridges(bridge_sets)
-        hubs = analytics.summarize_hubs(degrees_by_iter)
+        keys = list(fold.ledger.ids)
+        hubs = fold.hubs.summary(keys)
+        persistence, bridge_nodes, window, presence = fold.bridges.summary(keys)
         for hub, trajectory in hubs.trajectories.items():
             metrics.writerows((it, "hub_degree", hub, _fmt(deg))
                               for it, deg in trajectory.items())
-        for node, present in zip(bridges.presence_nodes, bridges.presence):
+        for node, present in zip(bridge_nodes, presence):
             metrics.writerows((it, "bridge_presence", node, _fmt(int(here)))
-                              for it, here in zip(bridges.presence_iterations, present))
+                              for it, here in zip(window, present))
         histogram = {}
-        if final.graph.node_count:
+        if final.sweep.index.nodes:
             # Every other metric ignores self-loops; the eigenvector rows keep
             # them, as a self-loop adds to the adjacency diagonal and so changes
             # eigenvector scores. Closeness is the same either way.
-            final_table = analytics.centralities(sweep, self_loops=True)
-            histogram = analytics.sampled_spl_distribution(sweep, spl_samples,
+            final_table = analytics.centralities(final.sweep, self_loops=True)
+            histogram = analytics.sampled_spl_distribution(final.sweep, spl_samples,
                                                            seeds.sampling).histogram
             for name, table in (("closeness", final_table.closeness),
                                 ("eigenvector", final_table.eigenvector)):
                 metrics.writerows((final.iteration, name, node, _fmt(table[node]))
                                   for node in sorted(table or ()))
 
-    write_csv(out / "scalefree.csv",
-              ["iteration", "alpha", "xmin", "n_tail", "lr", "p", "verdict"],
-              scalefree_rows)
     write_csv(out / "spl_histogram.csv", ["bin", "count"], histogram.items())
     write_csv(out / "degree_histogram.csv", ["bin", "count"],
-              sorted(Counter(degrees).items()))
+              sorted(Counter(final.sweep.index.degree.tolist()).items()))
     write_csv(out / "bridge_persistence.csv", ["node", "persistence"],
-              sorted(bridges.persistence.items()))
-    write_csv(out / "hub_emergence.csv", ["node", "t_emerge"],
-              sorted(hubs.t_emerge.items()))
+              sorted(persistence.items()))
+    write_csv(out / "hub_emergence.csv", ["node", "t_emerge"], sorted(hubs.t_emerge.items()))
 
     write_json(out / "analysis_manifest.json", {
         "seeds": {"louvain": seeds.louvain, "sampling": seeds.sampling},
         "samples": samples,
         "spl_samples": spl_samples,
         "stride": stride,
-        "iterations": list(degrees_by_iter),
+        "iterations": fold.iterations,
     })
 
     return out

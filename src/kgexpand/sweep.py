@@ -69,11 +69,6 @@ class SnapshotIndex:
         """The CSR in degree order, for the batched neighbour sums."""
         return NeighbourRows(self.indptr[:-1], self.degree, self.indices)
 
-    def lcc_degrees(self) -> dict:
-        """Node key -> degree over the largest component, in key order."""
-        degree = self.degree.tolist()
-        return {self.nodes[i]: degree[i] for i in self.lcc.tolist()}
-
 
 def snapshot_index(g: KnowledgeGraph) -> SnapshotIndex:
     """Index ``g``'s sorted node keys and its undirected adjacency, relation

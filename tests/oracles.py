@@ -4,9 +4,10 @@ Everything here recomputes metrics from first principles (Floyd-Warshall
 distances, explicit path enumeration, subset enumeration, exhaustive set
 partitions, dense eigendecomposition) so the production implementations are
 checked against genuinely different algorithms. Where a fast path replaced a
-simple one (the GraphML writer and reader, the pair sampler, the reply brace
-scan, the longest-path extractors, Louvain, the graph merge, the power-law
-fit), the simple one is kept here as its reference.
+simple one (the GraphML writer and reader, the pair sampler, the tuple-keyed
+pair ledger, the hub and bridge summaries over every snapshot at once, the
+reply brace scan, the longest-path extractors, Louvain, the graph merge, the
+power-law fit), the simple one is kept here as its reference.
 ``index_of`` puts a networkx test graph on the production
 ``sweep.SnapshotIndex``, with its node keys kept.
 """
@@ -645,6 +646,75 @@ def sample_pairs(nodes: list, samples: int, rng: random.Random) -> list[tuple]:
             v = rng.choice(nodes)
         pairs.append((u, v) if u <= v else (v, u))
     return pairs
+
+
+def newly_connected_pairs(records: dict, nodes: list, pairs: list,
+                          hops) -> analytics.PairStats:
+    """The pair ledger keyed by ``(key, key)`` tuples, which
+    ``analytics.newly_connected_pairs`` replaced with a matrix over global
+    node ids: ``records`` maps each sampled pair of keys to its last hop
+    count (-1 unreachable) and is updated in place, one pair at a time."""
+    newly = shortened = with_prior = 0
+    for (i, j), d in zip(pairs, hops):
+        key = (nodes[i], nodes[j])
+        prior = records.get(key)
+        if prior is not None:
+            with_prior += 1
+            if d >= 0:
+                if prior < 0:
+                    newly += 1
+                elif d < prior:
+                    shortened += 1
+        records[key] = d
+    return analytics.PairStats(newly, shortened, with_prior)
+
+
+def ledger_records(ledger: analytics.PairDistanceLedger) -> dict:
+    """A ledger's records keyed by ``(key, key)``, as the tuple-keyed ledger holds them."""
+    keys = list(ledger.ids)
+    lower, higher = np.nonzero(ledger.hops != -2)
+    return {(keys[a], keys[b]): int(ledger.hops[a, b])
+            for a, b in zip(lower.tolist(), higher.tolist())}
+
+
+def summarize_hubs(degrees_by_iter: dict[int, dict[str, int]], d_emerge: int = 5,
+                   top_n: int = 10) -> analytics.HubEmergence:
+    """Hub trajectories from each iteration's LCC degrees ({} for an empty
+    snapshot), from every snapshot's degree dict at once: the reference for
+    ``analytics.HubTracker``."""
+    max_deg: dict[str, int] = {}
+    t_emerge: dict[str, int] = {}
+    for it in sorted(degrees_by_iter):
+        for v, d in degrees_by_iter[it].items():
+            if d > max_deg.get(v, -1):
+                max_deg[v] = d
+            if d > d_emerge and v not in t_emerge:
+                t_emerge[v] = it
+    top_hubs = sorted(max_deg, key=lambda v: (-max_deg[v], v))[:top_n]
+    trajectories = {
+        v: {it: degs[v] for it, degs in sorted(degrees_by_iter.items()) if v in degs}
+        for v in top_hubs
+    }
+    mean_degree = {it: sum(deg.values()) / len(deg) if deg else 0.0
+                   for it, deg in degrees_by_iter.items()}
+    return analytics.HubEmergence(top_hubs, trajectories, t_emerge, mean_degree)
+
+
+def summarize_bridges(bridge_sets: dict[int, set[str]], *, window: int = 200,
+                      top_nodes: int = 100) -> analytics.BridgeSeries:
+    """Persistence counts and presence matrix from every iteration's bridge
+    set at once: the reference for ``analytics.BridgeTracker``."""
+    persistence: dict[str, int] = {}
+    t_first: dict[str, int] = {}
+    for it in sorted(bridge_sets):
+        for v in bridge_sets[it]:
+            persistence[v] = persistence.get(v, 0) + 1
+            t_first.setdefault(v, it)
+    window_iters = [it for it in sorted(bridge_sets) if it < window]
+    early = sorted((v for v, t in t_first.items() if t < window),
+                   key=lambda v: (t_first[v], v))[:top_nodes]
+    presence = [[v in bridge_sets[it] for it in window_iters] for v in early]
+    return analytics.BridgeSeries(bridge_sets, persistence, early, window_iters, presence)
 
 
 def validate_supergraph(snapshots) -> None:

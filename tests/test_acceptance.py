@@ -191,15 +191,16 @@ def test_criterion_5_newly_connected_pairs_exact():
             g.add_edge(u, "HAS", v)
         series.append(Snapshot(i, g.copy()))
 
-    ledger = analytics.PairDistanceLedger(seed=3)
+    ledger = analytics.PairDistanceLedger()
     seen: dict = {}
     observed = []
     for snap in series:
         und = snap.graph.undirected_view()
         index = snapshot_index(snap.graph)
-        pairs = analytics.draw_pairs(ledger, snap.iteration, len(index.nodes), samples=None)
+        pairs = analytics.draw_pairs(3, snap.iteration, len(index.nodes), samples=None)
+        hops = analytics.pair_hops(distance_sweep(index, keep={u for u, _ in pairs}), pairs)
         stats = analytics.newly_connected_pairs(
-            ledger, snap.iteration, distance_sweep(index, keep={u for u, _ in pairs}), pairs)
+            ledger, snap.iteration, analytics.node_ids(ledger.ids, index.nodes), pairs, hops)
         expected_new = expected_short = 0
         dist = oracles.floyd_warshall(und)
         for u in sorted(und):

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -61,12 +62,14 @@ def basic_metrics(kg):
     return analytics.basic_metrics(kg, index, local)
 
 
-def newly_connected_pairs(ledger, snap, samples):
+def newly_connected_pairs(ledger, snap, samples, seed=0):
     """Draw the pairs, sweep keeping their sources' rows, then count, as the analysis does."""
     index = snapshot_index(snap.graph)
-    pairs = analytics.draw_pairs(ledger, snap.iteration, len(index.nodes), samples)
+    pairs = analytics.draw_pairs(seed, snap.iteration, len(index.nodes), samples)
     sweep = distance_sweep(index, keep={u for u, _ in pairs})
-    return analytics.newly_connected_pairs(ledger, snap.iteration, sweep, pairs)
+    return analytics.newly_connected_pairs(
+        ledger, snap.iteration, analytics.node_ids(ledger.ids, index.nodes), pairs,
+        analytics.pair_hops(sweep, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +677,8 @@ def test_sample_pairs_draws_what_random_choice_draws(n, samples, seed):
 
 def test_first_iteration_establishes_baseline():
     series = snapshot_series([[("a", "b")]])
-    ledger = analytics.PairDistanceLedger(seed=1)
-    stats = newly_connected_pairs(ledger, series[0], samples=None)
+    ledger = analytics.PairDistanceLedger()
+    stats = newly_connected_pairs(ledger, series[0], samples=None, seed=1)
     assert (stats.newly_connected, stats.shortened, stats.with_prior) == (0, 0, 0)
     assert ledger.last_iteration == 0
 
@@ -687,7 +690,7 @@ def test_component_merge_counts_match_brute_force():
         [("a", "e")],                      # new node
         [("a", "c")],                      # shortens b..d style paths
     ])
-    ledger = analytics.PairDistanceLedger(seed=0)
+    ledger = analytics.PairDistanceLedger()
     seen = {}
     for snap in series:
         stats = newly_connected_pairs(ledger, snap, samples=None)
@@ -712,18 +715,18 @@ def test_component_merge_counts_match_brute_force():
 
 def test_ledger_records_hop_counts_and_minus_one_when_unreachable():
     series = snapshot_series([[("a", "b"), ("b", "c"), ("x", "y")]])
-    ledger = analytics.PairDistanceLedger(seed=0)
+    ledger = analytics.PairDistanceLedger()
     newly_connected_pairs(ledger, series[0], samples=None)
-    assert ledger.records == {
+    assert oracles.ledger_records(ledger) == {
         ("a", "b"): 1, ("a", "c"): 2, ("a", "x"): -1, ("a", "y"): -1,
         ("b", "c"): 1, ("b", "x"): -1, ("b", "y"): -1,
         ("c", "x"): -1, ("c", "y"): -1, ("x", "y"): 1}
-    assert all(type(d) is int for d in ledger.records.values())
+    assert all(type(d) is int for d in oracles.ledger_records(ledger).values())
 
 
 def test_ledger_rejects_stale_iteration():
     series = snapshot_series([[("a", "b")]])
-    ledger = analytics.PairDistanceLedger(seed=0)
+    ledger = analytics.PairDistanceLedger()
     newly_connected_pairs(ledger, series[0], samples=None)
     with pytest.raises(ValueError):
         newly_connected_pairs(ledger, series[0], samples=None)
@@ -734,10 +737,43 @@ def test_sampled_counts_bounded_by_prior_records():
         [("a", "b"), ("c", "d"), ("e", "f")],
         [("b", "c"), ("d", "e")],
     ])
-    ledger = analytics.PairDistanceLedger(seed=4)
-    newly_connected_pairs(ledger, series[0], samples=50)
-    stats = newly_connected_pairs(ledger, series[1], samples=50)
+    ledger = analytics.PairDistanceLedger()
+    newly_connected_pairs(ledger, series[0], samples=50, seed=4)
+    stats = newly_connected_pairs(ledger, series[1], samples=50, seed=4)
     assert stats.newly_connected + stats.shortened <= stats.with_prior
+
+
+def _ledger_matches_tuple_ledger(series, samples, seed):
+    ledger, records = analytics.PairDistanceLedger(), {}
+    for snap in series:
+        index = snapshot_index(snap.graph)
+        pairs = analytics.draw_pairs(seed, snap.iteration, len(index.nodes), samples)
+        hops = analytics.pair_hops(distance_sweep(index, keep={u for u, _ in pairs}), pairs)
+        ours = analytics.newly_connected_pairs(
+            ledger, snap.iteration, analytics.node_ids(ledger.ids, index.nodes), pairs, hops)
+        assert ours == oracles.newly_connected_pairs(records, index.nodes, pairs,
+                                                     hops.tolist())
+    assert oracles.ledger_records(ledger) == records
+
+
+@given(st.lists(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=5),
+                min_size=1, max_size=8),
+       st.one_of(st.none(), st.integers(1, 40)), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_id_ledger_matches_the_tuple_keyed_ledger(batches, samples, seed):
+    # random growing snapshots, with self-loops, repeated draws of one pair
+    # and pairs that join, shorten or stay apart
+    _ledger_matches_tuple_ledger(snapshot_series(
+        [[(f"n{u}", f"n{v}") for u, v in batch] for batch in batches]), samples, seed)
+
+
+def test_id_ledger_matches_the_tuple_keyed_ledger_past_a_regrowth():
+    # 600 nodes take the matrix past 256 and 512 ids; iterations skip, as a stride does
+    rng = random.Random(9)
+    batches = [[(f"v{rng.randrange(n)}", f"v{rng.randrange(n)}") for _ in range(n)]
+               for n in (40, 300, 300, 600)]
+    series = [Snapshot(3 * s.iteration, s.graph) for s in snapshot_series(batches)]
+    _ledger_matches_tuple_ledger(series, 400, seed=2)
 
 
 # ---------------------------------------------------------------------------
@@ -844,6 +880,47 @@ def test_bridges_have_degree_at_least_two():
     und = series[0].graph.undirected_view(self_loops=False)
     for v in result.bridge_sets[0]:
         assert und.degree(v) >= 2
+
+
+# the iterations straddle the bridge tracker's presence window (200), and the
+# degrees hit the emergence threshold (5) exactly and tie for the top hubs
+TRACKED_KEYS = ["a", "b", "c", "d", "e", "f"]
+
+
+@st.composite
+def tracked_series(draw):
+    iterations = sorted(draw(st.sets(st.sampled_from([0, 1, 7, 150, 198, 199, 200, 201,
+                                                       202, 350]), min_size=1)))
+    degrees = {it: draw(st.dictionaries(st.sampled_from(TRACKED_KEYS), st.integers(0, 7)))
+               for it in iterations}
+    bridges = {it: draw(st.sets(st.sampled_from(TRACKED_KEYS))) for it in iterations}
+    return degrees, bridges
+
+
+@given(tracked_series(), st.permutations(TRACKED_KEYS), st.integers(1, 7),
+       st.integers(1, 7))
+@example(({199: {}, 200: {"a": 5, "b": 6}, 201: {"a": 6, "b": 6}},
+          {199: set(), 200: {"a"}, 201: {"b"}}), TRACKED_KEYS, 1, 1)
+@example(({0: {"b": 6, "a": 6}}, {0: {"b", "a"}}), ["b", "a", "c", "d", "e", "f"], 1, 1)
+@settings(max_examples=300, deadline=None)
+def test_trackers_match_the_whole_series_summaries(series, first_seen, top_n, top_nodes):
+    degrees, bridges = series
+    ids: dict = {}
+    analytics.node_ids(ids, first_seen)     # global ids need not follow key order
+    hubs, bridge_tracker = analytics.HubTracker(), analytics.BridgeTracker()
+    for it in sorted(degrees):
+        hubs.add(it, analytics.node_ids(ids, list(degrees[it])),
+                 np.array(list(degrees[it].values()), dtype=np.int64))
+        bridge_tracker.add(it, analytics.node_ids(ids, sorted(bridges[it])))
+    ours, expected = hubs.summary(list(ids), top_n), oracles.summarize_hubs(degrees, top_n=top_n)
+    assert ours == expected
+    # the order the rows are written in, too
+    assert ([(v, list(t.items())) for v, t in ours.trajectories.items()]
+            == [(v, list(t.items())) for v, t in expected.trajectories.items()])
+    reference = oracles.summarize_bridges(bridges, top_nodes=top_nodes)
+    assert bridge_tracker.summary(list(ids), top_nodes) == (
+        reference.persistence, reference.presence_nodes, reference.presence_iterations,
+        reference.presence)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import contextlib
 import csv
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import networkx as nx
@@ -89,7 +91,10 @@ def test_per_node_betweenness_matches_betweenness_timeseries(analyzed):
 
 
 def test_bridges_match_bridge_analysis(analyzed):
-    series, rows, out = analyzed
+    _assert_bridges_match_bridge_analysis(*analyzed)
+
+
+def _assert_bridges_match_bridge_analysis(series, rows, out):
     bridges = analytics.bridge_analysis(series, LOUVAIN_SEED)
     persistence = {r["node"]: int(r["persistence"])
                    for r in _rows(out / "bridge_persistence.csv")}
@@ -109,7 +114,10 @@ def test_bridges_match_bridge_analysis(analyzed):
 
 
 def test_hub_rows_match_hub_emergence(analyzed):
-    series, rows, out = analyzed
+    _assert_hub_rows_match_hub_emergence(*analyzed)
+
+
+def _assert_hub_rows_match_hub_emergence(series, rows, out):
     hubs = analytics.hub_emergence(series)
     degrees = {(r["iteration"], r["subject"]): r["value"]
                for r in rows if r["metric"] == "hub_degree"}
@@ -122,6 +130,71 @@ def test_hub_rows_match_hub_emergence(analyzed):
         mean = next(r["value"] for r in rows if r["iteration"] == str(snap.iteration)
                     and r["metric"] == "mean_degree_lcc")
         assert mean == _fmt(hubs.mean_degree[snap.iteration])
+
+
+def _long_series() -> list[Snapshot]:
+    """210 snapshots of at most 21 nodes. Bridges first appear at 60, 199 and
+    200, so the presence window (below 200) cuts between the last two, and a
+    hub's LCC degree passes 5 at 202."""
+    batches = {0: [("a0", "a1"), ("a1", "a2"), ("a2", "a0"), ("b0", "b1"), ("b1", "b2"),
+                   ("b2", "b0"), ("x", "y")],
+               60: [("a0", "b0")],
+               199: [("c0", "c1"), ("c1", "c2"), ("c2", "c0"), ("c0", "b1")],
+               200: [("d0", "d1"), ("d1", "d2"), ("d2", "d0"), ("d0", "a2")]}
+    g = KnowledgeGraph()
+    series = []
+    for i in range(210):
+        for u, v in batches.get(i, []):
+            g.add_edge(u, "HAS", v)
+        if i >= 196 and i % 2 == 0:
+            g.add_edge("a1", "HAS", f"leaf {i}")
+        series.append(Snapshot(i, g.copy()))
+    return series
+
+
+def test_hub_and_bridge_rows_match_past_the_presence_window(tmp_path):
+    series = _long_series()
+    out = analyze_series(series, tmp_path, AnalyzeSeeds(louvain=LOUVAIN_SEED),
+                         samples=5, spl_samples=5)
+    rows = _rows(out / "metrics.csv")
+    _assert_bridges_match_bridge_analysis(series, rows, out)
+    _assert_hub_rows_match_hub_emergence(series, rows, out)
+    t_emerge = dict(_rows(out / "hub_emergence.csv")[0].items())
+    assert t_emerge == {"node": "a1", "t_emerge": "202"}
+    presence = {(r["iteration"], r["subject"]) for r in rows
+                if r["metric"] == "bridge_presence"}
+    assert {it for it, _ in presence} == {str(i) for i in range(200)}
+    assert {node for _, node in presence} >= {"a0", "b0", "b1", "c0"}
+    assert not {node for _, node in presence} & {"d0", "a2"}
+    persistence = dict(_rows(out / "bridge_persistence.csv")[0].items())
+    assert persistence["node"] == "a0"
+
+
+def _dicts_and_sets(root) -> int:
+    """The dicts and sets reachable from ``root``, not counting those of
+    modules, classes and functions."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        count += isinstance(obj, (dict, set, frozenset))
+        stack.extend(gc.get_referents(obj))
+    return count
+
+
+def test_fold_keeps_no_dict_or_set_per_snapshot():
+    # the same final snapshot after 20 and after 210 snapshots: what the
+    # fold holds grows by arrays, never by a dict or a set per snapshot
+    series = _long_series()
+    counts = []
+    for picked in (series[-20:], series):
+        fold = report.Fold()
+        for snap in picked:
+            fold.add(report.snapshot_record(snap, AnalyzeSeeds(), 5))
+        counts.append(_dicts_and_sets(fold))
+    assert counts[0] == counts[1]
 
 
 def test_partition_metrics_match_louvain(analyzed):
