@@ -31,10 +31,11 @@ returned value. Merge-refine results are memoized per call, keyed by the
 partition. None of this changes a move, a partition or a modularity bit
 against the plain algorithm in ``tests/oracles.py``. The cross-snapshot
 state (the pair ledger, ``HubTracker`` and ``BridgeTracker``) is folded one
-snapshot at a time over global node ids; the series functions build their
-own indexes and fold through the same trackers, as references for
-``report.analyze_series``' one pass. All seeded operations are
-deterministic for a fixed seed.
+snapshot at a time over global node ids. ``hub_emergence`` and
+``bridge_analysis`` fold through the same trackers, so they are no
+independent reference: ``tests/oracles.py``' ``summarize_hubs`` and
+``summarize_bridges`` are. All seeded operations are deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import KnowledgeGraph, Snapshot, largest_component
+# unused here; perfbench/tracer.py patches each module binding ``largest_component``
+from .core import KnowledgeGraph, Snapshot, largest_component  # noqa: F401
 from .errors import EmptyGraph, UndefinedMetric
 from .sweep import (DistanceSweep, NeighbourRows, SnapshotIndex, distance_sweep,
                     hop_dtype, snapshot_index)
@@ -436,11 +438,6 @@ def bridge_indices(index: SnapshotIndex, partition: dict) -> np.ndarray:
     return linked[spans]
 
 
-def bridge_nodes(index: SnapshotIndex, partition: dict) -> set:
-    """The keys of ``bridge_indices``."""
-    return {index.nodes[i] for i in bridge_indices(index, partition).tolist()}
-
-
 # ---------------------------------------------------------------------------
 # degree-structure metrics
 
@@ -623,16 +620,10 @@ def centralities(sweep: DistanceSweep, *, self_loops: bool = False) -> Centralit
 # sampled shortest-path distribution
 
 
-@dataclass
-class SplSample:
-    histogram: dict[int, int]
-    sampled: int
-
-
 def sampled_spl_distribution(sweep: DistanceSweep, samples: int = 2000,
-                             seed: int = 0) -> SplSample:
-    """Distance histogram over uniformly sampled node pairs (with replacement)
-    of the swept graph's largest component.
+                             seed: int = 0) -> dict[int, int]:
+    """Distance histogram, by hop count ascending, over uniformly sampled node
+    pairs (with replacement) of the swept graph's largest component.
 
     Pairs are drawn over the component's sorted nodes; their distances are
     the sweep's depth rows of the drawn sources."""
@@ -642,10 +633,10 @@ def sampled_spl_distribution(sweep: DistanceSweep, samples: int = 2000,
     if not lcc:
         raise EmptyGraph("cannot sample paths in an empty graph")
     if len(lcc) < 2:
-        return SplSample({}, 0)
+        return {}
     pairs = _sample_pairs(lcc, samples, random.Random(seed))
     hist = Counter(pair_hops(sweep, pairs).tolist())
-    return SplSample(dict(sorted(hist.items())), samples)
+    return dict(sorted(hist.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +671,6 @@ class PairDistanceLedger:
 class PairStats:
     newly_connected: int
     shortened: int
-    with_prior: int
 
 
 def _sample_pairs(nodes: list[int], samples: int | None,
@@ -747,8 +737,7 @@ def newly_connected_pairs(ledger: PairDistanceLedger, iteration: int, gid: np.nd
     ledger.hops[u, v] = hops
     reached = d >= 0
     return PairStats(int(np.count_nonzero(reached & (prior == -1))),
-                     int(np.count_nonzero(reached & (prior >= 0) & (d < prior))),
-                     int(np.count_nonzero(prior != -2)) + len(hops) - len(first))
+                     int(np.count_nonzero(reached & (prior >= 0) & (d < prior))))
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +749,6 @@ class HubEmergence:
     top_hubs: list[str]
     trajectories: dict[str, dict[int, int]]
     t_emerge: dict[str, int]
-    mean_degree: dict[int, float]
 
 
 class HubTracker:
@@ -775,7 +763,6 @@ class HubTracker:
         self.t_emerge = np.zeros(0, dtype=np.int64)     # -1: not emerged
         self.degree = np.zeros(0, dtype=np.int64)       # the last snapshot's, -1 out
         self.changes: list[tuple[int, np.ndarray, np.ndarray]] = []
-        self.mean_degree: dict[int, float] = {}
 
     def add(self, iteration: int, gid: np.ndarray, degree: np.ndarray) -> None:
         """One snapshot's LCC: its nodes' global ids and their degrees."""
@@ -787,7 +774,6 @@ class HubTracker:
         changed = np.flatnonzero(self.degree != last)
         self.changes.append((iteration, changed.astype(np.int32),
                              self.degree[changed].astype(np.int32)))
-        self.mean_degree[iteration] = int(degree.sum()) / len(degree) if len(degree) else 0.0
 
     def summary(self, keys: list, top_n: int = 10) -> HubEmergence:
         """The ``top_n`` hubs by (-max degree, key) and their trajectories;
@@ -805,8 +791,7 @@ class HubTracker:
                     trajectories[i][iteration] = d
         return HubEmergence(
             [keys[i] for i in top], {keys[i]: trajectories[i] for i in top},
-            {keys[i]: t for i, t in enumerate(self.t_emerge.tolist()) if t >= 0},
-            self.mean_degree)
+            {keys[i]: t for i, t in enumerate(self.t_emerge.tolist()) if t >= 0})
 
 
 def hub_emergence(series: list[Snapshot], d_emerge: int = 5,
@@ -821,12 +806,10 @@ def hub_emergence(series: list[Snapshot], d_emerge: int = 5,
     ids: dict[str, int] = {}
     tracker = HubTracker(d_emerge)
     for snap in sorted(series, key=lambda s: s.iteration):
-        # a snapshot can be empty when early extractions failed
-        gid = degree = np.zeros(0, dtype=np.int64)
-        if snap.graph.node_count:
-            index = snapshot_index(largest_component(snap.graph))
-            gid, degree = node_ids(ids, index.nodes), index.degree
-        tracker.add(snap.iteration, gid, degree)
+        # a snapshot can be empty when early extractions failed: its lcc is too
+        index = snapshot_index(snap.graph)
+        tracker.add(snap.iteration, node_ids(ids, index.nodes)[index.lcc],
+                    index.degree[index.lcc])
     return tracker.summary(list(ids), top_n)
 
 
@@ -890,7 +873,7 @@ def bridge_analysis(series: list[Snapshot], seed: int = 0, *,
     tracker, bridge_sets = BridgeTracker(window), {}
     for snap in sorted(series, key=lambda s: s.iteration):
         index = snapshot_index(snap.graph)
-        found = (bridge_nodes(index, louvain(index, seed)[0])
+        found = ({index.nodes[i] for i in bridge_indices(index, louvain(index, seed)[0])}
                  if snap.graph.node_count else set())
         bridge_sets[snap.iteration] = found
         tracker.add(snap.iteration, node_ids(ids, sorted(found)))
@@ -906,8 +889,6 @@ class BetweennessSeries:
     iterations: list[int]
     nodes: list[str]
     values: list[list[float]]       # [iteration index][node index], absent -> 0.0
-    mean: list[float]
-    max: list[float]
 
 
 def betweenness_timeseries(series: list[Snapshot]) -> BetweennessSeries:
@@ -924,6 +905,4 @@ def betweenness_timeseries(series: list[Snapshot]) -> BetweennessSeries:
     tables = [per_iter[it] for it in iterations]
     nodes = sorted({v for bc in tables for v in bc})
     values = [[bc.get(v, 0.0) for v in nodes] for bc in tables]
-    mean = [sum(bc.values()) / len(bc) if bc else 0.0 for bc in tables]
-    max_ = [max(bc.values(), default=0.0) for bc in tables]
-    return BetweennessSeries(iterations, nodes, values, mean, max_)
+    return BetweennessSeries(iterations, nodes, values)

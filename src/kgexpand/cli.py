@@ -18,7 +18,8 @@ import sys
 from pathlib import Path
 
 from .errors import KgExpandError
-from .graphml_io import SnapshotStore, read_graphml, whole_file, write_csv, write_graphml
+from .graphml_io import (SnapshotStore, read_graphml, remove_numbered, whole_file, write_csv,
+                         write_graphml)
 from .loop import RunConfig, run
 
 
@@ -121,6 +122,9 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     tables = paths_mod.path_tables(g)
     top = paths_mod.top_k_longest_paths(g, tables, args.k)
+    remove_numbered(out, "path_", len(top))     # what a larger --k wrote
+    if len(top) < 3:
+        (out / "path_correlations.csv").unlink(missing_ok=True)
     for i, path in enumerate(top):
         sub = paths_mod.induced_path_graph(g, path)
         write_graphml(sub, out / f"path_{i}.graphml", node_attrs=path.node_metrics)
@@ -232,10 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KgExpandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (KgExpandError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -146,11 +145,6 @@ class KnowledgeGraph:
         """Edge triples in deterministic sorted order."""
         return sorted(self._edges)
 
-    @property
-    def triple_set(self) -> AbstractSet[tuple[str, str, str]]:
-        """Edge triples as a read-only set view, in the order they were added."""
-        return self._edges.keys()
-
     def added_since(self, nodes: int, edges: int) -> tuple[list, list]:
         """The node keys and triples added after the first ``nodes`` keys and
         ``edges`` triples, each in the order they were added."""
@@ -169,12 +163,8 @@ class KnowledgeGraph:
     def self_loop_count(self) -> int:
         return sum(1 for s, _, t in self._edges if s == t)
 
-    def degree(self, key: str) -> int:
-        """Total in+out degree in the multigraph; a self-loop counts twice."""
-        return sum((s == key) + (t == key) for s, _, t in self._edges)
-
     def max_degree(self) -> int:
-        """Largest ``degree`` over all nodes, in one pass over the edges."""
+        """Largest in+out multigraph degree (a self-loop counts twice), in one pass."""
         counts = Counter(v for s, _, t in self._edges for v in (s, t))
         return max(counts.values(), default=0)
 
@@ -216,27 +206,14 @@ def largest_component(g: KnowledgeGraph) -> KnowledgeGraph:
     """Induced subgraph on the largest component, edges taken as undirected.
 
     Ties between equal-sized components go to the one containing the
-    lexicographically smallest node key.
+    lexicographically smallest node key: ``sweep.snapshot_index(g).lcc``.
     """
     if g.node_count == 0:
         raise EmptyGraph("cannot take the largest component of an empty graph")
-    # union-find over the triples, with path halving: no graph view is built
-    parent = {v: v for v in g._nodes}
+    from .sweep import snapshot_index  # on call: loading core loads no numpy
 
-    def root(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for s, _, t in g._edges:
-        parent[root(s)] = root(t)
-    groups: dict[str, set[str]] = {}
-    for v in g._nodes:
-        groups.setdefault(root(v), set()).add(v)
-    components = list(groups.values())
-    max_size = max(len(c) for c in components)
-    best = min((c for c in components if len(c) == max_size), key=min)
+    index = snapshot_index(g)
+    best = {index.nodes[i] for i in index.lcc.tolist()}
     sub = KnowledgeGraph()
     sub._nodes = {k: g._nodes[k] for k in sorted(best)}
     sub._edges = {(s, k, t): None for s, k, t in g._edges if s in best and t in best}

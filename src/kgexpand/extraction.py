@@ -81,10 +81,6 @@ class LocalGraph:
     graph: KnowledgeGraph = field(default_factory=KnowledgeGraph)
     warnings: int = 0  # edges accepted with defaulted relation or dropped entries
 
-    @property
-    def is_empty(self) -> bool:
-        return self.graph.node_count == 0
-
 
 # what the brace scan stops at; every other character leaves its state alone
 _BRACE_SCAN_STOPS = re.compile(r"""[{}'"\\]""")

@@ -65,6 +65,15 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
         writer.writerows(rows)
 
 
+def remove_numbered(directory: Path, stem: str, count: int) -> None:
+    """Remove each ``<stem><i>.graphml`` in ``directory`` from ``i = count`` on,
+    and every such ``.partial``: what an earlier, longer run left there."""
+    for path in directory.iterdir():
+        m = re.fullmatch(re.escape(stem) + r"(\d+)\.graphml(\.partial)?", path.name)
+        if m and (m.group(2) or int(m.group(1)) >= count):
+            path.unlink()
+
+
 def write_json(path: str | Path, data) -> None:
     with whole_file(path) as fh:
         fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -28,7 +28,7 @@ from .extraction import (
     isolate_reasoning,
     locate_graph_section,
 )
-from .graphml_io import SnapshotStore, write_csv, write_json
+from .graphml_io import SnapshotStore, remove_numbered, write_csv, write_json
 from .prompts import OPEN_ENDED_DEFAULT_PROMPT, build_followup_prompt, build_initial_prompt
 from .sessions import (
     MIN_VOCABULARY_SIZE,
@@ -141,12 +141,14 @@ def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
     snapshots stay on disk and the one being written is absent, never
     truncated; ``run_records.csv`` and ``manifest.json`` are written for the
     completed iterations with the exception in ``aborted``, and it propagates.
+    An earlier, longer run's snapshots past ``cfg.iterations`` are removed first.
     """
     cfg.validate()
     if gen is None:
         gen = cfg.build_session()
     store = SnapshotStore(cfg.snapshot_dir)
     store.directory.mkdir(parents=True, exist_ok=True)
+    remove_numbered(store.directory, "graph_iteration_", cfg.iterations)
     started = time.time()
     global_graph = KnowledgeGraph()
     records: list[IterationRecord] = []

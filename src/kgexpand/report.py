@@ -221,7 +221,7 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
             # eigenvector scores. Closeness is the same either way.
             final_table = analytics.centralities(final.sweep, self_loops=True)
             histogram = analytics.sampled_spl_distribution(final.sweep, spl_samples,
-                                                           seeds.sampling).histogram
+                                                           seeds.sampling)
             for name, table in (("closeness", final_table.closeness),
                                 ("eigenvector", final_table.eigenvector)):
                 metrics.writerows((final.iteration, name, node, _fmt(table[node]))

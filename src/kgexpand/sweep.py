@@ -75,7 +75,7 @@ def snapshot_index(g: KnowledgeGraph) -> SnapshotIndex:
     kinds and direction dropped and self-loops left out.
 
     The largest component is the one holding the smallest key among those
-    of the largest size, as in ``core.largest_component``.
+    of the largest size; ``core.largest_component`` takes its rule from here.
     """
     nodes = sorted(g.node_keys)
     n = len(nodes)

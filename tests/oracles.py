@@ -36,7 +36,7 @@ from kgexpand.analytics import (
     centralities,
     pearson,
 )
-from kgexpand.core import DEFAULT_RELATION, KnowledgeGraph, MergeDelta, largest_component
+from kgexpand.core import DEFAULT_RELATION, KnowledgeGraph, MergeDelta
 from kgexpand.errors import (
     DegenerateSequence,
     EmptyGraph,
@@ -90,6 +90,15 @@ def index_of(view: nx.Graph) -> SnapshotIndex:
     """The production index of ``view``: its self-loop-free adjacency, with
     its self-loops flagged."""
     return snapshot_index(knowledge_graph(view))
+
+
+def lcc_nodes(view: nx.Graph) -> set:
+    """The nodes of ``view``'s largest connected component, by networkx's own
+    search; ties between equal sizes go to the component holding the smallest
+    key. The reference for ``core.largest_component`` and ``SnapshotIndex.lcc``."""
+    comps = list(nx.connected_components(view))
+    size = max(len(c) for c in comps)
+    return min((c for c in comps if len(c) == size), key=min)
 
 
 # ---------------------------------------------------------------------------
@@ -654,19 +663,17 @@ def newly_connected_pairs(records: dict, nodes: list, pairs: list,
     ``analytics.newly_connected_pairs`` replaced with a matrix over global
     node ids: ``records`` maps each sampled pair of keys to its last hop
     count (-1 unreachable) and is updated in place, one pair at a time."""
-    newly = shortened = with_prior = 0
+    newly = shortened = 0
     for (i, j), d in zip(pairs, hops):
         key = (nodes[i], nodes[j])
         prior = records.get(key)
-        if prior is not None:
-            with_prior += 1
-            if d >= 0:
-                if prior < 0:
-                    newly += 1
-                elif d < prior:
-                    shortened += 1
+        if prior is not None and d >= 0:
+            if prior < 0:
+                newly += 1
+            elif d < prior:
+                shortened += 1
         records[key] = d
-    return analytics.PairStats(newly, shortened, with_prior)
+    return analytics.PairStats(newly, shortened)
 
 
 def ledger_records(ledger: analytics.PairDistanceLedger) -> dict:
@@ -695,9 +702,7 @@ def summarize_hubs(degrees_by_iter: dict[int, dict[str, int]], d_emerge: int = 5
         v: {it: degs[v] for it, degs in sorted(degrees_by_iter.items()) if v in degs}
         for v in top_hubs
     }
-    mean_degree = {it: sum(deg.values()) / len(deg) if deg else 0.0
-                   for it, deg in degrees_by_iter.items()}
-    return analytics.HubEmergence(top_hubs, trajectories, t_emerge, mean_degree)
+    return analytics.HubEmergence(top_hubs, trajectories, t_emerge)
 
 
 def summarize_bridges(bridge_sets: dict[int, set[str]], *, window: int = 200,
@@ -1074,8 +1079,8 @@ def diameter_path(g):
     """The reference for ``paths.diameter_path``: the LCC's own view and BFS."""
     if g.node_count == 0:
         raise EmptyGraph("diameter_path needs a non-empty graph")
-    lcc = largest_component(g)
-    und = lcc.undirected_view(self_loops=False)
+    view = g.undirected_view(self_loops=False)
+    und = view.subgraph(lcc_nodes(view))
     if und.number_of_nodes() == 1:
         raise TrivialPath("largest component is a single node")
     dist = {v: nx.single_source_shortest_path_length(und, v) for v in und}
@@ -1087,7 +1092,7 @@ def diameter_path(g):
     return ExtractedPath(
         nodes=nodes,
         displays=[g.display(v) for v in nodes],
-        node_metrics=_attach_metrics(g.undirected_view(self_loops=False), nodes),
+        node_metrics=_attach_metrics(view, nodes),
         source_eccentricity=ecc[source],
         terminal_eccentricity=ecc[target],
     )

@@ -107,7 +107,7 @@ def test_criterion_1_oracle_equivalence(corpus):
             assert table.closeness[v] == pytest.approx(o_clo[v], abs=EXACT)
             assert table.eigenvector[v] == pytest.approx(o_eig[v], abs=EIG)
         partition, _ = analytics.louvain(index, seed=1)
-        assert (analytics.bridge_nodes(index, partition)
+        assert ({index.nodes[i] for i in analytics.bridge_indices(index, partition)}
                 == oracles.bridge_nodes(und, partition))
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"oracle suite took {elapsed:.1f}s"

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgexpand import core
@@ -190,7 +190,7 @@ def test_added_since_reads_the_tail_and_a_duplicate_keeps_its_place():
     assert not g.add_keyed_edge("b", "IS-A", "d")
     assert g.added_since(2, 1) == (["c", "d"], [("b", "IS-A", "d"), ("c", "HAS", "a")])
     assert g.added_since(4, 3) == ([], [])
-    assert list(g.triple_set) == [("a", "HAS", "b"), ("b", "IS-A", "d"), ("c", "HAS", "a")]
+    assert g.added_since(0, 0)[1] == [("a", "HAS", "b"), ("b", "IS-A", "d"), ("c", "HAS", "a")]
 
 
 _steps = st.one_of(
@@ -232,11 +232,10 @@ def test_added_since_lists_what_each_step_added_in_order(steps):
             merge_local(g, step[1])
             for key in step[1].display_map():
                 node(key)
-            for t in step[1].triple_set:
+            for t in step[1].added_since(0, 0)[1]:
                 triple(t)
         assert g.added_since(0, 0) == (nodes, triples)
         assert g.added_since(n, e) == (nodes[n:], triples[e:])
-        assert list(g.triple_set) == triples
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +327,48 @@ def test_largest_component_induces_edges():
     assert set(sub.triples()) == {("a", "HAS", "b"), ("b", "IS-A", "a")}
 
 
+def _graph_of(nodes, triples):
+    g = KnowledgeGraph()
+    for v in nodes:
+        g.add_node(v)
+    for s, kind, t in triples:
+        g.add_edge(s, kind, t)
+    return g
+
+
+@st.composite
+def component_graphs(draw):
+    """Graphs on a few of nine keys, added in any order, so components often
+    tie in size; isolated nodes, self-loops and several relation kinds
+    between one pair come up often."""
+    nodes = draw(st.lists(st.sampled_from("abcdefghi"), min_size=1, unique=True))
+    ends = st.sampled_from(nodes)
+    return _graph_of(nodes, draw(st.lists(st.tuples(ends, relation_kinds, ends),
+                                          max_size=10)))
+
+
+@given(component_graphs())
+@example(_graph_of("i", []))
+@example(_graph_of("ih", [("i", "HAS", "i")]))
+@example(_graph_of("efgabc", [("e", "HAS", "f"), ("f", "IS-A", "g"), ("a", "HAS", "b"),
+                              ("b", "HAS", "c"), ("a", "IS-A", "b")]))
+@example(_graph_of("dcba", [("d", "HAS", "c"), ("c", "HAS", "d"), ("b", "HAS", "b"),
+                            ("b", "IS-A", "a"), ("a", "IS-A", "b")]))
+@settings(max_examples=300, deadline=None)
+def test_largest_component_matches_the_networkx_oracle(g):
+    sub = largest_component(g)
+    lcc = oracles.lcc_nodes(g.undirected_view())
+    assert sub.display_map() == {v: g.display(v) for v in sorted(lcc)}
+    assert list(sub.display_map()) == sorted(lcc)
+    assert sub.added_since(0, 0)[1] == [t for t in g.added_since(0, 0)[1]
+                                        if t[0] in lcc and t[2] in lcc]
+
+
 @given(knowledge_graphs())
 def test_max_degree_is_the_largest_node_degree(g):
-    assert g.max_degree() == max((g.degree(k) for k in g.node_keys), default=0)
+    # each node's in+out degree counted triple by triple, a self-loop twice
+    degree = {v: sum((s == v) + (t == v) for s, _, t in g.triples()) for v in g.node_keys}
+    assert g.max_degree() == max(degree.values(), default=0)
 
 
 def test_max_degree_counts_a_self_loop_twice_and_isolated_nodes_as_zero():

@@ -379,7 +379,7 @@ def test_exhaustion_yields_empty_graph_and_skip_event():
     session = ScriptedSession(["junk", "more junk", "still junk"])
     outcome = extract_with_retry(session, "raw", max_retries=2)
     assert outcome.skipped
-    assert outcome.local.is_empty
+    assert outcome.local.graph.node_count == 0
     assert outcome.retries_used == 2
     assert outcome.last_error
 

@@ -173,6 +173,24 @@ def test_rerun_is_byte_identical(tmp_path):
     assert len(files["a"]) == 51
 
 
+def test_a_shorter_rerun_into_the_same_directory_leaves_no_earlier_file(tmp_path):
+    # a longer run of another seed, and .partial files that killed writes
+    # leave: after the shorter run the directory holds what it alone writes,
+    # and the file no run wrote
+    out, fresh = tmp_path / "snaps", tmp_path / "fresh"
+    run(RunConfig(iterations=12, seed=1, snapshot_dir=str(out)))
+    (out / "graph_iteration_20.graphml.partial").write_text("<graphml")
+    (out / "graph_iteration_3.graphml.partial").write_text("<graphml")
+    (out / "notes.txt").write_text("not a run's")
+    run(RunConfig(iterations=6, seed=2, snapshot_dir=str(out)))
+    run(RunConfig(iterations=6, seed=2, snapshot_dir=str(fresh)))
+    names = {p.name for p in fresh.iterdir()}
+    assert {p.name for p in out.iterdir()} == names | {"notes.txt"}
+    for name in names - {"manifest.json"}:      # the manifest holds timestamps
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+    assert SnapshotStore(out).final().iteration == 5
+
+
 def test_series_is_supergraph_monotone(tmp_path):
     cfg = RunConfig(iterations=30, seed=9, snapshot_dir=str(tmp_path))
     result = run(cfg)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import networkx as nx
@@ -6,12 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgexpand import paths as paths_mod
-from kgexpand.analytics import spl_and_diameter
 from kgexpand.cli import main
-from kgexpand.core import KnowledgeGraph, largest_component
+from kgexpand.core import KnowledgeGraph
 from kgexpand.errors import NonConvergent, TrivialPath
 from kgexpand.sessions import EchoSession
-from kgexpand.sweep import distance_sweep, snapshot_index
 
 from . import oracles
 from .strategies import knowledge_graphs
@@ -89,10 +88,9 @@ def test_repeated_extraction_is_identical():
 def test_diameter_path_length_equals_diameter(seed):
     g = kg_from_nx(oracles.random_connected_graph(11, 5, seed))
     path = diameter_path(g)
-    _, diameter = spl_and_diameter(distance_sweep(snapshot_index(largest_component(g))))
-    assert path.length == diameter
-    # consecutive nodes adjacent, no repeats
     und = g.undirected_view()
+    assert path.length == nx.diameter(und.subgraph(oracles.lcc_nodes(und)))
+    # consecutive nodes adjacent, no repeats
     assert len(set(path.nodes)) == len(path.nodes)
     for a, b in zip(path.nodes, path.nodes[1:]):
         assert und.has_edge(a, b)
@@ -253,6 +251,29 @@ def test_paths_command_runs_one_distance_sweep_and_no_networkx_bfs(monkeypatch, 
                  "--out", str(tmp_path / "paths")]) == 0
     assert (len(sweeps), len(views)) == (1, 0)
     assert (tmp_path / "paths" / "compositional_report.md").exists()
+
+
+def test_a_rerun_with_a_smaller_k_leaves_no_earlier_path_file(tmp_path):
+    # --k 5 writes five paths and their correlations; --k 2 into the same
+    # directory must leave what --k 2 alone writes, and the report bundle
+    # must index only that
+    snaps, out, fresh = (str(tmp_path / name) for name in ("snaps", "paths", "fresh"))
+    assert main(["run", "--synthetic", "--iterations", "15", "--seed", "4",
+                 "--out", snaps]) == 0
+    assert main(["paths", snaps, "--k", "5", "--out", out]) == 0
+    assert (tmp_path / "paths" / "path_4.graphml").exists()
+    assert (tmp_path / "paths" / "path_correlations.csv").exists()
+    (tmp_path / "paths" / "path_9.graphml.partial").write_text("<graphml")
+    (tmp_path / "paths" / "notes.md").write_text("not a run's")
+    assert main(["paths", snaps, "--k", "2", "--out", out]) == 0
+    assert main(["paths", snaps, "--k", "2", "--out", fresh]) == 0
+    written = {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+    assert {p.name: p.read_bytes() for p in (tmp_path / "paths").iterdir()} == {
+        **written, "notes.md": b"not a run's"}
+    assert main(["report", snaps, "--out", str(tmp_path / "report"), "--paths", out]) == 0
+    bundle = json.loads((tmp_path / "report" / "report_bundle.json").read_text())
+    assert bundle["path_reports"] == [str(tmp_path / "paths" / name) for name in
+                                      ("notes.md", "path_0.graphml", "path_1.graphml")]
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,14 @@ import pytest
 from kgexpand import analytics, cli, graphml_io, report, sweep
 from kgexpand import paths as paths_mod
 from kgexpand.cli import main
-from kgexpand.core import KnowledgeGraph, Snapshot, largest_component
+from kgexpand.core import KnowledgeGraph, Snapshot
 from kgexpand.errors import EmptyGraph, KgExpandError
 from kgexpand.graphml_io import SnapshotStore
 from kgexpand.loop import RunConfig, run
 from kgexpand.report import AnalyzeSeeds, _fmt, analyze_series
 from kgexpand.sweep import snapshot_index
+
+from . import oracles
 
 LOUVAIN_SEED = 3
 
@@ -67,7 +69,7 @@ def analyzed(tmp_path_factory):
 def test_series_has_empty_disconnected_and_connected_snapshots():
     series = _series()
     assert series[0].graph.node_count == 0
-    sizes = [(largest_component(s.graph).node_count, s.graph.node_count)
+    sizes = [(len(oracles.lcc_nodes(s.graph.undirected_view())), s.graph.node_count)
              for s in list(series)[1:]]
     assert sizes == [(4, 7), (9, 9), (9, 11)]
 
@@ -86,8 +88,10 @@ def test_per_node_betweenness_matches_betweenness_timeseries(analyzed):
     for idx, it in enumerate(bet.iterations[1:], start=1):
         glob = {r["metric"]: r["value"] for r in rows
                 if r["iteration"] == str(it) and r["subject"] == "global"}
-        assert glob["mean_betweenness"] == _fmt(bet.mean[idx])
-        assert glob["max_betweenness"] == _fmt(bet.max[idx])
+        present = [bet.values[idx][bet.nodes.index(v)]
+                   for v in sorted(series[idx].graph.node_keys)]
+        assert glob["mean_betweenness"] == _fmt(sum(present) / len(present))
+        assert glob["max_betweenness"] == _fmt(max(present))
 
 
 def test_bridges_match_bridge_analysis(analyzed):
@@ -117,8 +121,19 @@ def test_hub_rows_match_hub_emergence(analyzed):
     _assert_hub_rows_match_hub_emergence(*analyzed)
 
 
+def _lcc_degrees(snap) -> dict:
+    """Each node's degree in the snapshot's largest component, by the networkx
+    oracle; {} for an empty snapshot."""
+    if not snap.graph.node_count:
+        return {}
+    view = snap.graph.undirected_view(self_loops=False)
+    return dict(view.subgraph(oracles.lcc_nodes(view)).degree())
+
+
 def _assert_hub_rows_match_hub_emergence(series, rows, out):
     hubs = analytics.hub_emergence(series)
+    lcc_degrees = {snap.iteration: _lcc_degrees(snap) for snap in series}
+    assert hubs == oracles.summarize_hubs(lcc_degrees)
     degrees = {(r["iteration"], r["subject"]): r["value"]
                for r in rows if r["metric"] == "hub_degree"}
     assert degrees == {(str(it), hub): _fmt(d)
@@ -126,10 +141,11 @@ def _assert_hub_rows_match_hub_emergence(series, rows, out):
                        for it, d in traj.items()}
     t_emerge = {r["node"]: int(r["t_emerge"]) for r in _rows(out / "hub_emergence.csv")}
     assert t_emerge == hubs.t_emerge
-    for snap in list(series)[1:]:
+    for snap in series:
         mean = next(r["value"] for r in rows if r["iteration"] == str(snap.iteration)
                     and r["metric"] == "mean_degree_lcc")
-        assert mean == _fmt(hubs.mean_degree[snap.iteration])
+        degrees = lcc_degrees[snap.iteration]
+        assert mean == _fmt(sum(degrees.values()) / len(degrees) if degrees else None)
 
 
 def _long_series() -> list[Snapshot]:
@@ -210,7 +226,8 @@ def test_partition_metrics_match_louvain(analyzed):
 def test_lcc_betweenness_matches_networkx_on_the_lcc(analyzed):
     series, rows, _ = analyzed
     for snap in list(series)[1:]:
-        lcc_und = largest_component(snap.graph).undirected_view()
+        view = snap.graph.undirected_view()
+        lcc_und = view.subgraph(oracles.lcc_nodes(view))
         bc = nx.betweenness_centrality(lcc_und)
         value = next(r["value"] for r in rows if r["iteration"] == str(snap.iteration)
                      and r["metric"] == "avg_betweenness_lcc")

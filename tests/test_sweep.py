@@ -37,12 +37,6 @@ def _simple(g):
     return simple
 
 
-def _largest_component(g):
-    comps = list(nx.connected_components(g))
-    size = max(len(c) for c in comps)
-    return min((c for c in comps if len(c) == size), key=min)
-
-
 def _assert_close(got: dict, expected: dict):
     assert got.keys() == expected.keys()
     for v, value in expected.items():
@@ -70,7 +64,7 @@ def _check_against_networkx(g):
     if n == 0:
         assert swept.betweenness == {} and len(index.lcc) == 0
         return
-    lcc = _largest_component(simple)
+    lcc = oracles.lcc_nodes(simple)
     assert [index.nodes[i] for i in index.lcc] == sorted(lcc)
     _assert_close(swept.lcc_betweenness,
                   nx.betweenness_centrality(simple.subgraph(lcc)))
