@@ -91,12 +91,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     samples = _parse_samples(args.samples)
     store = SnapshotStore(args.snapshots)
     count = len(store.picked_paths(args.stride))
-    if count == 0:
-        raise KgExpandError(f"no snapshots found in {args.snapshots}")
-    seeds = report_mod.AnalyzeSeeds(
-        louvain=args.louvain_seed if args.louvain_seed is not None else args.seed,
-        sampling=args.sampling_seed if args.sampling_seed is not None else args.seed,
-    )
+    seeds = report_mod.AnalyzeSeeds(louvain=args.seed, sampling=args.seed)
     out = report_mod.analyze_series(store.snapshots(args.stride), args.out, seeds,
                                     samples, spl_samples=args.spl_samples,
                                     stride=args.stride)
@@ -157,11 +152,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from . import report as report_mod
 
     store = SnapshotStore(args.snapshots)
-    bundle = report_mod.build_report(
+    print(report_mod.build_report(
         store.final(), len(store.iteration_paths()), args.out,
         louvain_seed=args.seed, run_dir=args.snapshots,
-        analysis_dir=args.analysis, paths_dir=args.paths)
-    print(bundle.report_path.read_text())
+        analysis_dir=args.analysis, paths_dir=args.paths))
     return 0
 
 
@@ -197,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("snapshots", help="snapshot directory")
     p_an.add_argument("--out", default="analysis")
     p_an.add_argument("--seed", type=int, default=0)
-    p_an.add_argument("--louvain-seed", type=int, dest="louvain_seed")
-    p_an.add_argument("--sampling-seed", type=int, dest="sampling_seed")
     p_an.add_argument("--samples", default="1000",
                       help="pairs sampled per iteration, or 'all'")
     p_an.add_argument("--spl-samples", type=int, default=2000, dest="spl_samples")

@@ -30,12 +30,14 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .core import DEFAULT_RELATION, KnowledgeGraph, Snapshot, normalize_relation
-from .errors import EmptyGraph, GraphMLError
+from .errors import EmptyGraph, GraphMLError, KgExpandError
 
 log = logging.getLogger(__name__)
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
-SNAPSHOT_PATTERN = re.compile(r"graph_iteration_(\d+)\.graphml$")
+# a run directory's layout: no other module spells these names
+SNAPSHOT_STEM = "graph_iteration_"
+MANIFEST_FILENAME = "manifest.json"
 
 
 @contextmanager
@@ -65,22 +67,24 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
         writer.writerows(rows)
 
 
+def numbered(name: str, stem: str) -> int | None:
+    """``i`` when ``name`` is exactly ``<stem><i>.graphml``, else None."""
+    m = re.fullmatch(re.escape(stem) + r"(\d+)\.graphml", name)
+    return int(m.group(1)) if m else None
+
+
 def remove_numbered(directory: Path, stem: str, count: int) -> None:
     """Remove each ``<stem><i>.graphml`` in ``directory`` from ``i = count`` on,
     and every such ``.partial``: what an earlier, longer run left there."""
     for path in directory.iterdir():
-        m = re.fullmatch(re.escape(stem) + r"(\d+)\.graphml(\.partial)?", path.name)
-        if m and (m.group(2) or int(m.group(1)) >= count):
+        i = numbered(path.name.removesuffix(".partial"), stem)
+        if i is not None and (i >= count or path.name.endswith(".partial")):
             path.unlink()
 
 
 def write_json(path: str | Path, data) -> None:
     with whole_file(path) as fh:
         fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def snapshot_filename(iteration: int) -> str:
-    return f"graph_iteration_{iteration}.graphml"
 
 
 def _attr_type(values) -> str:
@@ -293,31 +297,50 @@ def read_graphml(path: str | Path) -> KnowledgeGraph:
 
 
 class SnapshotStore:
-    """Directory of per-iteration GraphML files, sorted by parsed iteration."""
+    """Directory of per-iteration GraphML files, sorted by parsed iteration.
+    With a run manifest, the run is the iterations below its
+    ``iterations_completed``; without one (an external export), every file."""
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self._cache = RenderCache()
+        self._cache: RenderCache | None = None     # made with the directory, on the first write
 
     def write(self, snapshot: Snapshot) -> Path:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.directory / snapshot_filename(snapshot.iteration)
+        if self._cache is None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._cache = RenderCache()
+        path = self.directory / f"{SNAPSHOT_STEM}{snapshot.iteration}.graphml"
         write_graphml(snapshot.graph, path, cache=self._cache)
         return path
 
+    def _completed(self) -> int | None:
+        path = self.directory / MANIFEST_FILENAME
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except (FileNotFoundError, NotADirectoryError):     # no manifest, or no directory
+            return None
+        except (OSError, ValueError) as exc:
+            raise KgExpandError(f"run manifest {path} is not readable JSON: {exc}") from exc
+        completed = data.get("iterations_completed") if isinstance(data, dict) else None
+        if type(completed) is not int or completed < 0:
+            raise KgExpandError(f"run manifest {path} has no integer iterations_completed")
+        return completed
+
     def iteration_paths(self) -> list[tuple[int, Path]]:
-        """Snapshot files in iteration order; two names for one iteration
-        (``graph_iteration_1`` and ``graph_iteration_01``) are rejected."""
+        """The run's snapshot files in iteration order. No file, or two for one
+        iteration (``graph_iteration_1`` and ``graph_iteration_01``), is an error."""
+        completed = self._completed()
         found: dict[int, Path] = {}
         for path in sorted(self.directory.iterdir()):
-            m = SNAPSHOT_PATTERN.search(path.name)
-            if not m:
+            iteration = numbered(path.name, SNAPSHOT_STEM)
+            if iteration is None or (completed is not None and iteration >= completed):
                 continue
-            iteration = int(m.group(1))
             if iteration in found:
                 raise GraphMLError(f"{found[iteration]} and {path} are both "
                                    f"snapshots of iteration {iteration}")
             found[iteration] = path
+        if not found:
+            raise EmptyGraph(f"no snapshots found in {self.directory}")
         return sorted(found.items())
 
     def picked_paths(self, stride: int = 1) -> list[tuple[int, Path]]:
@@ -335,7 +358,5 @@ class SnapshotStore:
 
     def final(self) -> Snapshot:
         """The highest-iteration snapshot; no other file is read."""
-        found = self.iteration_paths()
-        if not found:
-            raise EmptyGraph(f"no snapshots found in {self.directory}")
-        return Snapshot(found[-1][0], read_graphml(found[-1][1]))
+        iteration, path = self.iteration_paths()[-1]
+        return Snapshot(iteration, read_graphml(path))

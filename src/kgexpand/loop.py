@@ -28,7 +28,8 @@ from .extraction import (
     isolate_reasoning,
     locate_graph_section,
 )
-from .graphml_io import SnapshotStore, remove_numbered, write_csv, write_json
+from .graphml_io import (MANIFEST_FILENAME, SNAPSHOT_STEM, SnapshotStore, remove_numbered,
+                         write_csv, write_json)
 from .prompts import OPEN_ENDED_DEFAULT_PROMPT, build_followup_prompt, build_initial_prompt
 from .sessions import (
     MIN_VOCABULARY_SIZE,
@@ -40,7 +41,6 @@ from .sessions import (
 log = logging.getLogger(__name__)
 
 RECORDS_FILENAME = "run_records.csv"
-MANIFEST_FILENAME = "manifest.json"
 
 
 # the values each ``RunConfig`` field annotation admits; only a bool field a bool
@@ -139,7 +139,7 @@ def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
     writes the live graph as its snapshot. When any exception stops the loop
     (a generator failure, a full disk, an interrupt), the completed iterations'
     snapshots stay on disk and the one being written is absent, never
-    truncated; ``run_records.csv`` and ``manifest.json`` are written for the
+    truncated; ``run_records.csv`` and the run manifest are written for the
     completed iterations with the exception in ``aborted``, and it propagates.
     An earlier, longer run's snapshots past ``cfg.iterations`` are removed first.
     """
@@ -148,7 +148,7 @@ def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
         gen = cfg.build_session()
     store = SnapshotStore(cfg.snapshot_dir)
     store.directory.mkdir(parents=True, exist_ok=True)
-    remove_numbered(store.directory, "graph_iteration_", cfg.iterations)
+    remove_numbered(store.directory, SNAPSHOT_STEM, cfg.iterations)
     started = time.time()
     global_graph = KnowledgeGraph()
     records: list[IterationRecord] = []

@@ -23,7 +23,7 @@ from . import analytics, scalefree
 # module that binds it and its tests expect this binding
 from .core import Snapshot, largest_component  # noqa: F401
 from .errors import EmptyGraph, KgExpandError, UndefinedMetric
-from .graphml_io import csv_writer, whole_file, write_csv, write_json
+from .graphml_io import MANIFEST_FILENAME, csv_writer, whole_file, write_csv, write_json
 from .sweep import DistanceSweep, distance_sweep, snapshot_index
 
 GLOBAL_METRICS = (
@@ -290,19 +290,12 @@ def summary_markdown(values: dict[str, str], title: str = "Graph") -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class ReportBundle:
-    report_path: Path
-    summary_csv: Path
-    manifest_path: Path
-
-
 def build_report(final: Snapshot, snapshots: int, out_dir: str | Path,
                  louvain_seed: int = 0,
                  run_dir: str | Path | None = None,
                  analysis_dir: str | Path | None = None,
-                 paths_dir: str | Path | None = None) -> ReportBundle:
-    """Write the summary table (markdown + CSV) and a bundle manifest.
+                 paths_dir: str | Path | None = None) -> str:
+    """Write the summary table (markdown + CSV) and a bundle manifest; return the markdown.
 
     ``snapshots`` is the run's snapshot count, recorded in the manifest.
     The bundle manifest references the run manifest and any analysis CSVs and
@@ -312,32 +305,25 @@ def build_report(final: Snapshot, snapshots: int, out_dir: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     values = summarize_snapshot(final, louvain_seed)
-    report_path = out / "report.md"
-    with whole_file(report_path) as fh:
-        fh.write("# Knowledge Graph Summary\n\n"
-                 f"Final snapshot: iteration {final.iteration}\n\n"
-                 + summary_markdown(values))
-    summary_csv = out / "summary.csv"
-    write_csv(summary_csv, ["metric", "value"],
+    markdown = ("# Knowledge Graph Summary\n\n"
+                f"Final snapshot: iteration {final.iteration}\n\n"
+                + summary_markdown(values))
+    with whole_file(out / "report.md") as fh:
+        fh.write(markdown)
+    write_csv(out / "summary.csv", ["metric", "value"],
               ((row, values[row]) for row in SUMMARY_ROWS))
 
     def _listing(directory, patterns):
-        if directory is None:
-            return []
-        directory = Path(directory)
-        found: list[str] = []
-        for pattern in patterns:
-            found.extend(str(p) for p in sorted(directory.glob(pattern)))
-        return found
+        return [] if directory is None else [
+            str(p) for pattern in patterns for p in sorted(Path(directory).glob(pattern))]
 
-    manifest_path = out / "report_bundle.json"
-    write_json(manifest_path, {
+    write_json(out / "report_bundle.json", {
         "final_iteration": final.iteration,
         "snapshots": snapshots,
         "louvain_seed": louvain_seed,
         "report_files": ["report.md", "summary.csv"],
-        "run_manifest": _listing(run_dir, ["manifest.json"]),
+        "run_manifest": _listing(run_dir, [MANIFEST_FILENAME]),
         "metrics_csvs": _listing(analysis_dir, ["*.csv", "*.json"]),
         "path_reports": _listing(paths_dir, ["*.md", "*.graphml", "*.csv"]),
     })
-    return ReportBundle(report_path, summary_csv, manifest_path)
+    return markdown

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kgexpand.core import KnowledgeGraph, Snapshot
 from kgexpand.errors import GraphMLError, KgExpandError
 from kgexpand.graphml_io import SnapshotStore, read_graphml, write_graphml
+from kgexpand.loop import RunConfig, run
 
 from . import oracles
 from .strategies import knowledge_graphs
@@ -252,6 +253,10 @@ def test_store_orders_by_iteration_not_lexically(tmp_path):
 def test_store_ignores_unrelated_files(tmp_path):
     (tmp_path / "notes.txt").write_text("hello")
     (tmp_path / "graph_iteration_x.graphml").write_text("not matched")
+    # copies whose names only end in a snapshot's name
+    strays = ["backup_graph_iteration_3.graphml", "old_graph_iteration_9.graphml"]
+    for name in strays:
+        (tmp_path / name).write_text("<graphml><broken")
     # what a write stopped by SIGKILL leaves behind
     (tmp_path / "graph_iteration_1.graphml.partial").write_text("<graphml><broken")
     store = SnapshotStore(tmp_path)
@@ -261,6 +266,12 @@ def test_store_ignores_unrelated_files(tmp_path):
     assert [i for i, _ in store.iteration_paths()] == [0]
     series = list(store.snapshots())
     assert len(series) == 1
+    assert store.final().iteration == 0
+    # a run's cleanup removes the .partial file and leaves the strays alone
+    run(RunConfig(iterations=1, snapshot_dir=str(tmp_path)))
+    assert not (tmp_path / "graph_iteration_1.graphml.partial").exists()
+    assert all((tmp_path / name).exists() for name in strays)
+    assert [i for i, _ in store.iteration_paths()] == [0]
 
 
 def test_store_rejects_two_files_for_one_iteration(tmp_path):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import gc
 import json
 import os
@@ -345,6 +346,73 @@ def test_two_files_for_one_iteration_exit_1(run_dir, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "graph_iteration_01.graphml" in err and "graph_iteration_1.graphml" in err
+
+
+def _read_stages(snaps, out):
+    """The exit codes of analyze, paths and report of ``snaps``, written under ``out``."""
+    return [main(["analyze", str(snaps), "--out", str(out / "analysis"), "--samples", "20",
+                  "--spl-samples", "20"]),
+            main(["paths", str(snaps), "--out", str(out / "paths")]),
+            main(["report", str(snaps), "--out", str(out / "report")])]
+
+
+def test_stages_read_only_the_iterations_an_aborted_rerun_completed(monkeypatch, tmp_path,
+                                                                    capsys):
+    # a 12-iteration run, then a rerun of another seed into the same directory
+    # that a full disk stops after 7 iterations: the first run's snapshots
+    # 7-11 stay on disk beside a manifest of 7, and no stage may read them
+    snaps, fresh = tmp_path / "snaps", tmp_path / "fresh"
+    argv = ["run", "--synthetic", "--seed", "2", "--iterations"]
+    assert main(["run", "--synthetic", "--seed", "1", "--iterations", "12",
+                 "--out", str(snaps)]) == 0
+    assert main([*argv, "7", "--out", str(fresh)]) == 0
+    real_write = SnapshotStore.write
+
+    def write(self, snapshot):
+        if snapshot.iteration == 7:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write(self, snapshot)
+
+    monkeypatch.setattr(SnapshotStore, "write", write)
+    assert main([*argv, "12", "--out", str(snaps)]) == 1
+    monkeypatch.undo()
+    assert len(list(snaps.glob("graph_iteration_*.graphml"))) == 12
+    capsys.readouterr()
+    assert _read_stages(snaps, tmp_path / "a") == [0, 0, 0]
+    out = capsys.readouterr().out
+    assert out.startswith("analyzed 7 snapshots")
+    assert "Final snapshot: iteration 6\n" in out
+    # what a 7-iteration run of the same seed gives, byte for byte
+    assert _read_stages(fresh, tmp_path / "b") == [0, 0, 0]
+    for stage in ("analysis", "paths"):
+        names = sorted(p.name for p in (tmp_path / "b" / stage).iterdir())
+        assert sorted(p.name for p in (tmp_path / "a" / stage).iterdir()) == names
+        for name in names:
+            assert ((tmp_path / "a" / stage / name).read_bytes()
+                    == (tmp_path / "b" / stage / name).read_bytes()), name
+    for name in ("report.md", "summary.csv"):
+        assert ((tmp_path / "a" / "report" / name).read_bytes()
+                == (tmp_path / "b" / "report" / name).read_bytes())
+    manifest = json.loads((tmp_path / "a" / "analysis" / "analysis_manifest.json").read_text())
+    assert manifest["iterations"] == list(range(7))
+    bundle = json.loads((tmp_path / "a" / "report" / "report_bundle.json").read_text())
+    assert (bundle["final_iteration"], bundle["snapshots"]) == (6, 7)
+
+
+@pytest.mark.parametrize("text", [
+    b"{not json", b"\xff\xfe", b"[12]", b'{"aborted": ""}',
+    b'{"iterations_completed": "12"}', b'{"iterations_completed": true}',
+], ids=["not-json", "not-utf8", "a-list", "no-count", "a-string", "a-bool"])
+@pytest.mark.parametrize("command", ["analyze", "paths", "report"])
+def test_a_malformed_run_manifest_exits_1_naming_it(run_dir, tmp_path, capsys, command,
+                                                    text):
+    snaps = tmp_path / "snaps"
+    shutil.copytree(run_dir, snaps)
+    (snaps / "manifest.json").write_bytes(text)
+    assert main([command, str(snaps), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run manifest ")
+    assert str(snaps / "manifest.json") in err
 
 
 def test_report_bundle_counts_every_snapshot(run_dir, tmp_path):
