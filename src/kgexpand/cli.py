@@ -4,9 +4,8 @@ Config files are YAML key/value trees; explicit flags override file values.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 Each command imports what only it uses when it runs: ``yaml`` for a config
-file, and the analysis modules (``report``, ``paths`` and with them numpy)
-for ``analyze``, ``paths`` and ``report``. Loading the CLI and ``run`` load
-none of them.
+file, ``paths`` (and with it numpy) for ``paths``, and ``report`` for
+``analyze`` and ``report``. Loading the CLI and ``run`` load none of them.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ def _parse_samples(value: str) -> int | None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from . import report as report_mod
+    from . import report
 
     if args.stride < 1:
         raise KgExpandError(f"--stride must be at least 1, got {args.stride}")
@@ -91,10 +90,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     samples = _parse_samples(args.samples)
     store = SnapshotStore(args.snapshots)
     count = len(store.picked_paths(args.stride))
-    seeds = report_mod.AnalyzeSeeds(louvain=args.seed, sampling=args.seed)
-    out = report_mod.analyze_series(store.snapshots(args.stride), args.out, seeds,
-                                    samples, spl_samples=args.spl_samples,
-                                    stride=args.stride)
+    seeds = report.AnalyzeSeeds(louvain=args.seed, sampling=args.seed)
+    out = report.analyze_series(store.snapshots(args.stride), args.out, seeds,
+                                samples, spl_samples=args.spl_samples, stride=args.stride)
     print(f"analyzed {count} snapshots -> {out}")
     return 0
 
@@ -108,7 +106,6 @@ def _load_graph_argument(path_arg: str):
 
 def _cmd_paths(args: argparse.Namespace) -> int:
     from . import paths as paths_mod
-    from . import report as report_mod
 
     if args.k < 0:
         raise KgExpandError(f"--k must be at least 0, got {args.k}")
@@ -126,8 +123,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     if len(top) >= 3:
         corr = paths_mod.path_metric_correlations(g, tables, top)
         write_csv(out / "path_correlations.csv", ["metric", *corr.metrics],
-                  ([name, *map(report_mod._fmt, row)]
-                   for name, row in zip(corr.metrics, corr.matrix)))
+                  ([name, *row] for name, row in zip(corr.metrics, corr.matrix)))
     main_path = paths_mod.diameter_path(g, tables)
     print(f"diameter path ({main_path.length} steps): {main_path.render()}")
     if args.mode != "none":
@@ -149,10 +145,10 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from . import report as report_mod
+    from . import report
 
     store = SnapshotStore(args.snapshots)
-    print(report_mod.build_report(
+    print(report.build_report(
         store.final(), len(store.iteration_paths()), args.out,
         louvain_seed=args.seed, run_dir=args.snapshots,
         analysis_dir=args.analysis, paths_dir=args.paths))

@@ -13,7 +13,8 @@ call without a cache renders the whole graph with the same element code. Both
 write the same bytes.
 
 Every file a stage writes goes through ``whole_file``, so a stopped stage
-leaves each output whole or absent, never truncated.
+leaves each output whole or absent, never truncated. Every CSV file goes
+through ``csv_writer``, which alone decides the text of a cell.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import bisect
 import csv
 import json
 import logging
+import math
 import os
 import re
 import xml.etree.ElementTree as ET
@@ -54,10 +56,32 @@ def whole_file(path: str | Path, **open_kwargs):
     os.replace(partial, path)
 
 
+def csv_cell(value) -> str:
+    """A cell's text: None and NaN as ``nan``, a bool as 0 or 1, a float ``.12g``."""
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else f"{value:.12g}"
+    if isinstance(value, bool):
+        return str(int(value))
+    return "nan" if value is None else str(value)
+
+
+class _CellWriter:
+    """``csv.writer`` taking raw values, each written as ``csv_cell`` spells it."""
+
+    def __init__(self, fh) -> None:
+        self._writer = csv.writer(fh)
+
+    def writerow(self, row: Iterable) -> None:
+        self._writer.writerow(map(csv_cell, row))
+
+    def writerows(self, rows: Iterable[Iterable]) -> None:
+        self._writer.writerows(map(csv_cell, row) for row in rows)
+
+
 @contextmanager
 def csv_writer(path: str | Path, header: list[str]):
     with whole_file(path, newline="") as fh:
-        writer = csv.writer(fh)
+        writer = _CellWriter(fh)
         writer.writerow(header)
         yield writer
 

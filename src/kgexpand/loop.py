@@ -114,9 +114,8 @@ class RunResult:
 
 
 def _write_records(path: Path, records: list[IterationRecord]) -> None:
-    # one column per field, in field order; ``skipped`` as 0 or 1
-    write_csv(path, [f.name for f in fields(IterationRecord)],
-              ([*astuple(r)[:-1], int(r.skipped)] for r in records))
+    # one column per field, in field order
+    write_csv(path, [f.name for f in fields(IterationRecord)], map(astuple, records))
 
 
 def _write_manifest(path: Path, cfg: RunConfig, records: list[IterationRecord],
@@ -141,15 +140,18 @@ def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
     snapshots stay on disk and the one being written is absent, never
     truncated; ``run_records.csv`` and the run manifest are written for the
     completed iterations with the exception in ``aborted``, and it propagates.
-    An earlier, longer run's snapshots past ``cfg.iterations`` are removed first.
+    First a manifest of no completed iterations replaces an earlier run's, so a
+    run killed outright reads as empty; then an earlier, longer run's snapshots
+    past ``cfg.iterations`` are removed.
     """
     cfg.validate()
     if gen is None:
         gen = cfg.build_session()
     store = SnapshotStore(cfg.snapshot_dir)
     store.directory.mkdir(parents=True, exist_ok=True)
-    remove_numbered(store.directory, SNAPSHOT_STEM, cfg.iterations)
     started = time.time()
+    _write_manifest(store.directory / MANIFEST_FILENAME, cfg, [], started)
+    remove_numbered(store.directory, SNAPSHOT_STEM, cfg.iterations)
     global_graph = KnowledgeGraph()
     records: list[IterationRecord] = []
     question = build_initial_prompt(cfg)

@@ -10,7 +10,6 @@ Every file goes through ``graphml_io.whole_file``: it is whole or absent.
 from __future__ import annotations
 
 import dataclasses
-import math
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -52,18 +51,6 @@ SUMMARY_ROWS = (
 )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return "nan" if math.isnan(value) else f"{value:.12g}"
-    return str(value)
-
-
 @dataclass
 class AnalyzeSeeds:
     louvain: int = 0
@@ -99,10 +86,10 @@ def snapshot_record(snap: Snapshot, seeds: AnalyzeSeeds,
     index = snapshot_index(g)
     try:
         fit, verdict = scalefree.classify(index.degree.tolist())
-        row = [it, _fmt(fit.alpha), fit.xmin, fit.n_tail, _fmt(verdict.lr),
-               _fmt(verdict.p), "yes" if verdict.is_scale_free else "no"]
+        row = [it, fit.alpha, fit.xmin, fit.n_tail, verdict.lr, verdict.p,
+               "yes" if verdict.is_scale_free else "no"]
     except KgExpandError as exc:
-        row = [it, "nan", "nan", "nan", "nan", "nan", type(exc).__name__]
+        row = [it, None, None, None, None, None, type(exc).__name__]
     pairs = analytics.draw_pairs(seeds.sampling, it, g.node_count, samples)
     sweep = distance_sweep(index, keep={u for u, _ in pairs})
     hops = analytics.pair_hops(sweep, pairs)
@@ -196,9 +183,9 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
             stats = fold.add(record)
             values = {**record.values, "newly_connected": stats.newly_connected,
                       "shortened_paths": stats.shortened}
-            metrics.writerows((record.iteration, name, "global", _fmt(values[name]))
+            metrics.writerows((record.iteration, name, "global", values[name])
                               for name in GLOBAL_METRICS)
-            metrics.writerows((record.iteration, "betweenness", node, _fmt(value))
+            metrics.writerows((record.iteration, "betweenness", node, value)
                               for node, value in record.sweep.betweenness.items())
             scalefree_csv.writerow(record.scalefree_row)
             del record
@@ -209,10 +196,10 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
         hubs = fold.hubs.summary(keys)
         persistence, bridge_nodes, window, presence = fold.bridges.summary(keys)
         for hub, trajectory in hubs.trajectories.items():
-            metrics.writerows((it, "hub_degree", hub, _fmt(deg))
+            metrics.writerows((it, "hub_degree", hub, deg)
                               for it, deg in trajectory.items())
         for node, present in zip(bridge_nodes, presence):
-            metrics.writerows((it, "bridge_presence", node, _fmt(int(here)))
+            metrics.writerows((it, "bridge_presence", node, here)
                               for it, here in zip(window, present))
         histogram = {}
         if final.sweep.index.nodes:
@@ -224,7 +211,7 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
                                                            seeds.sampling)
             for name, table in (("closeness", final_table.closeness),
                                 ("eigenvector", final_table.eigenvector)):
-                metrics.writerows((final.iteration, name, node, _fmt(table[node]))
+                metrics.writerows((final.iteration, name, node, table[node])
                                   for node in sorted(table or ()))
 
     write_csv(out / "spl_histogram.csv", ["bin", "count"], histogram.items())

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateSequence, InconclusiveTest, InsufficientData
 
 ALPHA_LO = 1.01
@@ -122,16 +124,12 @@ def _mle_alpha(n: int, xmin: int, log_sum: float) -> tuple[float, float]:
 def _fitted_cdf(alpha: float, xmin: int, values):
     """The fitted power law's CDF at each of the integer array ``values``
     (all at least ``xmin``)."""
-    import numpy as np
-
     tail_zeta = np.array([_hurwitz_zeta(alpha, q) for q in (values + 1).tolist()])
     return 1.0 - tail_zeta / _hurwitz_zeta(alpha, xmin)
 
 
 def fit_power_law(degrees) -> PowerLawFit:
     """Fit a discrete power law to a degree sequence, choosing xmin by KS distance."""
-    import numpy as np  # imported on use: loading the CLI must not load it
-
     xs = np.asarray([int(d) for d in degrees if d > 0], dtype=np.int64)
     if xs.size < MIN_OBSERVATIONS:
         raise InsufficientData(
@@ -165,8 +163,6 @@ def compare_exponential(fit: PowerLawFit, degrees) -> ScaleFreeVerdict:
     Both distributions are evaluated on the tail x >= xmin; the p-value comes
     from the normal approximation to the ratio's variance (two-sided).
     """
-    import numpy as np
-
     xs = np.asarray([int(d) for d in degrees if d > 0], dtype=np.float64)
     tail = xs[xs >= fit.xmin]
     n = tail.size

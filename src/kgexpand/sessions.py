@@ -185,15 +185,12 @@ class SyntheticGenerator:
         return i
 
     def _pick_existing(self) -> int:
-        if not self._attach:
-            return self._rng.randrange(len(self._concepts))
+        # the first ``_grow``, which mints the first concepts, emits two triples
         return self._rng.choice(self._attach)
 
     def _emit(self, u: int, kind: str, v: int,
               out: list[tuple[str, str, str]]) -> None:
-        if u != v and ((u, v) in self._pairs or (v, u) in self._pairs):
-            return
-        if u == v and (u, u) in self._pairs:
+        if (u, v) in self._pairs or (v, u) in self._pairs:
             return
         self._pairs.add((u, v))
         self._attach.extend((u, v))

@@ -2,8 +2,9 @@
 requests, networkx nor yaml; `analyze` and `report` load no scipy (the
 power-law fit carries its own Hurwitz zeta, and assortativity its own Pearson
 correlation) and no numpy.ma (the fit takes its distinct values without
-np.unique); and no analysis stage loads networkx (every kernel reads the
-snapshot index)."""
+np.unique); no analysis stage loads networkx (every kernel reads the
+snapshot index); and `paths` loads neither `report` nor `scalefree` (the CSV
+writer formats its cells)."""
 
 import os
 import subprocess
@@ -73,4 +74,14 @@ def test_analysis_stages_do_not_load_networkx(stage, tmp_path):
         "from kgexpand.cli import main\n"
         "assert main(['run', '--synthetic', '--iterations', '12', '--out', 'snaps']) == 0\n"
         f"assert main([{stage[0]!r}, 'snaps', *{stage[1:]!r}, '--out', 'out']) == 0",
+        tmp_path)
+
+
+@pytest.mark.parametrize("module", ["kgexpand.report", "kgexpand.scalefree"])
+def test_paths_does_not_load_the_report_modules(module, tmp_path):
+    assert not _loads(
+        module,
+        "from kgexpand.cli import main\n"
+        "assert main(['run', '--synthetic', '--iterations', '12', '--out', 'snaps']) == 0\n"
+        "assert main(['paths', 'snaps', '--mode', 'compositional', '--out', 'out']) == 0",
         tmp_path)

@@ -7,6 +7,7 @@ import gc
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import types
@@ -20,9 +21,9 @@ from kgexpand import paths as paths_mod
 from kgexpand.cli import main
 from kgexpand.core import KnowledgeGraph, Snapshot
 from kgexpand.errors import EmptyGraph, KgExpandError
-from kgexpand.graphml_io import SnapshotStore
+from kgexpand.graphml_io import SnapshotStore, csv_cell
 from kgexpand.loop import RunConfig, run
-from kgexpand.report import AnalyzeSeeds, _fmt, analyze_series
+from kgexpand.report import AnalyzeSeeds, analyze_series
 from kgexpand.sweep import snapshot_index
 
 from . import oracles
@@ -84,15 +85,15 @@ def test_per_node_betweenness_matches_betweenness_timeseries(analyzed):
         got = [(r["subject"], r["value"]) for r in rows
                if r["metric"] == "betweenness" and r["iteration"] == str(it)]
         nodes = sorted(series[idx].graph.node_keys)
-        assert got == [(v, _fmt(bet.values[idx][bet.nodes.index(v)])) for v in nodes]
+        assert got == [(v, csv_cell(bet.values[idx][bet.nodes.index(v)])) for v in nodes]
     assert len(bet.nodes) > len(series[1].graph.node_keys) > 0
     for idx, it in enumerate(bet.iterations[1:], start=1):
         glob = {r["metric"]: r["value"] for r in rows
                 if r["iteration"] == str(it) and r["subject"] == "global"}
         present = [bet.values[idx][bet.nodes.index(v)]
                    for v in sorted(series[idx].graph.node_keys)]
-        assert glob["mean_betweenness"] == _fmt(sum(present) / len(present))
-        assert glob["max_betweenness"] == _fmt(max(present))
+        assert glob["mean_betweenness"] == csv_cell(sum(present) / len(present))
+        assert glob["max_betweenness"] == csv_cell(max(present))
 
 
 def test_bridges_match_bridge_analysis(analyzed):
@@ -109,11 +110,11 @@ def _assert_bridges_match_bridge_analysis(series, rows, out):
         it = snap.iteration
         count = next(r["value"] for r in rows if r["iteration"] == str(it)
                      and r["metric"] == "bridge_nodes")
-        assert count == _fmt(len(bridges.bridge_sets[it]))
+        assert count == csv_cell(len(bridges.bridge_sets[it]))
     presence = {(r["iteration"], r["subject"]): r["value"]
                 for r in rows if r["metric"] == "bridge_presence"}
     assert presence == {
-        (str(it), node): _fmt(int(bridges.presence[i][j]))
+        (str(it), node): csv_cell(int(bridges.presence[i][j]))
         for i, node in enumerate(bridges.presence_nodes)
         for j, it in enumerate(bridges.presence_iterations)}
 
@@ -137,7 +138,7 @@ def _assert_hub_rows_match_hub_emergence(series, rows, out):
     assert hubs == oracles.summarize_hubs(lcc_degrees)
     degrees = {(r["iteration"], r["subject"]): r["value"]
                for r in rows if r["metric"] == "hub_degree"}
-    assert degrees == {(str(it), hub): _fmt(d)
+    assert degrees == {(str(it), hub): csv_cell(d)
                        for hub, traj in hubs.trajectories.items()
                        for it, d in traj.items()}
     t_emerge = {r["node"]: int(r["t_emerge"]) for r in _rows(out / "hub_emergence.csv")}
@@ -146,7 +147,7 @@ def _assert_hub_rows_match_hub_emergence(series, rows, out):
         mean = next(r["value"] for r in rows if r["iteration"] == str(snap.iteration)
                     and r["metric"] == "mean_degree_lcc")
         degrees = lcc_degrees[snap.iteration]
-        assert mean == _fmt(sum(degrees.values()) / len(degrees) if degrees else None)
+        assert mean == csv_cell(sum(degrees.values()) / len(degrees) if degrees else None)
 
 
 def _long_series() -> list[Snapshot]:
@@ -220,8 +221,8 @@ def test_partition_metrics_match_louvain(analyzed):
         partition, q = analytics.louvain(snapshot_index(snap.graph), LOUVAIN_SEED)
         glob = {r["metric"]: r["value"] for r in rows
                 if r["iteration"] == str(snap.iteration) and r["subject"] == "global"}
-        assert glob["modularity"] == _fmt(q)
-        assert glob["communities"] == _fmt(len(set(partition.values())))
+        assert glob["modularity"] == csv_cell(q)
+        assert glob["communities"] == csv_cell(len(set(partition.values())))
 
 
 def test_lcc_betweenness_matches_networkx_on_the_lcc(analyzed):
@@ -232,7 +233,7 @@ def test_lcc_betweenness_matches_networkx_on_the_lcc(analyzed):
         bc = nx.betweenness_centrality(lcc_und)
         value = next(r["value"] for r in rows if r["iteration"] == str(snap.iteration)
                      and r["metric"] == "avg_betweenness_lcc")
-        assert value == _fmt(sum(bc.values()) / len(bc))
+        assert value == csv_cell(sum(bc.values()) / len(bc))
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +398,42 @@ def test_stages_read_only_the_iterations_an_aborted_rerun_completed(monkeypatch,
     assert manifest["iterations"] == list(range(7))
     bundle = json.loads((tmp_path / "a" / "report" / "report_bundle.json").read_text())
     assert (bundle["final_iteration"], bundle["snapshots"]) == (6, 7)
+
+
+# ``kgexpand`` with ``SnapshotStore.write`` killing the process at iteration 4
+_KILLED_AT_4 = """
+import os, signal, sys
+from kgexpand.cli import main
+from kgexpand.graphml_io import SnapshotStore
+real_write = SnapshotStore.write
+
+def write(self, snapshot):
+    if snapshot.iteration == 4:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_write(self, snapshot)
+
+SnapshotStore.write = write
+main(sys.argv[1:])
+"""
+
+
+def test_a_rerun_killed_outright_reads_as_empty(tmp_path, capsys):
+    # a finished 12-iteration run, then a rerun of another seed into the same
+    # directory, killed as it writes snapshot 4: its manifest says no iteration
+    # completed, so no stage reads its snapshots 0-3 and the first run's 4-11 as one run
+    snaps = tmp_path / "snaps"
+    argv = ["run", "--synthetic", "--iterations", "12", "--out", str(snaps), "--seed"]
+    assert main([*argv, "7"]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    killed = subprocess.run([sys.executable, "-c", _KILLED_AT_4, *argv, "8"],
+                            capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+    assert killed.returncode == -signal.SIGKILL
+    assert len(list(snaps.glob("graph_iteration_*.graphml"))) == 12
+    capsys.readouterr()
+    assert _read_stages(snaps, tmp_path / "out") == [1, 1, 1]
+    captured = capsys.readouterr()
+    assert captured.err.count(f"no snapshots found in {snaps}") == 3
+    assert "iteration 11" not in captured.out
 
 
 @pytest.mark.parametrize("text", [
