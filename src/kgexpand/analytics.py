@@ -17,8 +17,8 @@ index, and none imports networkx:
 
 Each keeps networkx's integer formulas and the order of its float sums, so
 the values are networkx's to the bit (``tests/oracles.py`` and the
-differential tests hold the references). ``louvain`` runs every level,
-merge trial and modularity sum on neighbour lists: the index's, and at each
+differential tests hold the references). ``louvain`` runs every level, merge
+trial and modularity sum on neighbour lists: the index's, and at each
 aggregate level the members' rows relabelled. Its local-move phase stops at
 the first fixed point and counts links into one scratch list indexed by
 community id; on graphs past ``MERGE_REFINE_MAX_NODES`` it also skips nodes
@@ -27,15 +27,15 @@ whose choice cannot have changed. Every decision compares exact integers,
 community id, so no candidate list is sorted), each merge trial (from the
 phase's returned gain and one pass per searched state) and the choice of
 restart (the sum of its gains), so ``_modularity`` runs once, for the
-returned value. Merge-refine results are memoized per call, keyed by the
-partition. None of this changes a move, a partition or a modularity bit
-against the plain algorithm in ``tests/oracles.py``. The cross-snapshot
-state (the pair ledger, ``HubTracker`` and ``BridgeTracker``) is folded one
-snapshot at a time over global node ids. ``hub_emergence`` and
-``bridge_analysis`` fold through the same trackers, so they are no
-independent reference: ``tests/oracles.py``' ``summarize_hubs`` and
-``summarize_bridges`` are. All seeded operations are deterministic for a
-fixed seed.
+returned value. A partition is one canonical label list throughout (ids by
+smallest member), and merge-refine results are memoized per call, keyed by
+it. None of this changes a move, a partition or a modularity bit against the
+plain algorithm in ``tests/oracles.py``. The cross-snapshot state (the pair
+ledger, ``HubTracker`` and ``BridgeTracker``) is folded one snapshot at a
+time over global node ids. ``hub_emergence`` and ``bridge_analysis`` fold
+through the same trackers, so they are no independent reference:
+``tests/oracles.py``' ``summarize_hubs`` and ``summarize_bridges`` are. All
+seeded operations are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -154,26 +154,27 @@ def spl_and_diameter(sweep: DistanceSweep) -> tuple[float, int]:
 # community structure
 
 
-def _modularity(adj: list[list[int]], m: int, communities: list[set[int]]) -> float:
-    """Standard modularity of a partition of the indexed adjacency ``adj``
-    with ``m`` edges, summed over the communities in the given order."""
+def _modularity(adj: list[list[int]], m: int, labels: list[int]) -> float:
+    """Standard modularity of the canonical ``labels`` of the indexed
+    adjacency ``adj`` with ``m`` edges, summed over the communities in id order."""
     if m == 0:
         return 0.0
+    internal = [0] * (max(labels) + 1)      # twice each community's internal edges
+    degree_sum = [0] * len(internal)
+    for c, row in zip(labels, adj):
+        degree_sum[c] += len(row)
+        internal[c] += sum(1 for u in row if labels[u] == c)
     q = 0.0
-    for comm in communities:
-        internal = sum(1 for v in comm for u in adj[v] if u in comm) // 2
-        degree_sum = sum(len(adj[v]) for v in comm)
-        q += internal / m - (degree_sum / (2.0 * m)) ** 2
+    for links, total in zip(internal, degree_sum):
+        q += links // 2 / m - (total / (2.0 * m)) ** 2
     return q
 
 
-def _communities(labels) -> list[set[int]]:
-    """Nodes grouped by the community of each ``(node, community)`` pair, in
-    order of each community's first pair."""
-    groups: dict = {}
-    for v, c in labels:
-        groups.setdefault(c, set()).add(v)
-    return list(groups.values())
+def _canonical(labels: list[int]) -> list[int]:
+    """``labels`` renumbered by first appearance in index order, so each
+    community's id is the rank of its smallest member."""
+    ids: dict[int, int] = {}
+    return [ids.setdefault(c, len(ids)) for c in labels]
 
 
 def _louvain_one_level(adj: list[list[int]], degree: list[int], m2: int, order,
@@ -280,7 +281,7 @@ def _louvain_one_level(adj: list[list[int]], degree: list[int], m2: int, order,
 
 
 def _louvain_once(adj: list[list[int]], degree: list[int], m2: int,
-                  rng: random.Random) -> tuple[list[set[int]], int]:
+                  rng: random.Random) -> tuple[list[int], int]:
     """One full Louvain run (local moves + aggregation) from the level-0
     adjacency ``adj`` and its degrees, which it leaves as they are. An
     aggregate level's row is its members' rows relabelled, less its own
@@ -288,8 +289,8 @@ def _louvain_once(adj: list[list[int]], degree: list[int], m2: int,
     whose local moves gain nothing, that is, move no node. Levels larger
     than ``MERGE_REFINE_MAX_NODES`` skip settled nodes.
 
-    Returns the communities and the sum of the levels' gains: ``(2m)^2 / 2``
-    times the modularity of the communities less that of the singletons,
+    Returns the communities' canonical labels and the sum of the levels'
+    gains: ``(2m)^2 / 2`` times their modularity less that of the singletons,
     since modularity at a level is that of the partition it induces below."""
     membership = list(range(len(adj)))      # node -> node of the current level
     score = 0
@@ -312,11 +313,11 @@ def _louvain_once(adj: list[list[int]], degree: list[int], m2: int,
             new_degree[cv] += degree[v]
             new_adj[cv] += [label[u] for u in row if label[u] != cv]
         adj, degree = new_adj, new_degree
-    return _communities(enumerate(membership)), score
+    return _canonical(membership), score
 
 
 def _merge_refine(adj: list[list[int]], degree: list[int], m: int,
-                  communities: list[set[int]], memo: dict) -> tuple[list[set[int]], int]:
+                  labels: list[int], memo: dict) -> tuple[list[int], int]:
     """Escape shallow local optima by merging community pairs and re-splitting.
 
     Greedy single-node moves cannot leave states whose improvement needs a
@@ -332,54 +333,51 @@ def _merge_refine(adj: list[list[int]], degree: list[int], m: int,
     ``_louvain_one_level`` returns. A trial is kept exactly when that sum is
     positive, that is, when the modularity rises.
 
-    Returns the communities and the summed score of the kept trials,
-    ``(2m)^2 / 2`` times the modularity gained. The search from a partition
-    is deterministic, and restarts often reach the same partitions, so
-    ``memo`` maps every partition visited in one ``louvain`` call to the
-    search's result and the score gained from that partition on.
+    Takes and returns canonical labels, with the summed score of the kept
+    trials, ``(2m)^2 / 2`` times the modularity gained. The search from a
+    partition is deterministic, and restarts often reach the same partitions,
+    so ``memo`` maps every partition visited in one ``louvain`` call (its
+    labels' tuple) to the search's result and the score gained from it on.
     """
-    comms = sorted((sorted(c) for c in communities), key=min)
     visited = []            # (state, the summed score of the trials before it)
     score = 0
     improved = True
     while improved:
-        state = tuple(map(tuple, comms))
+        state = tuple(labels)
         if state in memo:
-            comms, rest = memo[state]
+            labels, rest = memo[state]
             score += rest
             break
         visited.append((state, score))
         improved = False
-        size = len(comms)
-        labels = [0] * len(adj)
-        for cid, comm in enumerate(comms):
-            for v in comm:
-                labels[v] = cid
+        size = max(labels) + 1
+        members: list[list[int]] = [[] for _ in range(size)]
         tot = [0] * size
         links = [0] * (size * size)     # links[i * size + j]: edges between i and j
         for v, row in enumerate(adj):
-            base = labels[v] * size
-            tot[labels[v]] += len(row)
+            c = labels[v]
+            members[c].append(v)
+            tot[c] += len(row)
+            base = c * size
             for u in row:
                 links[base + labels[u]] += 1
         for i in range(size):
             for j in range(i + 1, size):
                 node_comm = labels.copy()
-                for v in comms[j]:
+                for v in members[j]:
                     node_comm[v] = i
                 gain = (2 * m * links[i * size + j] - tot[i] * tot[j]
                         + _louvain_one_level(adj, degree, 2 * m, range(len(adj)), node_comm))
                 if gain > 0:
-                    groups = _communities(enumerate(node_comm))
-                    comms = sorted((sorted(c) for c in groups), key=min)
+                    labels = _canonical(node_comm)
                     score += gain
                     improved = True
                     break
             if improved:
                 break
     for state, before in visited:
-        memo[state] = (comms, score - before)
-    return [set(c) for c in comms], score
+        memo[state] = (labels, score - before)
+    return labels, score
 
 
 def louvain(index: SnapshotIndex, seed: int = 0) -> tuple[dict, float]:
@@ -387,43 +385,36 @@ def louvain(index: SnapshotIndex, seed: int = 0) -> tuple[dict, float]:
     graph; best of a few deterministic restarts.
 
     Every restart, every merge trial and the modularity read the index's
-    neighbour lists. Every decision compares exact integers, and ties go by
-    community id, so the order within a row changes nothing. Node visiting
-    order is shuffled from the seed. Small graphs additionally get the
-    merge-and-resplit polish after each restart. A restart is kept when its
-    score, ``(2m)^2 / 2`` times its modularity less that of the singletons,
-    is strictly higher than every earlier one's: modularities of a graph
-    that differ do so by at least 1/(4 m^2), so this keeps the restart the
-    float modularities pick. Returns a node-to-community-id map and the
-    modularity of that partition, computed from the partition itself.
-    Community ids are assigned by each community's smallest member so the
-    labeling is reproducible.
+    neighbour lists and carry a partition as canonical labels. Every
+    decision compares exact integers, and ties go by community id, so the
+    order within a row changes nothing. Node visiting order is shuffled from
+    the seed. Small graphs additionally get the merge-and-resplit polish
+    after each restart. A restart is kept when its score, ``(2m)^2 / 2``
+    times its modularity less that of the singletons, is strictly higher
+    than every earlier one's (an edgeless graph keeps the singletons):
+    modularities of a graph that differ do so by at least 1/(4 m^2), so this
+    keeps the restart the float modularities pick. Returns a
+    node-to-community-id map and the modularity of that partition, computed
+    from the partition itself. Community ids are assigned by each
+    community's smallest member so the labeling is reproducible.
     """
     if not index.nodes:
         raise EmptyGraph("louvain needs at least one node")
     nodes, adj = index.nodes, index.adjacency
     degree = [len(nbrs) for nbrs in adj]
     m = len(index.edges)
-    if m == 0:
-        communities = [{i} for i in range(len(nodes))]
-    else:
-        refine = len(nodes) <= MERGE_REFINE_MAX_NODES
-        restarts = LOUVAIN_SMALL_RESTARTS if refine else LOUVAIN_RESTARTS
-        best: list[set[int]] = []
-        best_score = -1
-        memo: dict = {}
-        for j in range(restarts):
-            cand, score = _louvain_once(adj, degree, 2 * m,
-                                        random.Random(seed * restarts + j))
-            if refine:
-                cand, gain = _merge_refine(adj, degree, m, cand, memo)
-                score += gain
-            if score > best_score:
-                best, best_score = cand, score
-        communities = sorted(best, key=min)
-    partition = {nodes[v]: cid for cid, comm in enumerate(communities)
-                 for v in sorted(comm)}
-    return partition, _modularity(adj, m, communities)
+    refine = len(nodes) <= MERGE_REFINE_MAX_NODES
+    restarts = LOUVAIN_SMALL_RESTARTS if refine else LOUVAIN_RESTARTS
+    best, best_score = list(range(len(nodes))), 0
+    memo: dict = {}
+    for j in range(restarts if m else 0):
+        cand, score = _louvain_once(adj, degree, 2 * m, random.Random(seed * restarts + j))
+        if refine:
+            cand, gain = _merge_refine(adj, degree, m, cand, memo)
+            score += gain
+        if score > best_score:
+            best, best_score = cand, score
+    return dict(zip(nodes, best)), _modularity(adj, m, best)
 
 
 def bridge_indices(index: SnapshotIndex, partition: dict) -> np.ndarray:

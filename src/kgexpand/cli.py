@@ -147,6 +147,9 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from . import report
 
+    for flag, directory in (("--analysis", args.analysis), ("--paths", args.paths)):
+        if directory is not None and not Path(directory).is_dir():
+            raise KgExpandError(f"{flag} {directory} is not a directory")
     store = SnapshotStore(args.snapshots)
     print(report.build_report(
         store.final(), len(store.iteration_paths()), args.out,

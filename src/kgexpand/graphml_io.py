@@ -364,7 +364,9 @@ class SnapshotStore:
                                    f"snapshots of iteration {iteration}")
             found[iteration] = path
         if not found:
-            raise EmptyGraph(f"no snapshots found in {self.directory}")
+            reason = (": its run manifest records 0 completed iterations, so the run stopped "
+                      "before completing one and must be run again" if completed == 0 else "")
+            raise EmptyGraph(f"no snapshots found in {self.directory}{reason}")
         return sorted(found.items())
 
     def picked_paths(self, stride: int = 1) -> list[tuple[int, Path]]:

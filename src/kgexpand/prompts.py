@@ -5,6 +5,10 @@ from __future__ import annotations
 from .core import KnowledgeGraph
 from .extraction import LocalGraph
 
+# the synthetic generator tells prompts apart by these phrases of the templates
+FORMAT_REQUEST = "Output the graph as a Python dictionary"
+QUESTION_REQUEST = "Reply only with the new question"
+
 OPEN_ENDED_DEFAULT_PROMPT = "Discuss an interesting idea in bio-inspired materials science."
 
 TOPIC_INITIAL_TEMPLATE = "Describe a way to design {topic}."

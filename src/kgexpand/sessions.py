@@ -18,6 +18,7 @@ from typing import Protocol
 from .core import KnowledgeGraph
 from .errors import GeneratorError
 from .extraction import MAX_REPLY_CHARS, THINK_CLOSE, THINK_OPEN, serialize_graph_literal
+from .prompts import FORMAT_REQUEST, QUESTION_REQUEST
 
 TOKEN_ENV_VAR = "KGEXPAND_API_TOKEN"
 TRANSPORT_RETRIES = 1   # extra attempts after a failed request
@@ -227,9 +228,9 @@ class SyntheticGenerator:
 
     def complete(self, prompt: str) -> str:
         self.calls += 1
-        if "Output the graph as a Python dictionary" in prompt:
+        if FORMAT_REQUEST in prompt:
             return self._format_reply(prompt)
-        if "Reply only with the new question" in prompt:
+        if QUESTION_REQUEST in prompt:
             return self._question_reply()
         return self._reasoning_reply()
 

@@ -465,12 +465,10 @@ def louvain_on_view(g: nx.Graph, seed: int = 0) -> tuple[dict, float]:
     adj = [[position[u] for u in g.adj[v]] for v in nodes]
     degree = [float(len(nbrs)) for nbrs in adj]
     m = g.number_of_edges()
-    if m == 0:
-        communities = [{i} for i in range(len(nodes))]
-    else:
+    best = list(range(len(nodes)))
+    if m:
         refine = len(nodes) <= MERGE_REFINE_MAX_NODES
         restarts = LOUVAIN_SMALL_RESTARTS if refine else LOUVAIN_RESTARTS
-        best: list[set[int]] = []
         best_q = float("-inf")
         memo: dict = {}
         for j in range(restarts):
@@ -481,10 +479,30 @@ def louvain_on_view(g: nx.Graph, seed: int = 0) -> tuple[dict, float]:
             q = analytics._modularity(adj, m, cand)
             if q > best_q + 1e-12:
                 best, best_q = cand, q
-        communities = sorted(best, key=min)
-    partition = {nodes[v]: cid for cid, comm in enumerate(communities)
-                 for v in sorted(comm)}
-    return partition, analytics._modularity(adj, m, communities)
+    return dict(zip(nodes, best)), analytics._modularity(adj, m, best)
+
+
+def index_modularity(adj: list[list[int]], m: int, communities: list[set[int]]) -> float:
+    """Standard modularity of a partition of the indexed adjacency ``adj``
+    with ``m`` edges, summed over the communities in the given order: the
+    set-based reference for ``analytics._modularity``."""
+    if m == 0:
+        return 0.0
+    q = 0.0
+    for comm in communities:
+        internal = sum(1 for v in comm for u in adj[v] if u in comm) // 2
+        degree_sum = sum(len(adj[v]) for v in comm)
+        q += internal / m - (degree_sum / (2.0 * m)) ** 2
+    return q
+
+
+def label_groups(labels) -> list[set[int]]:
+    """Nodes grouped by the community of each ``(node, community)`` pair, in
+    order of each community's first pair."""
+    groups: dict = {}
+    for v, c in labels:
+        groups.setdefault(c, set()).add(v)
+    return list(groups.values())
 
 
 def _louvain_one_level(adj: dict, degree: dict, m2: float, order: list,

@@ -409,17 +409,45 @@ def test_merge_refine_builds_groups_only_for_accepted_merges(monkeypatch, g, see
         searching.pop()
         # every state searched is a new key, and each but a last one with no
         # better trial was left by an accepted merge
-        final = tuple(sorted(tuple(sorted(c)) for c in result))
-        accepted.append(len(set(memo) - known) - (final not in known))
+        accepted.append(len(set(memo) - known) - (tuple(result) not in known))
         return result, gain
 
     counting("_modularity")
-    counting("_communities")
+    counting("_canonical")
     monkeypatch.setattr(analytics, "_merge_refine", search)
     analytics.louvain(index_of(g), seed)
     assert sum(accepted) > 0
     assert calls["_modularity"] == 0
-    assert calls["_communities"] == sum(accepted)
+    assert calls["_canonical"] == sum(accepted)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A graph from ``simple_graphs`` and any labelling of its nodes: ids
+    with gaps, out of order, singletons or one community."""
+    g = draw(simple_graphs())
+    n = g.number_of_nodes()
+    return g, draw(st.lists(st.integers(0, 2 * n), min_size=n, max_size=n))
+
+
+@given(labelled_graphs())
+@example((_EDGELESS, [3, 0, 3, 7]))
+@example((_two_triangles(), [5, 5, 5, 2, 2, 2]))
+@settings(max_examples=300, deadline=None)
+def test_modularity_of_canonical_labels_matches_the_set_reference(case):
+    g, labels = case
+    canonical = analytics._canonical(labels)
+    smallest: dict = {}
+    for v, c in enumerate(labels):
+        smallest.setdefault(c, v)
+    ranks = sorted(smallest.values())
+    assert canonical == [ranks.index(smallest[c]) for c in labels]
+    groups = oracles.label_groups(enumerate(labels))
+    assert oracles.label_groups(enumerate(canonical)) == groups
+    index = index_of(g)
+    adj, m = index.adjacency, len(index.edges)
+    assert (repr(analytics._modularity(adj, m, canonical))
+            == repr(oracles.index_modularity(adj, m, groups)))
 
 
 # Graphs past the merge-refine limit, where the local-move phase skips

@@ -114,6 +114,20 @@ def test_report_emits_thirteen_labeled_rows(snapshot_dir, tmp_path, capsys):
     assert len(table_rows) == 13
 
 
+@pytest.mark.parametrize("flag", ["--analysis", "--paths"])
+@pytest.mark.parametrize("missing", ["nope", "report.md"])
+def test_report_rejects_an_index_flag_naming_no_directory(snapshot_dir, tmp_path, capsys,
+                                                          flag, missing):
+    # a path that does not exist, or a file, would index as an empty list
+    out = tmp_path / "report"
+    (tmp_path / "report.md").write_text("not a directory\n")
+    target = tmp_path / missing
+    assert main(["report", str(snapshot_dir), "--out", str(out), flag, str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} {target} is not a directory\n"
+    assert not out.exists()
+
+
 def test_paths_subcommand_writes_graphml_and_report(snapshot_dir, tmp_path):
     out = tmp_path / "paths"
     code = main(["paths", str(snapshot_dir), "--k", "4",

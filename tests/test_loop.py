@@ -14,6 +14,7 @@ from kgexpand.extraction import MAX_REPLY_CHARS, THINK_CLOSE, THINK_OPEN, LocalG
 from kgexpand.graphml_io import SnapshotStore
 from kgexpand import loop
 from kgexpand.loop import RECORDS_FILENAME, RunConfig, run
+from kgexpand import prompts
 from kgexpand.prompts import build_followup_prompt, build_initial_prompt
 from kgexpand.sessions import MAX_REPLY_BYTES, HTTPGeneratorSession, SyntheticGenerator
 from kgexpand.extraction import parse_graph_literal
@@ -84,6 +85,16 @@ def test_topic_followup_mentions_broad_topic():
     prompt = build_followup_prompt(local, cfg)
     assert "Considering the broad topic of impact resistant materials" in prompt
     assert "totally new aspect" in prompt
+
+
+def test_each_template_holds_the_request_the_synthetic_generator_routes_by():
+    # SyntheticGenerator.complete answers a prompt holding FORMAT_REQUEST with a
+    # graph literal and one holding QUESTION_REQUEST with a question
+    assert prompts.FORMAT_REQUEST in prompts.FORMAT_TEMPLATE
+    assert prompts.QUESTION_REQUEST not in prompts.FORMAT_TEMPLATE
+    for template in (prompts.OPEN_ENDED_FOLLOWUP_TEMPLATE, prompts.TOPIC_FOLLOWUP_TEMPLATE):
+        assert prompts.QUESTION_REQUEST in template
+        assert prompts.FORMAT_REQUEST not in template
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,10 @@ def test_a_rerun_killed_outright_reads_as_empty(tmp_path, capsys):
     assert _read_stages(snaps, tmp_path / "out") == [1, 1, 1]
     captured = capsys.readouterr()
     assert captured.err.count(f"no snapshots found in {snaps}") == 3
+    # and says why, though 12 snapshot files are on disk
+    assert captured.err.count(f"no snapshots found in {snaps}: its run manifest records 0 "
+                              "completed iterations, so the run stopped before completing "
+                              "one and must be run again") == 3
     assert "iteration 11" not in captured.out
 
 
