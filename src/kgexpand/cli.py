@@ -4,8 +4,9 @@ Config files are YAML key/value trees; explicit flags override file values.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 Each command imports what only it uses when it runs: ``yaml`` for a config
-file, ``paths`` (and with it numpy) for ``paths``, and ``report`` for
-``analyze`` and ``report``. Loading the CLI and ``run`` load none of them.
+file, ``paths`` (and with it numpy) for ``paths``, ``report`` for
+``analyze`` and ``report``, and the XML parser for the stages that read
+GraphML. Loading the CLI and ``run`` load none of them.
 """
 
 from __future__ import annotations

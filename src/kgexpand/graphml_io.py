@@ -26,7 +26,6 @@ import logging
 import math
 import os
 import re
-import xml.etree.ElementTree as ET
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -267,6 +266,8 @@ def read_graphml(path: str | Path) -> KnowledgeGraph:
     normalize, so a label or relation text met again, in this file or an
     earlier one, costs a cache lookup.
     """
+    import xml.etree.ElementTree as ET      # only reading stages parse GraphML
+
     try:
         tree = ET.parse(path)
     except ET.ParseError as exc:

@@ -17,14 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytics import (
-    CentralityTable,
-    centralities,
-    clustering,
-    louvain,
-    pearson,
-    triangles,
-)
+from .analytics import CentralityTable, centralities, clustering, pearson, triangles
+# unused here; perfbench/tests/test_perfbench.py pins ``paths.louvain`` in DIRECT_BINDINGS
+from .analytics import louvain  # noqa: F401
 # unused here; perfbench/tracer.py patches each module binding ``largest_component``
 from .core import KnowledgeGraph, largest_component  # noqa: F401
 from .errors import EmptyGraph, GeneratorError, NonConvergent, TrivialPath
@@ -44,11 +39,6 @@ from .sweep import DistanceSweep, SnapshotIndex, distance_sweep, snapshot_index
 PATH_METRIC_NAMES = ("degree", "betweenness", "closeness", "eigenvector",
                      "pagerank", "clustering", "density")
 BRIDGE_GROUP_SIZE = 3       # pairwise synergies per bridge-synergy prompt
-# the lengths of graph_context_prompt's lists
-CONTEXT_HUBS = 10           # hubs, and influencers by eigenvector
-CONTEXT_COMMUNITIES = 5
-CONTEXT_REPS = 3            # representatives per community
-CONTEXT_EDGES = 5           # relationships per hub
 PAGERANK_ALPHA = 0.85
 PAGERANK_TOL = 1e-8
 PAGERANK_MAX_ITER = 100
@@ -353,45 +343,3 @@ def compositional_pipeline(path: ExtractedPath, g: KnowledgeGraph,
     report.final_discovery = _ask(
         final_gen, FINAL_DISCOVERY_TEMPLATE.format(materials=materials))
     return report
-
-
-# ---------------------------------------------------------------------------
-# graph-informed context prompt
-
-
-def graph_context_prompt(g: KnowledgeGraph, task: str, seed: int = 0) -> str:
-    """Prepend hub/community/relationship context from the graph to a task prompt."""
-    if g.node_count == 0:
-        raise EmptyGraph("graph_context_prompt needs a non-empty graph")
-    index = snapshot_index(g)
-    degree = dict(zip(index.nodes, index.degree.tolist()))
-    table = centralities(distance_sweep(index))
-    hubs = sorted(index.nodes, key=lambda v: (-table.betweenness[v], v))[:CONTEXT_HUBS]
-    eigen = table.eigenvector
-    influencers = (hubs if eigen is None else
-                   sorted(index.nodes, key=lambda v: (-eigen[v], v))[:CONTEXT_HUBS])
-    partition, _ = louvain(index, seed)
-    members: dict[int, list[str]] = {}
-    for v, cid in partition.items():
-        members.setdefault(cid, []).append(v)
-    ranked_comms = sorted(members.values(), key=lambda m: (-len(m), min(m)))
-    lines = ["Knowledge graph context:",
-             "Key hubs (betweenness): " + ", ".join(g.display(v) for v in hubs),
-             "Influencers (eigenvector): " + ", ".join(g.display(v) for v in influencers),
-             "Communities:"]
-    for comm in ranked_comms[:CONTEXT_COMMUNITIES]:
-        reps = sorted(comm, key=lambda v: (-degree[v], v))[:CONTEXT_REPS]
-        lines.append(f"- {len(comm)} concepts: "
-                     + ", ".join(g.display(v) for v in reps))
-    lines.append("Key relationships:")
-    seen: set[tuple[str, str, str]] = set()
-    for hub in hubs:
-        incident = [t for t in g.triples() if hub in (t[0], t[2])]
-        incident.sort(key=lambda t: (-degree[t[2] if t[0] == hub else t[0]],
-                                     t[0], t[1], t[2]))
-        for triple in incident[:CONTEXT_EDGES]:
-            if triple in seen:
-                continue
-            seen.add(triple)
-            lines.append("- " + render_triple(g, triple))
-    return "\n".join(lines) + f"\n\n{task}"

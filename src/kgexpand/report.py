@@ -270,8 +270,8 @@ def summarize_snapshot(snap: Snapshot, louvain_seed: int = 0) -> dict[str, str]:
     }
 
 
-def summary_markdown(values: dict[str, str], title: str = "Graph") -> str:
-    lines = [f"| Metric | {title} |", "| --- | --- |"]
+def summary_markdown(values: dict[str, str]) -> str:
+    lines = ["| Metric | Graph |", "| --- | --- |"]
     for row in SUMMARY_ROWS:
         lines.append(f"| {row} | {values[row]} |")
     return "\n".join(lines) + "\n"

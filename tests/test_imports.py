@@ -1,8 +1,9 @@
 """Import cost of the CLI: importing it and `run` load neither scipy, numpy,
-requests, networkx nor yaml; `analyze` and `report` load no scipy (the
-power-law fit carries its own Hurwitz zeta, and assortativity its own Pearson
-correlation) and no numpy.ma (the fit takes its distinct values without
-np.unique); no analysis stage loads networkx (every kernel reads the
+requests, networkx, yaml nor xml.etree.ElementTree (only a stage that reads
+GraphML parses XML; `run` writes it as text); `analyze` and `report` load no
+scipy (the power-law fit carries its own Hurwitz zeta, and assortativity its
+own Pearson correlation) and no numpy.ma (the fit takes its distinct values
+without np.unique); no analysis stage loads networkx (every kernel reads the
 snapshot index); and `paths` loads neither `report` nor `scalefree` (the CSV
 writer formats its cells)."""
 
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-HEAVY_MODULES = ["scipy", "numpy", "requests", "networkx", "yaml"]
+HEAVY_MODULES = ["scipy", "numpy", "requests", "networkx", "yaml",
+                 "xml.etree.ElementTree"]
 
 
 def _loads(module: str, code: str, cwd) -> bool:

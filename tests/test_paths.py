@@ -508,39 +508,3 @@ def test_generator_failure_leaves_markers():
     path = diameter_path(g)
     report = paths_mod.agentic_path_report(path, g, Flaky())
     assert "[generation failed: boom]" in report.to_markdown()
-
-
-# ---------------------------------------------------------------------------
-# graph-informed context prompt
-
-
-def test_single_edge_context_lists_both_nodes():
-    g = kg_from_edges([("Aerogels", "Insulation")], kind="ENABLES")
-    prompt = paths_mod.graph_context_prompt(g, "Design something.", seed=1)
-    assert "Aerogels" in prompt and "Insulation" in prompt
-    assert "Aerogels -- ENABLES -- Insulation" in prompt
-    assert prompt.endswith("Design something.")
-    assert prompt.count("- 2 concepts") == 1      # one community of two
-
-
-def test_two_community_context_matches_centrality_oracle():
-    edges = [("a1", "a2"), ("a2", "a3"), ("a3", "a1"),
-             ("b1", "b2"), ("b2", "b3"), ("b3", "b1"),
-             ("a1", "b1"), ("a1", "c1"), ("c1", "b1")]
-    g = kg_from_edges(edges)
-    und = g.undirected_view(self_loops=False)
-    o_bet = oracles.betweenness(und)
-    best = sorted(und.nodes, key=lambda v: (-o_bet[v], v))[:3]
-    prompt = paths_mod.graph_context_prompt(g, "Task.", seed=0)
-    hubs_line = next(l for l in prompt.splitlines()
-                     if l.startswith("Key hubs (betweenness):"))
-    listed = [s.strip() for s in hubs_line.split(":", 1)[1].split(",")]
-    assert listed[:3] == best
-    assert "Communities:" in prompt
-
-
-def test_context_prompt_same_task_used_for_expansion():
-    g = kg_from_edges([("Impact-Resistant Materials", "Materials")], kind="IS-A")
-    task = "Describe a way to design impact resistant materials."
-    prompt = paths_mod.graph_context_prompt(g, task, seed=3)
-    assert prompt.endswith(task)
