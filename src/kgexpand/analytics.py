@@ -611,23 +611,23 @@ def centralities(sweep: DistanceSweep, *, self_loops: bool = False) -> Centralit
 # sampled shortest-path distribution
 
 
-def sampled_spl_distribution(sweep: DistanceSweep, samples: int = 2000,
-                             seed: int = 0) -> dict[int, int]:
-    """Distance histogram, by hop count ascending, over uniformly sampled node
-    pairs (with replacement) of the swept graph's largest component.
-
-    Pairs are drawn over the component's sorted nodes; their distances are
-    the sweep's depth rows of the drawn sources."""
+def draw_lcc_pairs(index: SnapshotIndex, samples: int = 2000,
+                   seed: int = 0) -> list[tuple[int, int]]:
+    """``samples`` node-index pairs drawn uniformly (with replacement) over the
+    sorted nodes of the largest component, none when it has fewer than two.
+    Draw them before the sweep, so it keeps the hop rows of their first nodes."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    lcc = sweep.index.lcc.tolist()
-    if not lcc:
-        raise EmptyGraph("cannot sample paths in an empty graph")
+    lcc = index.lcc.tolist()
     if len(lcc) < 2:
-        return {}
-    pairs = _sample_pairs(lcc, samples, random.Random(seed))
-    hist = Counter(pair_hops(sweep, pairs).tolist())
-    return dict(sorted(hist.items()))
+        return []
+    return _sample_pairs(lcc, samples, random.Random(seed))
+
+
+def sampled_spl_distribution(sweep: DistanceSweep, pairs: list) -> dict[int, int]:
+    """Distance histogram, by hop count ascending, of ``pairs``
+    (``draw_lcc_pairs``), read from the sweep's kept hop rows."""
+    return dict(sorted(Counter(pair_hops(sweep, pairs).tolist()).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +702,9 @@ def draw_pairs(seed: int, iteration: int, n: int,
 
 
 def pair_hops(sweep: DistanceSweep, pairs: list[tuple[int, int]]) -> np.ndarray:
-    """The hop count of each of ``pairs`` in the swept graph, -1 where unreachable."""
-    rows = sweep.depths({u for u, _ in pairs})
+    """The hop count of each of ``pairs`` in the swept graph, -1 where
+    unreachable; the sweep kept the hop row of each pair's first node."""
+    rows = sweep.rows
     return np.array([rows[i].item(j) for i, j in pairs], dtype=np.int64)
 
 

@@ -17,7 +17,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .errors import KgExpandError
+from .errors import EmptyGraph, KgExpandError
 from .graphml_io import (SnapshotStore, read_graphml, remove_numbered, whole_file, write_csv,
                          write_graphml)
 from .loop import RunConfig, run
@@ -91,17 +91,25 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     samples = _parse_samples(args.samples)
     store = SnapshotStore(args.snapshots)
     count = len(store.picked_paths(args.stride))
-    seeds = report.AnalyzeSeeds(louvain=args.seed, sampling=args.seed)
-    out = report.analyze_series(store.snapshots(args.stride), args.out, seeds,
+    out = report.analyze_series(store.snapshots(args.stride), args.out, args.seed,
                                 samples, spl_samples=args.spl_samples, stride=args.stride)
     print(f"analyzed {count} snapshots -> {out}")
     return 0
 
 
+def _final_snapshot(store: SnapshotStore):
+    """The store's final snapshot, which the path and report stages need non-empty."""
+    final = store.final()
+    if final.graph.node_count == 0:
+        raise EmptyGraph(f"the final snapshot in {store.directory}, iteration "
+                         f"{final.iteration}, has no nodes")
+    return final
+
+
 def _load_graph_argument(path_arg: str):
     path = Path(path_arg)
     if path.is_dir():
-        return SnapshotStore(path).final().graph
+        return _final_snapshot(SnapshotStore(path)).graph
     return read_graphml(path)
 
 
@@ -153,7 +161,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise KgExpandError(f"{flag} {directory} is not a directory")
     store = SnapshotStore(args.snapshots)
     print(report.build_report(
-        store.final(), len(store.iteration_paths()), args.out,
+        _final_snapshot(store), len(store.iteration_paths()), args.out,
         louvain_seed=args.seed, run_dir=args.snapshots,
         analysis_dir=args.analysis, paths_dir=args.paths))
     return 0

@@ -33,6 +33,7 @@ from itertools import islice
 
 from .core import DEFAULT_RELATION, KnowledgeGraph, normalize_relation
 from .errors import InvalidLabel, MalformedLiteral, NoGraphFound
+from .prompts import build_format_prompt
 
 THINK_OPEN = "<|thinking|>"
 THINK_CLOSE = "<|/thinking|>"
@@ -316,8 +317,6 @@ def extract_with_retry(session, raw_reasoning: str,
     to the prompt; exhaustion yields an empty LocalGraph flagged as skipped.
     Transport failures propagate.
     """
-    from .prompts import build_format_prompt  # local import to avoid a cycle
-
     prompt = build_format_prompt(raw_reasoning)
     last_error = ""
     for attempt in range(max_retries + 1):

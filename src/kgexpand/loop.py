@@ -171,7 +171,7 @@ def run(cfg: RunConfig, gen: GeneratorSession | None = None) -> RunResult:
                                              cfg.max_retries)
             delta: MergeDelta = merge_local(global_graph, outcome.local.graph)
             store.write(Snapshot(i, global_graph))
-            followup = build_followup_prompt(outcome.local, cfg)
+            followup = build_followup_prompt(outcome.local.graph, cfg)
             next_question = gen.complete(followup).strip()
             records.append(IterationRecord(
                 iteration=i,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .core import KnowledgeGraph
-from .extraction import LocalGraph
 
 # the synthetic generator tells prompts apart by these phrases of the templates
 FORMAT_REQUEST = "Output the graph as a Python dictionary"
@@ -66,9 +65,8 @@ def render_triple(graph: KnowledgeGraph, triple: tuple[str, str, str]) -> str:
     return f"{graph.display(src)} -- {kind} -- {graph.display(tgt)}"
 
 
-def list_entities_and_relations(local: LocalGraph) -> str:
+def list_entities_and_relations(g: KnowledgeGraph) -> str:
     """Newline-joined node labels followed by edge triples of a local graph."""
-    g = local.graph
     lines = [g.display(k) for k in sorted(g.node_keys)]
     lines.extend(render_triple(g, t) for t in g.triples())
     return "\n".join(lines)
@@ -81,7 +79,7 @@ def build_initial_prompt(cfg) -> str:
     return cfg.prompt
 
 
-def build_followup_prompt(recent: LocalGraph, cfg) -> str:
+def build_followup_prompt(recent: KnowledgeGraph, cfg) -> str:
     """Follow-up question prompt seeded with the latest extracted entities."""
     entities = list_entities_and_relations(recent)
     if cfg.mode == "topic":

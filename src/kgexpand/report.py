@@ -13,6 +13,7 @@ import dataclasses
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import analytics, scalefree
 from .core import Snapshot, largest_component  # noqa: F401
 from .errors import EmptyGraph, KgExpandError, UndefinedMetric
 from .graphml_io import MANIFEST_FILENAME, csv_writer, whole_file, write_csv, write_json
-from .sweep import DistanceSweep, distance_sweep, snapshot_index
+from .sweep import SnapshotIndex, distance_sweep, snapshot_index
 
 GLOBAL_METRICS = (
     "nodes", "edges", "avg_degree", "max_degree", "self_loops", "lcc_size",
@@ -51,12 +52,6 @@ SUMMARY_ROWS = (
 )
 
 
-@dataclass
-class AnalyzeSeeds:
-    louvain: int = 0
-    sampling: int = 0
-
-
 # an empty snapshot's metrics (extraction can fail in the first iterations)
 EMPTY_VALUES = {**dict.fromkeys(GLOBAL_METRICS),
                 **dict.fromkeys(("nodes", "edges", "self_loops", "lcc_size",
@@ -65,23 +60,32 @@ EMPTY_VALUES = {**dict.fromkeys(GLOBAL_METRICS),
 
 @dataclass
 class SnapshotRecord:
-    """What one snapshot gives the analysis. Node ``i`` is
-    ``sweep.index.nodes[i]``; ``bridges`` and ``pairs`` hold such indices."""
+    """What one snapshot gives the analysis. Node ``i`` is ``index.nodes[i]``;
+    ``bridges`` and ``pairs`` hold such indices."""
 
     iteration: int
     values: dict                # every global metric but the two pair counts
     scalefree_row: list
-    sweep: DistanceSweep        # with its index, and both betweenness tables
+    index: SnapshotIndex
+    betweenness: dict           # normalized, on the whole graph, by node key
     bridges: np.ndarray         # the bridge nodes, ascending
     pairs: list[tuple[int, int]]    # the drawn pairs (``analytics.draw_pairs``)
     hops: np.ndarray            # and their hop counts, -1 where unreachable
+    # the final snapshot's rows, else None (eigenvector also when it did not converge)
+    closeness: dict | None = None
+    eigenvector: dict | None = None
+    spl_histogram: dict | None = None
 
 
-def snapshot_record(snap: Snapshot, seeds: AnalyzeSeeds,
-                    samples: int | None) -> SnapshotRecord:
-    """One snapshot's metrics, a function of it and the seeds alone: from one
+def snapshot_record(snap: Snapshot, seed: int, samples: int | None,
+                    spl_samples: int | None = None) -> SnapshotRecord:
+    """One snapshot's metrics, a function of it and the seed alone: from one
     index, one triangle pass, one Louvain partition and one distance sweep,
-    which keeps the drawn pairs' sources' depth rows."""
+    which keeps the hop rows of the drawn pairs' sources.
+
+    ``spl_samples`` is given for the final snapshot alone: its SPL-histogram
+    pairs are drawn before the sweep too, and the record carries its
+    closeness, eigenvector and histogram rows."""
     it, g = snap.iteration, snap.graph
     index = snapshot_index(g)
     try:
@@ -90,16 +94,18 @@ def snapshot_record(snap: Snapshot, seeds: AnalyzeSeeds,
                "yes" if verdict.is_scale_free else "no"]
     except KgExpandError as exc:
         row = [it, None, None, None, None, None, type(exc).__name__]
-    pairs = analytics.draw_pairs(seeds.sampling, it, g.node_count, samples)
-    sweep = distance_sweep(index, keep={u for u, _ in pairs})
+    pairs = analytics.draw_pairs(seed, it, g.node_count, samples)
+    spl_pairs = ([] if spl_samples is None
+                 else analytics.draw_lcc_pairs(index, spl_samples, seed))
+    sweep = distance_sweep(index, keep={u for u, _ in pairs + spl_pairs})
     hops = analytics.pair_hops(sweep, pairs)
     if g.node_count == 0:
-        return SnapshotRecord(it, EMPTY_VALUES, row, sweep, np.zeros(0, dtype=np.int64),
-                              pairs, hops)
+        return SnapshotRecord(it, EMPTY_VALUES, row, index, sweep.betweenness,
+                              np.zeros(0, dtype=np.int64), pairs, hops)
     triangles = analytics.triangles(index)
     basic = analytics.basic_metrics(g, index, analytics.clustering(index, triangles))
     avg_spl, diameter = analytics.spl_and_diameter(sweep)
-    partition, q = analytics.louvain(index, seeds.louvain)
+    partition, q = analytics.louvain(index, seed)
     bridges = analytics.bridge_indices(index, partition)
     try:
         assort = analytics.assortativity(index)
@@ -126,7 +132,15 @@ def snapshot_record(snap: Snapshot, seeds: AnalyzeSeeds,
         "max_betweenness": max(bet.values()),
         "mean_degree_lcc": int(lcc_degree.sum()) / len(lcc_degree),
     }
-    return SnapshotRecord(it, values, row, sweep, bridges, pairs, hops)
+    record = SnapshotRecord(it, values, row, index, bet, bridges, pairs, hops)
+    if spl_samples is not None:
+        # Every other metric ignores self-loops; the eigenvector rows keep
+        # them, as a self-loop adds to the adjacency diagonal and so changes
+        # eigenvector scores. Closeness is the same either way.
+        table = analytics.centralities(sweep, self_loops=True)
+        record.closeness, record.eigenvector = table.closeness, table.eigenvector
+        record.spl_histogram = analytics.sampled_spl_distribution(sweep, spl_pairs)
+    return record
 
 
 class Fold:
@@ -142,7 +156,7 @@ class Fold:
 
     def add(self, record: SnapshotRecord) -> analytics.PairStats:
         """Fold in the next record; returns the counts of its pairs."""
-        it, index = record.iteration, record.sweep.index
+        it, index = record.iteration, record.index
         gid = analytics.node_ids(self.ledger.ids, index.nodes)
         stats = analytics.newly_connected_pairs(self.ledger, it, gid, record.pairs,
                                                 record.hops)
@@ -154,21 +168,22 @@ class Fold:
 
 
 def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
-                   seeds: AnalyzeSeeds | None = None, samples: int | None = 1000,
+                   seed: int = 0, samples: int | None = 1000,
                    spl_samples: int = 2000, stride: int = 1) -> Path:
     """Run the full metric suite over picked snapshots and emit CSVs.
 
     Writes metrics.csv (tidy), scalefree.csv (per snapshot), spl_histogram.csv
     (final snapshot), bridge_persistence.csv and hub_emergence.csv. Returns
-    the output directory. Deterministic given the seeds.
+    the output directory. Deterministic given the seed, which seeds both
+    Louvain and the pair draws.
 
     ``snapshots`` (in iteration order, already thinned by ``stride``, which is
-    only recorded) is read once; the last is the final snapshot. Each one's
+    only recorded) is read once, one snapshot ahead, so the last is known as
+    the final snapshot before its record is made. Each one's
     ``snapshot_record`` is folded into one ``Fold``, and its metrics.csv
     rows, with a betweenness row for each node it holds, and its
-    scalefree.csv row are written before the next snapshot is read.
+    scalefree.csv row are written before the snapshot after next is read.
     """
-    seeds = seeds or AnalyzeSeeds()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fold = Fold()
@@ -176,19 +191,17 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
                     ["iteration", "metric", "subject", "value"]) as metrics, \
             csv_writer(out / "scalefree.csv", ["iteration", "alpha", "xmin", "n_tail",
                                                "lr", "p", "verdict"]) as scalefree_csv:
-        for snap in snapshots:
-            # no record outlives its successor's sweep: both hold a sweep's rows
-            fold.last = None
-            record = snapshot_record(snap, seeds, samples)
+        for snap, following in pairwise(chain(snapshots, [None])):
+            record = snapshot_record(snap, seed, samples,
+                                     spl_samples if following is None else None)
             stats = fold.add(record)
             values = {**record.values, "newly_connected": stats.newly_connected,
                       "shortened_paths": stats.shortened}
             metrics.writerows((record.iteration, name, "global", values[name])
                               for name in GLOBAL_METRICS)
             metrics.writerows((record.iteration, "betweenness", node, value)
-                              for node, value in record.sweep.betweenness.items())
+                              for node, value in record.betweenness.items())
             scalefree_csv.writerow(record.scalefree_row)
-            del record
         final = fold.last
         if final is None:
             raise EmptyGraph("empty snapshot series")
@@ -201,28 +214,21 @@ def analyze_series(snapshots: Iterable[Snapshot], out_dir: str | Path,
         for node, present in zip(bridge_nodes, presence):
             metrics.writerows((it, "bridge_presence", node, here)
                               for it, here in zip(window, present))
-        histogram = {}
-        if final.sweep.index.nodes:
-            # Every other metric ignores self-loops; the eigenvector rows keep
-            # them, as a self-loop adds to the adjacency diagonal and so changes
-            # eigenvector scores. Closeness is the same either way.
-            final_table = analytics.centralities(final.sweep, self_loops=True)
-            histogram = analytics.sampled_spl_distribution(final.sweep, spl_samples,
-                                                           seeds.sampling)
-            for name, table in (("closeness", final_table.closeness),
-                                ("eigenvector", final_table.eigenvector)):
-                metrics.writerows((final.iteration, name, node, table[node])
-                                  for node in sorted(table or ()))
+        for name, table in (("closeness", final.closeness),
+                            ("eigenvector", final.eigenvector)):
+            metrics.writerows((final.iteration, name, node, table[node])
+                              for node in sorted(table or ()))
 
-    write_csv(out / "spl_histogram.csv", ["bin", "count"], histogram.items())
+    write_csv(out / "spl_histogram.csv", ["bin", "count"],
+              (final.spl_histogram or {}).items())
     write_csv(out / "degree_histogram.csv", ["bin", "count"],
-              sorted(Counter(final.sweep.index.degree.tolist()).items()))
+              sorted(Counter(final.index.degree.tolist()).items()))
     write_csv(out / "bridge_persistence.csv", ["node", "persistence"],
               sorted(persistence.items()))
     write_csv(out / "hub_emergence.csv", ["node", "t_emerge"], sorted(hubs.t_emerge.items()))
 
     write_json(out / "analysis_manifest.json", {
-        "seeds": {"louvain": seeds.louvain, "sampling": seeds.sampling},
+        "seeds": {"louvain": seed, "sampling": seed},
         "samples": samples,
         "spl_samples": spl_samples,
         "stride": stride,

@@ -144,19 +144,6 @@ class DistanceSweep:
             out[v] = value
         return out
 
-    def depths(self, sources) -> dict:
-        """Hop rows (-1 where unreachable) of ``sources``, by node index; rows
-        the sweep did not keep come from one forward pass over just those."""
-        missing = np.asarray(sorted(set(sources) - self.rows.keys()), dtype=np.int64)
-        out = {s: self.rows[s] for s in sources if s in self.rows}
-        if missing.size:
-            rows = self.index.rows
-            dtype = hop_dtype(len(self.index.nodes))
-            for batch in _batches(self.index, missing):
-                depth, _, _ = rows.forward(rows.row_of[batch])
-                out.update(zip(batch.tolist(), depth[rows.row_of].T.astype(dtype)))
-        return out
-
 
 def hop_dtype(n: int) -> type:
     """int16 when it holds every hop count of an ``n``-node graph (at most

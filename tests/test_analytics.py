@@ -48,6 +48,14 @@ def sweep_of(g):
     return distance_sweep(index_of(g))
 
 
+def spl_histogram(index, samples, seed):
+    """Draw the SPL-histogram pairs, sweep keeping their sources' rows, then
+    count, as the analysis does on its final snapshot."""
+    pairs = analytics.draw_lcc_pairs(index, samples, seed)
+    return analytics.sampled_spl_distribution(
+        distance_sweep(index, keep={u for u, _ in pairs}), pairs)
+
+
 def triangles_of(g):
     """A networkx graph's index and its triangle counts."""
     index = index_of(g)
@@ -641,14 +649,14 @@ def test_closeness_scales_by_component_on_disconnected_graph():
 
 
 def test_complete_graph_distances_are_all_one():
-    dist = analytics.sampled_spl_distribution(sweep_of(nx.complete_graph(10)), 500, seed=3)
+    dist = spl_histogram(index_of(nx.complete_graph(10)), 500, seed=3)
     assert dist == {1: 500}
 
 
 def test_sampling_is_deterministic_and_matches_bfs():
     g = nx.path_graph([f"p{i}" for i in range(10)])
-    a = analytics.sampled_spl_distribution(sweep_of(g), 300, seed=11)
-    b = analytics.sampled_spl_distribution(sweep_of(g), 300, seed=11)
+    a = spl_histogram(index_of(g), 300, seed=11)
+    b = spl_histogram(index_of(g), 300, seed=11)
     assert a == b
     total_pairs = sum(a.values())
     assert total_pairs == 300
@@ -662,7 +670,7 @@ def test_path_graph_histogram_matches_protocol_replay():
 
     nodes = [f"p{i}" for i in range(10)]
     g = nx.path_graph(nodes)
-    got = analytics.sampled_spl_distribution(sweep_of(g), 400, seed=23)
+    got = spl_histogram(index_of(g), 400, seed=23)
     rng = random_mod.Random(23)
     expected: dict[int, int] = {}
     for _ in range(400):
@@ -677,8 +685,7 @@ def test_path_graph_histogram_matches_protocol_replay():
 
 def test_sampling_restricted_to_lcc():
     kg = kg_from_edges([("a", "b"), ("b", "c"), ("x", "y")])
-    dist = analytics.sampled_spl_distribution(
-        distance_sweep(snapshot_index(kg)), 200, seed=5)
+    dist = spl_histogram(snapshot_index(kg), 200, seed=5)
     assert set(dist) <= {1, 2}
     assert sum(dist.values()) == 200
 

@@ -23,6 +23,13 @@ The `run` outputs of both runs are pinned as well: `run_records.csv` and the
 last snapshot, taken before the parser read replies in one pass and cached
 normalized labels. Every byte must match.
 
+Two more `analyze` cases (default options) read snapshots of the first
+run: its final snapshot alone, and its snapshots 0, 13, 26 and 39 followed
+by an empty snapshot 40. Every file was pinned while the final snapshot's
+closeness, eigenvector and SPL-histogram rows were computed after the loop
+over the snapshots, from a second BFS for the histogram sources the sweep
+had not kept. Every byte must match.
+
 metrics.csv once held a betweenness row for every node of any picked
 snapshot, reading 0 where the snapshot lacked the node. It now holds rows
 only for the nodes each snapshot has. Both pins of metrics.csv were moved
@@ -32,11 +39,13 @@ dense file rebuilt from the new one and the snapshots' node sets
 """
 
 import hashlib
+import shutil
 
 import pytest
 
 from kgexpand.cli import main
-from kgexpand.graphml_io import SnapshotStore, read_graphml
+from kgexpand.core import KnowledgeGraph
+from kgexpand.graphml_io import SnapshotStore, read_graphml, write_graphml
 
 from .oracles import dense_metrics_csv
 
@@ -138,6 +147,50 @@ def test_paths_bytes_match_the_pins(paths_out, name):
 def test_report_bytes_match_the_pins(report_out, name):
     digest = hashlib.sha256((report_out / name).read_bytes()).hexdigest()
     assert digest == REPORT_DIGESTS[name]
+
+
+ONE_SNAPSHOT_DIGESTS = {
+    "analysis_manifest.json": "b9f246a48760224e3546d3ce07f65a165c7d5c17582d8f09d35d891c5226bdde",
+    "bridge_persistence.csv": "4d98d1c846c11658bd02e728a02a850db1a34334542d7fc061f13735c2aec0fc",
+    "degree_histogram.csv": "cd689cc0f55a9cbc417477ec5d343bff803a26e87a9e25b1fd69d60fa3bb3993",
+    "hub_emergence.csv": "b8dce24347131b84e2c8df7abed5c5154b845a8c73ad120c4114b3d0e02373c5",
+    "metrics.csv": "2bd8bd47e97b86517ee4d820e57284d943654409d3ce6f380fe0d9ab8ed4f378",
+    "scalefree.csv": "d132c0e2321b4b6b2bbe8f716d96fea33b405856e97ec0aa3adf3fd7c0eef8a8",
+    "spl_histogram.csv": "57c7d14366b00289abb52e8ad111e0c705b905ee35b459db99579cb5c4bea8ec",
+}
+EMPTY_FINAL_DIGESTS = {
+    "analysis_manifest.json": "35c432e66d258809ef4814e763a70ab130eb338416102d502f4cc72ace21d463",
+    "bridge_persistence.csv": "a97c35a8f668f2290bb029827520b872773e5546727a8964b1473102c4321fe3",
+    "degree_histogram.csv": "98fb91e97cae616f54dc41ae1b30d869b321ab2be2074bc8e6fc038ef10193d9",
+    "hub_emergence.csv": "c593be9cdb0b9d5f4cd7694d657e82cc8dffe39cfeae98e5b0c5f6a10e80d55c",
+    "metrics.csv": "9323735393325a2f994dcf48ccbe1e8d0bb348b440acfbb7c62053ce6ec2a588",
+    "scalefree.csv": "5a31caf3456a37a0936f233383c1bf58b8a7418a49ef06b18d8649bce06c65ff",
+    "spl_histogram.csv": "98fb91e97cae616f54dc41ae1b30d869b321ab2be2074bc8e6fc038ef10193d9",
+}
+
+
+@pytest.fixture(scope="module")
+def short_analyses(snaps):
+    """``analyze`` of the first run's final snapshot alone, and of its
+    snapshots 0, 13, 26 and 39 with an empty snapshot 40 after them."""
+    root = snaps.parent
+    for name, iterations in (("one", [39]), ("empty_final", [0, 13, 26, 39])):
+        (root / name).mkdir()
+        for i in iterations:
+            shutil.copy(snaps / f"graph_iteration_{i}.graphml", root / name)
+    write_graphml(KnowledgeGraph(), root / "empty_final" / "graph_iteration_40.graphml")
+    for name in ("one", "empty_final"):
+        assert main(["analyze", str(root / name), "--out", str(root / f"analysis_{name}")]) == 0
+    return {"one": (root / "analysis_one", ONE_SNAPSHOT_DIGESTS),
+            "empty_final": (root / "analysis_empty_final", EMPTY_FINAL_DIGESTS)}
+
+
+@pytest.mark.parametrize("case", ["one", "empty_final"])
+def test_short_analyses_bytes_match_the_pins(short_analyses, case):
+    out, digests = short_analyses[case]
+    assert sorted(p.name for p in out.iterdir()) == sorted(digests)
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 STRIDE_50_DIGESTS = {

@@ -1,10 +1,10 @@
 """Import cost of the CLI: importing it and `run` load neither scipy, numpy,
 requests, networkx, yaml nor xml.etree.ElementTree (only a stage that reads
-GraphML parses XML; `run` writes it as text); `analyze` and `report` load no
+GraphML parses XML; `run` writes it as text); no analysis stage loads
 scipy (the power-law fit carries its own Hurwitz zeta, and assortativity its
-own Pearson correlation) and no numpy.ma (the fit takes its distinct values
-without np.unique); no analysis stage loads networkx (every kernel reads the
-snapshot index); and `paths` loads neither `report` nor `scalefree` (the CSV
+own Pearson correlation) or networkx (every kernel reads the snapshot
+index); `analyze` and `report` load no numpy.ma (the fit takes its distinct
+values without np.unique); and `paths` loads neither `report` nor `scalefree` (the CSV
 writer formats its cells)."""
 
 import os
@@ -50,16 +50,21 @@ def test_analyze_does_not_load_scipy_stats(tmp_path):
         tmp_path)
 
 
-def _runs_stage(stage: str) -> str:
+def _runs_stage(*stage: str) -> str:
     # 12 iterations grow the final graph past the fit's 10-observation minimum
     return ("from kgexpand.cli import main\n"
             "assert main(['run', '--synthetic', '--iterations', '12', '--out', 'snaps']) == 0\n"
-            f"assert main([{stage!r}, 'snaps', '--out', 'out']) == 0")
+            f"assert main([{stage[0]!r}, 'snaps', *{stage[1:]!r}, '--out', 'out']) == 0")
 
 
-@pytest.mark.parametrize("stage", ["analyze", "report"])
+ANALYSIS_STAGES = pytest.mark.parametrize(
+    "stage", [["analyze"], ["paths", "--mode", "compositional"], ["report"]],
+    ids=["analyze", "paths", "report"])
+
+
+@ANALYSIS_STAGES
 def test_analysis_stages_do_not_load_scipy(stage, tmp_path):
-    assert not _loads("scipy", _runs_stage(stage), tmp_path)
+    assert not _loads("scipy", _runs_stage(*stage), tmp_path)
 
 
 @pytest.mark.parametrize("stage", ["analyze", "report"])
@@ -68,15 +73,9 @@ def test_analysis_stages_do_not_load_numpy_ma(stage, tmp_path):
     assert not _loads("numpy.ma", _runs_stage(stage), tmp_path)
 
 
-@pytest.mark.parametrize("stage", [["analyze"], ["paths", "--mode", "compositional"],
-                                   ["report"]], ids=["analyze", "paths", "report"])
+@ANALYSIS_STAGES
 def test_analysis_stages_do_not_load_networkx(stage, tmp_path):
-    assert not _loads(
-        "networkx",
-        "from kgexpand.cli import main\n"
-        "assert main(['run', '--synthetic', '--iterations', '12', '--out', 'snaps']) == 0\n"
-        f"assert main([{stage[0]!r}, 'snaps', *{stage[1:]!r}, '--out', 'out']) == 0",
-        tmp_path)
+    assert not _loads("networkx", _runs_stage(*stage), tmp_path)
 
 
 @pytest.mark.parametrize("module", ["kgexpand.report", "kgexpand.scalefree"])

@@ -10,7 +10,7 @@ import pytest
 from kgexpand.cli import main
 from kgexpand.core import KnowledgeGraph, Snapshot
 from kgexpand.errors import ConfigError, GeneratorError
-from kgexpand.extraction import MAX_REPLY_CHARS, THINK_CLOSE, THINK_OPEN, LocalGraph
+from kgexpand.extraction import MAX_REPLY_CHARS, THINK_CLOSE, THINK_OPEN
 from kgexpand.graphml_io import SnapshotStore
 from kgexpand import loop
 from kgexpand.loop import RECORDS_FILENAME, RunConfig, run
@@ -68,21 +68,21 @@ def test_run_rejects_bad_config_with_an_error_line(capsys, tmp_path, flags):
 
 def test_followup_prompt_lists_entities_and_relations():
     local = parse_graph_literal("{'A': {'B': {'relation': 'HAS'}}}")
-    prompt = build_followup_prompt(local, RunConfig())
+    prompt = build_followup_prompt(local.graph, RunConfig())
     assert "A\nB\nA -- HAS -- B" in prompt
     assert "totally new concept" in prompt
 
 
 def test_followup_prompt_with_empty_local_graph():
     local = parse_graph_literal("{}")
-    prompt = build_followup_prompt(local, RunConfig())
+    prompt = build_followup_prompt(local.graph, RunConfig())
     assert "Original list of topics/keywords:\n\n" in prompt
 
 
 def test_topic_followup_mentions_broad_topic():
     local = parse_graph_literal("{}")
     cfg = RunConfig(mode="topic", topic="impact resistant materials")
-    prompt = build_followup_prompt(local, cfg)
+    prompt = build_followup_prompt(local.graph, cfg)
     assert "Considering the broad topic of impact resistant materials" in prompt
     assert "totally new aspect" in prompt
 
@@ -268,7 +268,7 @@ def test_reasoning_reply_over_the_cap_skips_the_iteration(tmp_path, caplog):
         result = run(cfg, session)
     assert max(len(prompt) for prompt in session.prompts) <= MAX_REPLY_CHARS
     # no format prompt on iteration 0; its follow-up comes from an empty graph
-    assert session.prompts[1] == build_followup_prompt(LocalGraph(), cfg)
+    assert session.prompts[1] == build_followup_prompt(KnowledgeGraph(), cfg)
     assert sum("Output the graph as a Python dictionary" in prompt
                for prompt in session.prompts) == 1
     first, second = result.records

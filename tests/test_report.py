@@ -23,7 +23,7 @@ from kgexpand.core import KnowledgeGraph, Snapshot
 from kgexpand.errors import EmptyGraph, KgExpandError
 from kgexpand.graphml_io import SnapshotStore, csv_cell
 from kgexpand.loop import RunConfig, run
-from kgexpand.report import AnalyzeSeeds, analyze_series
+from kgexpand.report import analyze_series
 from kgexpand.sweep import snapshot_index
 
 from . import oracles
@@ -63,7 +63,7 @@ def _rows(path):
 def analyzed(tmp_path_factory):
     series = _series()
     out = analyze_series(series, tmp_path_factory.mktemp("analysis"),
-                         AnalyzeSeeds(louvain=LOUVAIN_SEED), samples=None,
+                         LOUVAIN_SEED, samples=None,
                          spl_samples=50)
     return series, _rows(out / "metrics.csv"), out
 
@@ -172,7 +172,7 @@ def _long_series() -> list[Snapshot]:
 
 def test_hub_and_bridge_rows_match_past_the_presence_window(tmp_path):
     series = _long_series()
-    out = analyze_series(series, tmp_path, AnalyzeSeeds(louvain=LOUVAIN_SEED),
+    out = analyze_series(series, tmp_path, LOUVAIN_SEED,
                          samples=5, spl_samples=5)
     rows = _rows(out / "metrics.csv")
     _assert_bridges_match_bridge_analysis(series, rows, out)
@@ -210,7 +210,7 @@ def test_fold_keeps_no_dict_or_set_per_snapshot():
     for picked in (series[-20:], series):
         fold = report.Fold()
         for snap in picked:
-            fold.add(report.snapshot_record(snap, AnalyzeSeeds(), 5))
+            fold.add(report.snapshot_record(snap, 0, 5))
         counts.append(_dicts_and_sets(fold))
     assert counts[0] == counts[1]
 
@@ -472,8 +472,10 @@ def test_analyze_series_builds_no_view(monkeypatch, tmp_path):
 
 
 def test_analyze_series_streams_metrics_rows(monkeypatch, tmp_path):
-    # a snapshot's global and betweenness rows reach the writer before the next
-    # snapshot is read, so no table of every row or every betweenness dict is kept
+    # the series is read one snapshot ahead, so the last is known as the final
+    # one; a snapshot's global and betweenness rows reach the writer before the
+    # snapshot after next is read, so no table of every row or every
+    # betweenness dict is kept
     events = []
     csv_writer = report.csv_writer
 
@@ -502,11 +504,11 @@ def test_analyze_series_streams_metrics_rows(monkeypatch, tmp_path):
     per_snapshot = [(kind, it) for kind, it, metric in events
                     if kind == "read" or metric == "betweenness"
                     or metric in report.GLOBAL_METRICS]
-    assert per_snapshot == [
-        step for snap in series for step in (
-            [("read", snap.iteration)]
-            + [("row", snap.iteration)] * (len(report.GLOBAL_METRICS)
-                                           + snap.graph.node_count))]
+    read_next = [[("read", snap.iteration)] for snap in series[1:]] + [[]]
+    assert per_snapshot == [("read", series[0].iteration)] + [
+        step for snap, read in zip(series, read_next) for step in (
+            read + [("row", snap.iteration)] * (len(report.GLOBAL_METRICS)
+                                                + snap.graph.node_count))]
     assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".partial") == []
 
 
@@ -521,6 +523,34 @@ def test_analyze_series_runs_one_sweep_per_snapshot(monkeypatch, tmp_path):
     analyze_series(series, tmp_path, samples=10, spl_samples=10)
     assert len(sweeps) == len(series)
     assert networkx_calls == [[], [], []]
+
+
+def test_analyze_series_runs_no_bfs_outside_the_sweeps(monkeypatch, tmp_path):
+    # the final snapshot's SPL-histogram rows are kept by its own sweep, so the
+    # only BFS passes are the sweeps' batches, of three sources each here; the
+    # final snapshot is disconnected, and the ledger draws one pair per snapshot
+    monkeypatch.setattr(sweep, "BATCH_COLUMNS", 3)
+    passes = _counting(monkeypatch, sweep.NeighbourRows.forward, sweep.NeighbourRows)
+    series = _series()
+    final = snapshot_index(series[-1].graph)
+    assert 1 < len(final.lcc) < len(final.nodes)
+    analyze_series(series, tmp_path, samples=1, spl_samples=50)
+    assert len(passes) == sum(-(-s.graph.node_count // 3) for s in series)
+    assert len(_rows(tmp_path / "spl_histogram.csv")) > 1
+
+
+def test_report_of_an_empty_final_snapshot_names_it(tmp_path, capsys):
+    # every iteration skipped leaves empty snapshots; analyze still summarizes
+    # them, but report and paths need a node and say which snapshot has none
+    snaps = tmp_path / "snaps"
+    store = SnapshotStore(snaps)
+    for iteration in range(2):
+        store.write(Snapshot(iteration, KnowledgeGraph()))
+    assert main(["analyze", str(snaps), "--out", str(tmp_path / "a")]) == 0
+    for command in ("report", "paths"):
+        assert main([command, str(snaps), "--out", str(tmp_path / command)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the final snapshot in {snaps}, iteration 1, has no nodes\n")
 
 
 # ---------------------------------------------------------------------------

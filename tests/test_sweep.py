@@ -56,11 +56,11 @@ def _check_against_networkx(g):
         row = swept.rows[i].tolist()
         assert ({index.nodes[j]: d for j, d in enumerate(row) if d >= 0}
                 == nx.single_source_shortest_path_length(g, v))
-    # rows the sweep did not keep come from a forward pass of their own
-    plain = distance_sweep(index, betweenness=False)
-    assert plain.betweenness is None and plain.rows == {}
-    again = plain.depths(range(n))
-    assert all(again[i].tolist() == swept.rows[i].tolist() for i in range(n))
+    # a sweep keeps only the rows asked for, and the same rows without betweenness
+    assert distance_sweep(index).rows == {}
+    plain = distance_sweep(index, keep=range(n), betweenness=False)
+    assert plain.betweenness is None
+    assert all(plain.rows[i].tolist() == swept.rows[i].tolist() for i in range(n))
     if n == 0:
         assert swept.betweenness == {} and len(index.lcc) == 0
         return
@@ -116,16 +116,14 @@ def test_hop_rows_are_int16_and_equal_an_int32_sweep(monkeypatch):
     g.add_edge("x1", "x2")              # unreachable pairs hold -1
     index = index_of(g)
     n = len(index.nodes)
-    narrow = distance_sweep(index, keep=range(0, n, 2))
-    narrow_depths = narrow.depths(range(n))
+    narrow = distance_sweep(index, keep=range(n))
     monkeypatch.setattr(sweep, "hop_dtype", lambda n: np.int32)
-    wide = distance_sweep(index, keep=range(0, n, 2))
-    wide_depths = wide.depths(range(n))
-    assert narrow.rows.keys() == wide.rows.keys()
+    wide = distance_sweep(index, keep=range(n))
+    assert narrow.rows.keys() == wide.rows.keys() == set(range(n))
     for i in range(n):
-        assert narrow_depths[i].dtype == np.int16 and wide_depths[i].dtype == np.int32
-        assert np.array_equal(narrow_depths[i], wide_depths[i])
-    assert min(row.min() for row in narrow_depths.values()) == -1
+        assert narrow.rows[i].dtype == np.int16 and wide.rows[i].dtype == np.int32
+        assert np.array_equal(narrow.rows[i], wide.rows[i])
+    assert min(row.min() for row in narrow.rows.values()) == -1
 
 
 def test_hop_dtype_holds_every_hop_count():
@@ -148,8 +146,7 @@ def test_one_index_builds_one_neighbour_table(monkeypatch):
     g.add_edge("x1", "x1")
     index = index_of(g)
     n = len(index.nodes)
-    swept = distance_sweep(index, keep=range(0, n, 2))
-    swept.depths(range(n))              # the odd rows take a forward pass of their own
+    assert len(distance_sweep(index, keep=range(n)).rows) == n
     analytics.eigenvector_centrality(index, self_loops=False)
     assert built == [index.rows]
     # the self-loops on the diagonal need their own table, one more
