@@ -51,10 +51,6 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     # each run flag's dest is its field's name; a flag left out is None
     values.update((name, getattr(args, name)) for name in known
                   if getattr(args, name) is not None)
-    if args.endpoint and not args.synthetic:
-        values["synthetic"] = False
-    if values.get("topic") and "mode" not in values:
-        values["mode"] = "topic"
     return RunConfig(**values)
 
 
@@ -136,9 +132,9 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     main_path = paths_mod.diameter_path(g, tables)
     print(f"diameter path ({main_path.length} steps): {main_path.render()}")
     if args.mode != "none":
-        session = RunConfig(synthetic=not args.endpoint, endpoint=args.endpoint or "",
-                            model=args.model, seed=args.seed).build_session()
-        final_session = (RunConfig(synthetic=False, endpoint=args.final_endpoint,
+        session = RunConfig(endpoint=args.endpoint or "", model=args.model,
+                            seed=args.seed).build_session()
+        final_session = (RunConfig(endpoint=args.final_endpoint,
                                    model=args.final_model).build_session()
                          if args.final_endpoint else session)
         if args.mode == "agentic":
@@ -175,22 +171,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute the expansion loop")
     p_run.add_argument("--config", help="YAML config file")
-    p_run.add_argument("--mode", choices=["open-ended", "topic"])
-    p_run.add_argument("--prompt", help="initial prompt (open-ended mode)")
+    p_run.add_argument("--prompt", help="initial prompt (without --topic)")
     p_run.add_argument("--topic", help="topic to explore (topic mode)")
     p_run.add_argument("--iterations", type=int)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--vocabulary", type=int, dest="vocabulary_size",
-                       metavar="VOCABULARY", help="synthetic generator vocabulary size")
-    p_run.add_argument("--endpoint", help="remote completion endpoint URL")
+    generator = p_run.add_mutually_exclusive_group()
+    generator.add_argument("--endpoint", help="remote completion endpoint URL")
+    generator.add_argument("--synthetic", action="store_const", const="", dest="endpoint",
+                           help="use the deterministic synthetic generator (the "
+                                "default without an endpoint)")
     p_run.add_argument("--model")
     p_run.add_argument("--max-tokens", type=int, dest="max_tokens")
     p_run.add_argument("--timeout", type=float)
     p_run.add_argument("--temperature", type=float,
                        help="sampling temperature (endpoint default if omitted)")
     p_run.add_argument("--max-retries", type=int, dest="max_retries")
-    p_run.add_argument("--synthetic", action="store_true", default=None,
-                       help="use the deterministic synthetic generator")
     p_run.add_argument("--out", dest="snapshot_dir", metavar="OUT",
                        help="snapshot directory")
     p_run.set_defaults(func=_cmd_run)

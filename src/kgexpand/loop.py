@@ -7,6 +7,10 @@ for a follow-up question built from the latest extracted entities. Skipped
 iterations (parse exhaustion, or a reasoning reply over ``MAX_REPLY_CHARS``,
 which is never sent back) still write an unchanged snapshot so the series
 stays index-dense.
+
+Two ``RunConfig`` settings shape a run: its ``endpoint`` chooses the
+generator (none: the deterministic synthetic double) and its ``topic`` the
+prompts (none: open-ended, starting from ``prompt``).
 """
 
 from __future__ import annotations
@@ -31,35 +35,27 @@ from .extraction import (
 from .graphml_io import (MANIFEST_FILENAME, SNAPSHOT_STEM, SnapshotStore, remove_numbered,
                          write_csv, write_json)
 from .prompts import OPEN_ENDED_DEFAULT_PROMPT, build_followup_prompt, build_initial_prompt
-from .sessions import (
-    MIN_VOCABULARY_SIZE,
-    GeneratorSession,
-    HTTPGeneratorSession,
-    SyntheticGenerator,
-)
+from .sessions import GeneratorSession, HTTPGeneratorSession, SyntheticGenerator
 
 log = logging.getLogger(__name__)
 
 RECORDS_FILENAME = "run_records.csv"
 
 
-# the values each ``RunConfig`` field annotation admits; only a bool field a bool
-_FIELD_KINDS = {"str": str, "int": int, "bool": bool, "float": (int, float),
+# the values each ``RunConfig`` field annotation admits; a bool is none of them
+_FIELD_KINDS = {"str": str, "int": int, "float": (int, float),
                 "float | None": (int, float, type(None))}
 
 
 @dataclass
 class RunConfig:
-    mode: str = "open-ended"            # "open-ended" | "topic"
-    prompt: str = OPEN_ENDED_DEFAULT_PROMPT
-    topic: str = ""
+    prompt: str = OPEN_ENDED_DEFAULT_PROMPT  # the first question, without a topic
+    topic: str = ""                     # non-empty: topic mode
     iterations: int = 10
     seed: int = 0
-    vocabulary_size: int = 20
     snapshot_dir: str = "snapshots"
     max_retries: int = 2
-    synthetic: bool = True
-    endpoint: str = ""
+    endpoint: str = ""                  # empty: the synthetic generator
     model: str = "default"
     max_tokens: int = 2048
     timeout: float = 300.0
@@ -68,28 +64,23 @@ class RunConfig:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if (isinstance(value, bool) != (f.type == "bool")
-                    or not isinstance(value, _FIELD_KINDS[f.type])):
+            if isinstance(value, bool) or not isinstance(value, _FIELD_KINDS[f.type]):
                 raise ConfigError(f"{f.name} must be of type {f.type}, "
                                   f"got {type(value).__name__} {value!r}")
-        if self.mode not in ("open-ended", "topic"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be at least 0, got {self.max_retries}")
-        if self.synthetic and self.vocabulary_size < MIN_VOCABULARY_SIZE:
-            raise ConfigError("the synthetic generator's vocabulary_size must be at "
-                              f"least {MIN_VOCABULARY_SIZE}, got {self.vocabulary_size}")
-        if self.mode == "topic" and not self.topic.strip():
-            raise ConfigError("topic mode needs a non-empty topic")
-        if not self.synthetic and not self.endpoint:
-            raise ConfigError("non-synthetic runs need an endpoint URL")
+        if self.max_tokens < 1:
+            raise ConfigError(f"max_tokens must be at least 1, got {self.max_tokens}")
+        if not self.timeout > 0:
+            raise ConfigError(f"timeout must be above 0, got {self.timeout}")
+        if self.topic and not self.topic.strip():
+            raise ConfigError(f"topic must not be blank, got {self.topic!r}")
 
     def build_session(self) -> GeneratorSession:
-        if self.synthetic:
-            return SyntheticGenerator(seed=self.seed,
-                                      vocabulary_size=self.vocabulary_size)
+        if not self.endpoint:
+            return SyntheticGenerator(seed=self.seed)
         return HTTPGeneratorSession(endpoint=self.endpoint, model=self.model,
                                     max_tokens=self.max_tokens, timeout=self.timeout,
                                     temperature=self.temperature)

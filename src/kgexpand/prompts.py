@@ -73,8 +73,8 @@ def list_entities_and_relations(g: KnowledgeGraph) -> str:
 
 
 def build_initial_prompt(cfg) -> str:
-    """Initial question: verbatim prompt in open-ended mode, topic template otherwise."""
-    if cfg.mode == "topic":
+    """Initial question: the topic template given a topic, else the verbatim prompt."""
+    if cfg.topic:
         return TOPIC_INITIAL_TEMPLATE.format(topic=cfg.topic)
     return cfg.prompt
 
@@ -82,7 +82,7 @@ def build_initial_prompt(cfg) -> str:
 def build_followup_prompt(recent: KnowledgeGraph, cfg) -> str:
     """Follow-up question prompt seeded with the latest extracted entities."""
     entities = list_entities_and_relations(recent)
-    if cfg.mode == "topic":
+    if cfg.topic:
         return TOPIC_FOLLOWUP_TEMPLATE.format(topic=cfg.topic, entities=entities)
     return OPEN_ENDED_FOLLOWUP_TEMPLATE.format(entities=entities)
 

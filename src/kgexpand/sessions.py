@@ -1,10 +1,11 @@
 """Text-generator sessions: remote HTTP endpoint and deterministic synthetic double.
 
 Every session is a plain string-in/string-out exchange from the loop's point
-of view. The synthetic generator answers reasoning prompts with a
-marker-wrapped block whose graph section grows by preferential attachment, so
-desk-scale runs produce plausibly scale-free degree sequences without a live
-model.
+of view. A run without an endpoint uses the synthetic generator, which answers
+reasoning prompts with a marker-wrapped block whose graph section grows by
+preferential attachment, so desk-scale runs produce plausibly scale-free
+degree sequences without a live model. Its concept names come from a fixed
+vocabulary of 20 adjectives and 20 nouns, numbered once every pair is used.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class HTTPGeneratorSession:
     Timeouts, connection errors and 5xx replies are retried
     ``TRANSPORT_RETRIES`` times; a 4xx reply fails at once, since the same
     request would be refused again. So does a body over ``MAX_REPLY_BYTES``,
-    which is read no further.
+    which is read no further, and a body that is not JSON.
     """
 
     def __init__(self, endpoint: str, model: str = "default",
@@ -75,8 +76,7 @@ class HTTPGeneratorSession:
         headers = {"Content-Type": "application/json"}
         if token := os.environ.get(TOKEN_ENV_VAR):
             headers["Authorization"] = f"Bearer {token}"
-        last_exc: Exception | None = None
-        for _ in range(TRANSPORT_RETRIES + 1):
+        for attempt in range(TRANSPORT_RETRIES + 1):
             try:
                 with requests.post(self.endpoint, json=body, headers=headers,
                                    timeout=self.timeout, stream=True) as resp:
@@ -85,14 +85,17 @@ class HTTPGeneratorSession:
                                              f"request: HTTP {resp.status_code}")
                     resp.raise_for_status()
                     reply = _read_capped(resp)
-                try:
-                    payload = json.loads(reply)
-                except RecursionError:      # the decoder's stack, not the transport
-                    raise GeneratorError("reply JSON nests too deeply") from None
-                return _reply_text(payload)
-            except (requests.RequestException, ValueError) as exc:
-                last_exc = exc
-        raise GeneratorError(f"endpoint {self.endpoint} failed: {last_exc}") from last_exc
+                break
+            except requests.RequestException as exc:
+                if attempt == TRANSPORT_RETRIES:
+                    raise GeneratorError(f"endpoint {self.endpoint} failed: {exc}") from exc
+        try:
+            payload = json.loads(reply)
+        except RecursionError:              # the decoder's stack, not the transport
+            raise GeneratorError("reply JSON nests too deeply") from None
+        except ValueError as exc:           # invalid JSON, or bytes that are not UTF-8
+            raise GeneratorError(f"reply is not JSON: {exc}") from None
+        return _reply_text(payload)
 
 
 def _read_capped(resp) -> bytearray:
@@ -149,9 +152,6 @@ _RELATIONS = ("RELATES-TO", "RELATES-TO", "RELATES-TO", "IS-A", "INFLUENCES",
 _TRIPLE_LINE = re.compile(r"^(.*?)\s+--\s+([A-Z][A-Z -]*?)\s+-->\s+(.*?)$")
 
 
-MIN_VOCABULARY_SIZE = 10
-
-
 class SyntheticGenerator:
     """Deterministic stand-in for a graph-reasoning model.
 
@@ -162,11 +162,8 @@ class SyntheticGenerator:
     follow-up prompts get a fresh question. Fully reproducible from the seed.
     """
 
-    def __init__(self, seed: int, vocabulary_size: int = 20) -> None:
-        if vocabulary_size < MIN_VOCABULARY_SIZE:
-            raise ValueError(f"vocabulary_size must be at least {MIN_VOCABULARY_SIZE}")
+    def __init__(self, seed: int) -> None:
         self.seed = seed
-        self.vocabulary_size = vocabulary_size
         self._rng = random.Random(seed)
         self._concepts: list[str] = []
         self._attach: list[int] = []   # node indices repeated per degree unit
@@ -177,10 +174,9 @@ class SyntheticGenerator:
 
     def _mint_concept(self) -> int:
         i = len(self._concepts)
-        base = min(self.vocabulary_size, len(_ADJECTIVES))
-        adj = _ADJECTIVES[i % base]
-        noun = _NOUNS[(i // base) % len(_NOUNS)]
-        serial = i // (base * len(_NOUNS))
+        adj = _ADJECTIVES[i % len(_ADJECTIVES)]
+        noun = _NOUNS[(i // len(_ADJECTIVES)) % len(_NOUNS)]
+        serial = i // (len(_ADJECTIVES) * len(_NOUNS))
         name = f"{adj} {noun}" + (f" {serial + 1}" if serial else "")
         self._concepts.append(name)
         return i

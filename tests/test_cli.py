@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from kgexpand.cli import main
+from kgexpand.cli import _build_run_config, build_parser, main
 from kgexpand.loop import RunConfig, run
 from kgexpand.report import GLOBAL_METRICS, SUMMARY_ROWS
+from kgexpand.sessions import SyntheticGenerator
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +154,6 @@ def test_paths_agentic_mode(snapshot_dir, tmp_path):
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(
-        "mode: topic\n"
         "topic: impact resistant materials\n"
         "iterations: 5\n"
         "seed: 3\n"
@@ -179,9 +180,12 @@ def test_unknown_config_key_fails(tmp_path):
     ("iterations: ten\n", "iterations must be of type int, got str 'ten'"),
     ("iterations: true\n", "iterations must be of type int, got bool True"),
     ("seed: 1.5\n", "seed must be of type int, got float 1.5"),
-    ('synthetic: "no"\n', "synthetic must be of type bool, got str 'no'"),
     ("timeout: fast\n", "timeout must be of type float, got str 'fast'"),
     ("model: null\n", "model must be of type str, got NoneType None"),
+    # removed keys, whose settings endpoint and topic now make
+    ("mode: topic\n", "unknown config keys: ['mode']"),
+    ("synthetic: true\n", "unknown config keys: ['synthetic']"),
+    ("vocabulary_size: 20\n", "unknown config keys: ['vocabulary_size']"),
 ])
 def test_bad_config_file_exits_1_with_an_error_line(tmp_path, capsys, text, named):
     cfg = tmp_path / "bad.yaml"
@@ -196,10 +200,54 @@ def test_bad_config_file_exits_1_with_an_error_line(tmp_path, capsys, text, name
 
 def test_config_file_types_accept_ints_as_floats_and_null_temperature(tmp_path):
     cfg = tmp_path / "run.yaml"
-    cfg.write_text("iterations: 1\ntimeout: 30\ntemperature: null\nsynthetic: true\n")
+    cfg.write_text("iterations: 1\ntimeout: 30\ntemperature: null\n")
     out = tmp_path / "snaps"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "graph_iteration_0.graphml").exists()
+
+
+# one value off each RunConfig default
+NON_DEFAULT_RUN_VALUES = {
+    "prompt": "Hello", "topic": "ceramics", "iterations": 3, "seed": 5,
+    "snapshot_dir": "elsewhere", "max_retries": 1,
+    "endpoint": "http://127.0.0.1:9/never", "model": "m", "max_tokens": 7,
+    "timeout": 2.5, "temperature": 0.5,
+}
+
+
+def test_the_run_setting_contract_covers_every_field():
+    assert set(NON_DEFAULT_RUN_VALUES) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize("name", sorted(NON_DEFAULT_RUN_VALUES))
+def test_each_run_setting_reads_the_same_from_the_file_and_its_flag(tmp_path, name):
+    value = NON_DEFAULT_RUN_VALUES[name]
+    flag = {"snapshot_dir": "--out"}.get(name, "--" + name.replace("_", "-"))
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"{name}: {value}\n")
+    from_file = _build_run_config(build_parser().parse_args(["run", "--config", str(cfg)]))
+    from_flag = _build_run_config(build_parser().parse_args(["run", flag, str(value)]))
+    assert from_file == from_flag
+    assert getattr(from_file, name) == value != getattr(RunConfig(), name)
+    assert type(from_file.build_session()) is type(from_flag.build_session())
+
+
+def test_synthetic_overrides_a_config_file_endpoint(tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("endpoint: http://127.0.0.1:9/never\n")
+    config = _build_run_config(build_parser().parse_args(
+        ["run", "--config", str(cfg), "--synthetic"]))
+    assert config.endpoint == ""
+    assert isinstance(config.build_session(), SyntheticGenerator)
+
+
+def test_synthetic_and_endpoint_together_exit_2(tmp_path):
+    out = tmp_path / "snaps"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--synthetic", "--endpoint", "http://127.0.0.1:9/never",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_analyze_tolerates_empty_leading_snapshots(tmp_path):

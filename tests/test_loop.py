@@ -27,7 +27,7 @@ from . import oracles
 
 
 def test_topic_initial_prompt():
-    cfg = RunConfig(mode="topic", topic="impact resistant materials")
+    cfg = RunConfig(topic="impact resistant materials")
     assert build_initial_prompt(cfg) == (
         "Describe a way to design impact resistant materials.")
 
@@ -40,7 +40,7 @@ def test_open_ended_default_prompt():
 
 def test_empty_topic_fails_validation():
     with pytest.raises(ConfigError):
-        RunConfig(mode="topic", topic="  ").validate()
+        RunConfig(topic="  ").validate()
 
 
 def test_negative_max_retries_fails_validation():
@@ -49,17 +49,15 @@ def test_negative_max_retries_fails_validation():
     RunConfig(max_retries=0).validate()
 
 
-def test_small_synthetic_vocabulary_fails_validation():
-    with pytest.raises(ConfigError, match="vocabulary_size"):
-        RunConfig(vocabulary_size=9).validate()
-    RunConfig(vocabulary_size=10).validate()
-
-
-@pytest.mark.parametrize("flags", [["--max-retries", "-1"], ["--vocabulary", "3"]])
+@pytest.mark.parametrize("flags", [
+    ["--synthetic", "--max-retries", "-1"],
+    ["--endpoint", "http://127.0.0.1:9/never", "--timeout", "-5"],
+    ["--endpoint", "http://127.0.0.1:9/never", "--timeout", "nan"],
+    ["--endpoint", "http://127.0.0.1:9/never", "--max-tokens", "0"],
+])
 def test_run_rejects_bad_config_with_an_error_line(capsys, tmp_path, flags):
     out = tmp_path / "snaps"
-    assert main(["run", "--synthetic", "--iterations", "2", "--out", str(out),
-                 *flags]) == 1
+    assert main(["run", "--iterations", "2", "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
@@ -81,7 +79,7 @@ def test_followup_prompt_with_empty_local_graph():
 
 def test_topic_followup_mentions_broad_topic():
     local = parse_graph_literal("{}")
-    cfg = RunConfig(mode="topic", topic="impact resistant materials")
+    cfg = RunConfig(topic="impact resistant materials")
     prompt = build_followup_prompt(local.graph, cfg)
     assert "Considering the broad topic of impact resistant materials" in prompt
     assert "totally new aspect" in prompt
@@ -123,11 +121,6 @@ def test_same_seed_gives_identical_transcript():
 
     assert transcript(11) == transcript(11)
     assert transcript(11) != transcript(12)
-
-
-def test_vocabulary_size_floor():
-    with pytest.raises(ValueError):
-        SyntheticGenerator(seed=1, vocabulary_size=9)
 
 
 def test_format_reply_parses_back_to_emitted_triples():
@@ -367,6 +360,17 @@ def test_records_one_per_iteration(tmp_path):
     assert all(r.question for r in result.records)
 
 
+def test_a_topic_selects_topic_mode_through_the_api_as_through_the_cli(tmp_path):
+    run(RunConfig(topic="ceramics", iterations=3, seed=1,
+                  snapshot_dir=str(tmp_path / "api")))
+    assert main(["run", "--topic", "ceramics", "--iterations", "3", "--seed", "1",
+                 "--out", str(tmp_path / "cli")]) == 0
+    api, cli = ((tmp_path / d / RECORDS_FILENAME).read_bytes() for d in ("api", "cli"))
+    assert api == cli
+    with open(tmp_path / "api" / RECORDS_FILENAME, newline="") as fh:
+        assert next(csv.DictReader(fh))["question"] == "Describe a way to design ceramics."
+
+
 # ---------------------------------------------------------------------------
 # HTTP session
 
@@ -374,11 +378,13 @@ def test_records_one_per_iteration(tmp_path):
 class _Handler(http.server.BaseHTTPRequestHandler):
     fail_first = False
     seen_headers = []
+    seen_prompts = []
 
     def do_POST(self):
         cls = type(self)
         cls.seen_headers.append(dict(self.headers))
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        cls.seen_prompts.append(body["prompt"])
         if cls.fail_first:
             cls.fail_first = False
             self.send_response(500)
@@ -420,6 +426,16 @@ def test_http_session_sends_token_from_env(http_endpoint, monkeypatch):
     _Handler.seen_headers.clear()
     HTTPGeneratorSession(endpoint=http_endpoint, timeout=5).complete("x")
     assert _Handler.seen_headers[-1].get("Authorization") == "Bearer sekrit"
+
+
+def test_a_config_file_endpoint_alone_selects_the_http_generator(http_endpoint, tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(f"endpoint: {http_endpoint}\niterations: 1\nmax_retries: 0\n")
+    _Handler.seen_prompts.clear()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "snaps")]) == 0
+    # the question, one formatting attempt of the echoed reply, the follow-up
+    assert len(_Handler.seen_prompts) == 3
+    assert _Handler.seen_prompts[0] == prompts.OPEN_ENDED_DEFAULT_PROMPT
 
 
 def test_http_session_failure_raises_after_retries():
@@ -519,6 +535,15 @@ def test_http_session_rejects_a_reply_nested_past_the_decoder(monkeypatch):
     with pytest.raises(GeneratorError, match="nests too deeply"):
         HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("body", [b"<html>busy</html>", b"\xff"])
+def test_http_session_fails_fast_on_a_body_that_is_not_json(monkeypatch, body):
+    calls = _scripted_post(monkeypatch, [200, 200])
+    monkeypatch.setattr(_Reply, "body", body)
+    with pytest.raises(GeneratorError, match="reply is not JSON"):
+        HTTPGeneratorSession(endpoint="http://endpoint.invalid/c").complete("x")
+    assert len(calls) == 1              # the same request would get the same reply
 
 
 def test_http_session_reads_completions_style_text(monkeypatch):
